@@ -13,10 +13,14 @@ holds the layer to that promise on the two hot paths it touches:
   :class:`~repro.serving.pool.MonitorPool` (the per-event counter and the
   per-scrape gauge cost);
 * **serving, fully armed** — the same push workload with per-rule
-  analytics mirrored into the registry, a live trace collector, and a
+  analytics exported to the registry, a live trace collector, and a
   trace context stamped on every batch (the cross-process propagation
   path), plus a ``rule_analytics()`` scrape — the serving plane exactly
   as `repro serve --http-port` runs it under `repro top`.
+
+Both serving rows monitor the 1,200-rule fixture of
+``bench_serving.py`` with its 11-event sessions: per-rule observing costs
+the most where many rules meet short sessions.
 
 Each path is timed in alternating enabled/muted rounds
 (:func:`repro.obs.metrics.set_enabled`), taking the best round per mode so
@@ -47,8 +51,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
+from repro.serving.compile import compile_rules
 from repro.serving.pool import MonitorPool
 
+from bench_serving import MINING_CONFIG, _mining_corpus, _session_events
 from conftest import append_bench_record, write_result
 
 SCALE = float(os.environ.get("REPRO_OBS_SCALE", "1.0"))
@@ -60,13 +66,15 @@ JSON_PATH = (
     else Path(__file__).parent / "results" / "BENCH_hot_paths.json"
 )
 
-#: Alternating timing rounds per mode; best round is reported.
-ROUNDS = 3
+#: Alternating timing rounds per mode; best round is reported.  Short
+#: rounds, many of them: the host's CPU speed swings for seconds at a time,
+#: and the best of many short rounds finds the fast periods for both modes.
+ROUNDS = 7
 #: The acceptance bound: instrumented within 5% of muted.
 MAX_OVERHEAD = 0.05
-#: Serving workload: logical sessions and events per session.
-SESSIONS = max(8, int(64 * SCALE))
-EVENTS_PER_SESSION = 40
+#: Serving workload: logical sessions of the bench_serving fixture.
+SESSIONS = max(64, int(400 * SCALE))
+SESSION_EVENTS = [_session_events(session) for session in range(SESSIONS)]
 
 
 def _mine_once(database):
@@ -79,11 +87,10 @@ def _mine_once(database):
     return result, elapsed
 
 
-def _serve_once(rules):
-    events = [f"ev{i % 7}" for i in range(EVENTS_PER_SESSION)]
+def _serve_once(compiled):
     started = time.perf_counter()
-    with MonitorPool(rules, shards=4) as pool:
-        for session in range(SESSIONS):
+    with MonitorPool(compiled, shards=4, queue_depth=2 * SESSIONS) as pool:
+        for session, events in enumerate(SESSION_EVENTS):
             pool.feed_batch(f"s{session}", events)
         for session in range(SESSIONS):
             pool.end_session(f"s{session}").wait(timeout=30.0)
@@ -92,7 +99,7 @@ def _serve_once(rules):
     return report, time.perf_counter() - started
 
 
-def _serve_analytics_once(rules):
+def _serve_analytics_once(compiled):
     """The fully armed serving pass: analytics + trace propagation.
 
     When the collector is armed (instrumented rounds) every batch and
@@ -101,11 +108,10 @@ def _serve_analytics_once(rules):
     per-rule analytics scrape at the end is the ANALYTICS-verb read that
     `repro top` polls.
     """
-    events = [f"ev{i % 7}" for i in range(EVENTS_PER_SESSION)]
     armed = tracing.ACTIVE is not None
     started = time.perf_counter()
-    with MonitorPool(rules, shards=4) as pool:
-        for session in range(SESSIONS):
+    with MonitorPool(compiled, shards=4, queue_depth=2 * SESSIONS) as pool:
+        for session, events in enumerate(SESSION_EVENTS):
             context = tracing.ensure_context() if armed else None
             pool.feed_batch(f"s{session}", events, trace=context)
         for session in range(SESSIONS):
@@ -160,13 +166,15 @@ def bench_obs_overhead(benchmark):
     assert [str(r) for r in mine_results[True].rules] == [
         str(r) for r in mine_results[False].rules
     ]
-    rules = tuple(mine_results[True].rules)[:32]
+    rules = NonRedundantRecurrentRuleMiner(MINING_CONFIG).mine(_mining_corpus()).rules
+    compiled = compile_rules(rules)
 
-    serve_results, serve_on, serve_off = _best_of(_serve_once, rules)
+    serve_results, serve_on, serve_off = _best_of(_serve_once, compiled)
     assert serve_results[True].summary() == serve_results[False].summary()
+    assert serve_results[True].violation_count > 0
 
     analytics_results, analytics_on, analytics_off = _best_of(
-        _serve_analytics_once, rules, arm=tracing.install, disarm=tracing.reset
+        _serve_analytics_once, compiled, arm=tracing.install, disarm=tracing.reset
     )
     # Armed or plain, the pool reports the same violations and the same
     # per-rule tallies — analytics observe, never perturb.
@@ -190,6 +198,7 @@ def bench_obs_overhead(benchmark):
             "sequences": len(database),
             "events": total_events,
             "sessions": SESSIONS,
+            "rules": len(rules),
             "host_cpus": os.cpu_count(),
         },
         "mine_instrumented_seconds": round(mine_on, 4),
@@ -207,7 +216,7 @@ def bench_obs_overhead(benchmark):
 
     text = (
         f"workload: {len(database)} sequences, {total_events} events, "
-        f"{SESSIONS} push sessions (scale {SCALE})\n"
+        f"{SESSIONS} push sessions over {len(rules)} rules (scale {SCALE})\n"
         f"mine : instrumented {mine_on:.4f}s vs muted {mine_off:.4f}s "
         f"({mine_overhead:+.1%})\n"
         f"serve: instrumented {serve_on:.4f}s vs muted {serve_off:.4f}s "

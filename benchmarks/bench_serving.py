@@ -41,6 +41,7 @@ Scale with ``REPRO_SERVING_SCALE`` (default 1.0).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from pathlib import Path
@@ -336,7 +337,9 @@ def bench_serving_concurrent_sessions(benchmark):
         for event in _session_events(index):
             reference.feed(event)
         reference_reports.append(reference.end_trace())
-    reference_report = MonitoringReport.merge_all(reference_reports)
+    reference_report = functools.reduce(
+        MonitoringReport.merge, reference_reports, MonitoringReport()
+    )
     reference_seconds = time.perf_counter() - start
     assert _report_bytes(pooled) == _report_bytes(reference_report)
     assert pooled.violation_count > 0  # the stream exercises both outcomes

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -53,6 +53,7 @@ __all__ = [
     "enabled",
     "record_mining_stats",
     "record_rule_close",
+    "rule_tally_delta",
     "unit_observation",
     "shard_observation",
     "merge_outcome_metrics",
@@ -350,6 +351,29 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        self._collectors: List[Callable[[], None]] = []
+
+    # ------------------------------------------------------------- #
+    # Scrape-time collectors
+    # ------------------------------------------------------------- #
+    def add_collector(self, collector: Callable[[], None]) -> None:
+        """Run ``collector`` at the start of every :meth:`snapshot` and
+        :meth:`render_text`, so state kept outside the registry (the monitor
+        pool's per-rule tallies) is brought up to date when it is read
+        instead of being written on every change."""
+        with self._lock:
+            self._collectors.append(collector)
+
+    def remove_collector(self, collector: Callable[[], None]) -> None:
+        with self._lock:
+            if collector in self._collectors:
+                self._collectors.remove(collector)
+
+    def _collect(self) -> None:
+        with self._lock:
+            collectors = list(self._collectors)
+        for collector in collectors:
+            collector()
 
     # ------------------------------------------------------------- #
     # Family declaration
@@ -410,6 +434,7 @@ class MetricsRegistry:
         snapshot identically; the engine's merge-determinism tests pin
         this.
         """
+        self._collect()
         out: Dict[str, object] = {}
         with self._lock:
             for name in sorted(self._families):
@@ -486,6 +511,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------- #
     def render_text(self) -> str:
         """Prometheus text exposition format, deterministically ordered."""
+        self._collect()
         lines: List[str] = []
         with self._lock:
             for name in sorted(self._families):
@@ -729,6 +755,47 @@ def merge_outcome_metrics(outcomes: Iterable[object]) -> None:
             REGISTRY.merge(delta)
 
 
+def rule_tally_delta(deltas: Mapping[str, Sequence[float]]) -> Dict[str, object]:
+    """A delta snapshot of the three ``repro_rule_*`` families.
+
+    ``deltas`` maps a rule key to the growth of its tally slot since the
+    last export, in the :class:`~repro.serving.stream_monitor.RuleTally`
+    layout ``[opened, satisfied, violated, trie_advances,
+    active_seconds_sum, *active_seconds_bucket_counts]``.  Merging the
+    result into :data:`REGISTRY` is what the monitor pool does at scrape
+    time in place of recording every rule at every session close.
+    """
+    points: List[object] = []
+    advances: List[object] = []
+    active: List[object] = []
+    for rule, slot in sorted(deltas.items()):
+        for outcome, value in zip(("opened", "satisfied", "violated"), slot):
+            if value:
+                points.append([[rule, outcome], float(value)])
+        if slot[3]:
+            advances.append([[rule], float(slot[3])])
+        buckets = [int(count) for count in slot[5:]]
+        if any(buckets):
+            active.append([[rule], buckets, float(slot[4]), sum(buckets)])
+
+    def entry(family: _Family, samples: List[object]) -> Dict[str, object]:
+        out = {
+            "kind": family.kind,
+            "help": family.help,
+            "labels": list(family.label_names),
+            "samples": samples,
+        }
+        if isinstance(family, Histogram):
+            out["buckets"] = list(family.buckets)
+        return out
+
+    return {
+        RULE_POINTS_TOTAL.name: entry(RULE_POINTS_TOTAL, points),
+        RULE_TRIE_ADVANCES_TOTAL.name: entry(RULE_TRIE_ADVANCES_TOTAL, advances),
+        RULE_ACTIVE_SECONDS.name: entry(RULE_ACTIVE_SECONDS, active),
+    }
+
+
 def record_rule_close(
     rule: str,
     opened: int,
@@ -737,11 +804,13 @@ def record_rule_close(
     advances: int,
     active_seconds: Optional[float] = None,
 ) -> None:
-    """Mirror one rule's per-trace tallies onto the analytics families.
+    """Record one rule's tallies of one closed trace onto the analytics
+    families directly.
 
-    Called once per rule per closed trace by ``StreamingMonitor.end_trace``
-    — never at per-event sites, so the monitoring hot loop stays free of
-    registry locks and the mirrored totals merge order-free across shards.
+    For embedders that monitor without a pool.  The monitor pool does not
+    call this: it keeps per-rule tallies per shard and exports them at
+    scrape time (:func:`rule_tally_delta`), so a session close takes no
+    registry lock.
     """
     if not ENABLED:
         return

@@ -68,6 +68,17 @@ class SpecificationRepositoryLike:  # pragma: no cover - typing helper only
     rules: List[RecurrentRule]
 
 
+def rule_key(rule: RecurrentRule) -> str:
+    """The stable string id the analytics layer keys rules by.
+
+    Shape only — ``"open -> use, close"`` — never the mined statistics:
+    the same rule re-mined at a new support must keep accumulating under
+    one key, and the key must survive JSON framing (the ``ANALYTICS``
+    verb) and Prometheus label quoting unchanged.
+    """
+    return f"{', '.join(rule.premise)} -> {', '.join(rule.consequent)}"
+
+
 class CompiledRuleSet:
     """An immutable rule set compiled for one-event-at-a-time serving.
 
@@ -87,6 +98,8 @@ class CompiledRuleSet:
         "last_symbol",
         "consequents",
         "consequent_moves",
+        "signatures",
+        "keys",
     )
 
     def __init__(
@@ -118,6 +131,10 @@ class CompiledRuleSet:
         self.consequents = consequents
         #: Rule id -> {symbol: descending matched-stage indices it advances}.
         self.consequent_moves = consequent_moves
+        #: Rule id -> ``rule.signature()``, the report's per-rule point key.
+        self.signatures = tuple(rule.signature() for rule in rules)
+        #: Rule id -> :func:`rule_key`, the analytics key.
+        self.keys = tuple(rule_key(rule) for rule in rules)
 
     def __len__(self) -> int:
         return len(self.rules)

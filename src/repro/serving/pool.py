@@ -25,15 +25,22 @@ The pool makes three serving guarantees:
   close (their in-flight matching state is only meaningful against it),
   sessions opened after the swap get the new one.  No lock is held while
   monitoring — the compiled set is immutable and shared;
-* **deterministic aggregation** — every closed session's report is kept
-  with the session's admission index and
-  :meth:`MonitorPool.report` merges them *in admission order* through
-  :meth:`MonitoringReport.merge_all
-  <repro.verification.violations.MonitoringReport.merge_all>`.  The merged
-  report is byte-identical to a single ``StreamingMonitor`` fed the same
-  sessions one after another in admission order — the parity contract
-  pinned by the hypothesis suite in ``tests/serving/test_pool.py``,
-  including across a mid-stream hot swap.
+* **deterministic aggregation in bounded memory** — each shard folds a
+  closed session's point counts as it arrives (counts commute) and keeps
+  ``(admission index, violations)`` only for sessions that violated;
+  :meth:`MonitorPool.report` adds the counts and concatenates the kept
+  violations *in admission order*.  The merged report is byte-identical
+  to a single ``StreamingMonitor`` fed the same sessions one after another
+  in admission order — the parity contract pinned by the hypothesis suite
+  in ``tests/serving/test_pool.py``, including across a mid-stream hot
+  swap — while the pool's retained state grows with violations, not with
+  sessions served.
+
+Per-rule analytics live in one place, a
+:class:`~repro.serving.stream_monitor.RuleTally` per shard that every
+session monitor on the shard folds into at close.  The ``ANALYTICS`` verb
+sums the shard tallies, and the ``repro_rule_*`` metric families are
+brought up to date from them when the registry is scraped.
 
 The pool is transport-agnostic: the TCP front end in
 :mod:`repro.serving.server` is one producer, the watch daemon's push mode
@@ -54,9 +61,9 @@ from ..core.events import EventLabel
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..testing import faults
-from ..verification.violations import MonitoringReport
+from ..verification.violations import MonitoringReport, RuleViolation
 from .compile import CompiledRuleSet, RuleSource, compile_rules
-from .stream_monitor import StreamingMonitor
+from .stream_monitor import RuleTally, StreamingMonitor
 
 #: :meth:`MonitorPool.feed` accepted the events (they are queued in order).
 ACCEPTED = "ok"
@@ -187,13 +194,15 @@ class _Shard:
         self.index = index
         self.queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self.lock = threading.Lock()
-        #: ``(admission index, final report)`` of every session closed here.
-        self.closed: List[Tuple[int, MonitoringReport]] = []
-        #: Per-rule analytics folded from closed sessions' monitors:
-        #: ``signature -> [opened, satisfied, violated, trie_advances]``.
-        #: Plain int adds under the shard lock — commutative, so the pool's
-        #: cross-shard merge is order-free like the worker metric deltas.
-        self.rule_analytics: Dict[str, List[int]] = {}
+        #: Point counts and per-rule points of every session closed here
+        #: (its violation list stays empty).
+        self.totals = MonitoringReport()
+        #: ``(admission index, violations)`` of each closed session that
+        #: violated — the only per-session state kept after a close.
+        self.violations: List[Tuple[int, List[RuleViolation]]] = []
+        #: Per-rule analytics of every session closed here; the shard's
+        #: session monitors fold into it (see :class:`RuleTally`).
+        self.tally = RuleTally()
         self.events_processed = 0
         self.sessions_closed = 0
         self.errors = 0
@@ -260,20 +269,14 @@ class _Shard:
                         else tracing._NOOP
                     )
                     # The trace was opened (named) at admission, so a
-                    # zero-event session is simply a zero-length trace: its
-                    # report still carries the rule set's zero point tallies.
+                    # zero-event session is simply a zero-length trace.
                     with close_span:
                         report = session.monitor.end_trace()
                     with self.lock:
-                        self.closed.append((session.index, report))
+                        self.totals.merge_counts(report)
+                        if report.violations:
+                            self.violations.append((session.index, report.violations))
                         self.sessions_closed += 1
-                        for key, values in session.monitor.analytics.items():
-                            slot = self.rule_analytics.get(key)
-                            if slot is None:
-                                self.rule_analytics[key] = list(values)
-                            else:
-                                for position in range(4):
-                                    slot[position] += values[position]
                     obs_metrics.POOL_SESSIONS_CLOSED_TOTAL.inc()
                     ticket._resolve(report)
             except BaseException as error:
@@ -413,6 +416,11 @@ class MonitorPool:
         ring.sort()
         self._ring_points = [point for point, _ in ring]
         self._ring_shards = [shard for _, shard in ring]
+        # Per-rule tally slots already merged into the metrics registry;
+        # each scrape exports only the growth since (see _export_rule_metrics).
+        self._exported: Dict[str, List[float]] = {}
+        self._export_lock = threading.Lock()
+        obs_metrics.REGISTRY.add_collector(self._export_rule_metrics)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -543,7 +551,9 @@ class MonitorPool:
             session = self._sessions.get(session_id)
             if session is None:
                 shard = self._shards[self.route(session_id)]
-                monitor = StreamingMonitor(self._compiled, first_trace_index=self._next_index)
+                monitor = StreamingMonitor(
+                    self._compiled, first_trace_index=self._next_index, tally=shard.tally
+                )
                 # Open the trace here, named after the session, so violations
                 # identify their session.  Safe without the shard lock: the
                 # worker cannot see this monitor until the first queue item
@@ -655,48 +665,57 @@ class MonitorPool:
     def report(self) -> MonitoringReport:
         """The merged report over every *closed* session, in admission order.
 
-        Sessions still open contribute nothing until they end.  Merging in
-        admission order makes the aggregate deterministic and byte-identical
-        to one :class:`StreamingMonitor` fed the same sessions sequentially
-        — regardless of how their events interleaved across shards.
+        Sessions still open contribute nothing until they end.  The shards'
+        folded counts add up in any order; the retained violations are
+        concatenated in admission order.  That makes the aggregate
+        deterministic and byte-identical to one :class:`StreamingMonitor`
+        fed the same sessions sequentially — regardless of how their events
+        interleaved across shards — at a cost proportional to the number of
+        violations, not to the number of sessions served.
         """
-        entries: List[Tuple[int, MonitoringReport]] = []
+        combined = MonitoringReport()
+        entries: List[Tuple[int, List[RuleViolation]]] = []
         for shard in self._shards:
             with shard.lock:
-                entries.extend(shard.closed)
+                combined.merge_counts(shard.totals)
+                entries.extend(shard.violations)
         entries.sort(key=lambda entry: entry[0])
-        return MonitoringReport.merge_all(report for _, report in entries)
+        for _, violations in entries:
+            combined.violations.extend(violations)
+        return combined
 
     def rule_analytics(self) -> Dict[str, Dict[str, int]]:
         """Per-rule serving analytics merged across shards (closed sessions).
 
-        ``signature -> {"opened", "satisfied", "violated", "trie_advances"}``
+        ``rule key -> {"opened", "satisfied", "violated", "trie_advances"}``
         — the ANALYTICS wire verb's payload and the rule-ranking feed.
-        Each shard's tallies are read under its own lock and summed
-        key-wise; addition commutes, so the merge is order-free exactly
-        like the engine's worker metric deltas.  Sessions still open
-        contribute nothing until they close.
+        Each shard's tally is read under its own lock and summed key-wise;
+        addition commutes, so the merge is order-free exactly like the
+        engine's worker metric deltas.  Sessions still open contribute
+        nothing until they close.
         """
-        merged: Dict[str, List[int]] = {}
-        for shard in self._shards:
-            with shard.lock:
-                entries = [(key, list(values)) for key, values in shard.rule_analytics.items()]
-            for key, values in entries:
-                slot = merged.get(key)
-                if slot is None:
-                    merged[key] = values
-                else:
-                    for position in range(4):
-                        slot[position] += values[position]
-        return {
-            key: {
-                "opened": values[0],
-                "satisfied": values[1],
-                "violated": values[2],
-                "trie_advances": values[3],
-            }
-            for key, values in sorted(merged.items())
-        }
+        return RuleTally.analytics(RuleTally.merged(shard.tally for shard in self._shards))
+
+    def _export_rule_metrics(self) -> None:
+        """Bring the ``repro_rule_*`` families up to date with the shard
+        tallies (a registry collector: runs when the registry is scraped).
+
+        Only the growth since the previous export is merged, so counters
+        stay monotonic and several pools in one process add up.  While
+        metrics are muted the growth is dropped, as muted record calls are.
+        """
+        with self._export_lock:
+            current = RuleTally.merged(shard.tally for shard in self._shards)
+            deltas: Dict[str, List[float]] = {}
+            for key, slot in current.items():
+                before = self._exported.get(key)
+                if before is None:
+                    deltas[key] = slot
+                elif slot != before:
+                    deltas[key] = [now - then for now, then in zip(slot, before)]
+            self._exported = current
+            if deltas and obs_metrics.ENABLED:
+                obs_metrics.REGISTRY.merge(obs_metrics.rule_tally_delta(deltas))
 
     def shard_liveness(self) -> List[bool]:
         """Whether each shard's worker thread is currently alive.
@@ -811,6 +830,7 @@ class MonitorPool:
         self._supervisor.join(timeout=self._supervisor_interval * 20 + 1.0)
         for shard in self._shards:
             shard.stop()
+        obs_metrics.REGISTRY.remove_collector(self._export_rule_metrics)
 
     def __enter__(self) -> "MonitorPool":
         return self

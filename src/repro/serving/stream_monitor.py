@@ -32,7 +32,10 @@ offline monitor's per-trace re-scans are quadratic.
 
 from __future__ import annotations
 
+import bisect
+import threading
 import time
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Tuple
 
 from ..core.errors import MonitoringError
@@ -42,16 +45,77 @@ from ..obs import metrics as obs_metrics
 from ..verification.violations import MonitoringReport, RuleViolation
 from .compile import CompiledRuleSet, NodeId, RuleSource, Symbol, compile_rules
 
+#: One rule's outcome in one closed trace: ``(rule key, opened, satisfied,
+#: violated, trie advances, perf_counter of its first opened point or None)``.
+RuleClose = Tuple[str, int, int, int, int, Optional[float]]
 
-def rule_key(rule) -> str:
-    """The stable string id the analytics layer keys rules by.
 
-    Shape only — ``"open -> use, close"`` — never the mined statistics:
-    the same rule re-mined at a new support must keep accumulating under
-    one key, and the key must survive JSON framing (the ``ANALYTICS``
-    verb) and Prometheus label quoting unchanged.
+class RuleTally:
+    """Per-rule serving analytics summed over closed traces.
+
+    Each rule key maps to one flat slot in the layout
+    :func:`repro.obs.metrics.rule_tally_delta` exports:
+    ``[opened, satisfied, violated, trie_advances, active_seconds_sum,
+    *active_seconds_bucket_counts]``, the buckets being those of
+    ``repro_rule_active_seconds``.  Every entry is a plain sum, so tallies
+    merge by element-wise addition in any order.
+
+    A tally is folded once per trace close, under its own lock, and read by
+    scrapes: a :class:`~repro.serving.pool.MonitorPool` shard shares one
+    tally among all its sessions' monitors, and that tally is the only
+    place the pool keeps per-rule analytics.  The metrics registry reads it
+    at scrape time instead of being written per close.
     """
-    return f"{', '.join(rule.premise)} -> {', '.join(rule.consequent)}"
+
+    BOUNDS = obs_metrics.RULE_ACTIVE_SECONDS.buckets
+    WIDTH = 5 + len(BOUNDS) + 1
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._slots: Dict[str, List[float]] = {}
+
+    def fold(self, closes: Iterable[RuleClose], closed_at: float) -> None:
+        """Add one closed trace's per-rule outcomes."""
+        bounds = self.BOUNDS
+        with self._lock:
+            slots = self._slots
+            for key, opened, satisfied, violated, advances, first_open in closes:
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = [0] * self.WIDTH
+                slot[0] += opened
+                slot[1] += satisfied
+                slot[2] += violated
+                slot[3] += advances
+                if first_open is not None:
+                    active = closed_at - first_open
+                    slot[4] += active
+                    # ``le`` buckets: the first bound >= the observation.
+                    slot[5 + bisect.bisect_left(bounds, active)] += 1
+
+    @staticmethod
+    def merged(tallies: Iterable["RuleTally"]) -> Dict[str, List[float]]:
+        """Element-wise sum of the tallies' slots (each read under its lock)."""
+        totals: Dict[str, List[float]] = {}
+        for tally in tallies:
+            with tally._lock:
+                for key, slot in tally._slots.items():
+                    total = totals.get(key)
+                    totals[key] = list(slot) if total is None else list(map(add, total, slot))
+        return totals
+
+    @staticmethod
+    def analytics(slots: Dict[str, List[float]]) -> Dict[str, Dict[str, int]]:
+        """The ``ANALYTICS`` view of a slot dict, sorted by rule key."""
+        return {
+            key: {
+                "opened": slot[0],
+                "satisfied": slot[1],
+                "violated": slot[2],
+                "trie_advances": slot[3],
+            }
+            for key, slot in sorted(slots.items())
+        }
 
 
 class _ConsequentTracker:
@@ -93,6 +157,8 @@ class _ConsequentTracker:
             pending.clear()
 
     def pending_positions(self) -> List[int]:
+        if len(self.stages) == 1:
+            return list(self.stages[0])  # one stage list is already ascending
         return sorted(
             position for stage in self.stages for position in stage
         )
@@ -163,54 +229,53 @@ class _TraceRun:
             for node in reached:
                 self._reach(compiled, node)
 
-    def close(
-        self,
-        compiled: CompiledRuleSet,
-        analytics: Optional[Dict[str, Tuple[int, int, int, int, Optional[float]]]] = None,
-    ) -> MonitoringReport:
+    def close(self, compiled: CompiledRuleSet) -> Tuple[MonitoringReport, List[RuleClose]]:
         """Finish the trace: unmatched pending points become violations.
 
-        ``analytics``, when given, is filled with this trace's per-rule
-        tallies — ``rule key -> (opened, satisfied, violated, armings,
-        first_open_perf_counter)`` (the key is :func:`rule_key`, a plain
-        string so the tallies survive JSON framing) — for the serving
-        analytics layer.  The report itself is untouched by the
-        collection: the pool parity suites pin it byte-identical with
-        analytics on.
+        Only the rules this trace armed are visited — a rule never armed
+        has no points and no analytics — so the cost is O(rules touched),
+        not O(rule set).  (A rule whose premise is one event is armed at
+        the root, i.e. by every trace.)  Trackers exist only for armed
+        rules, so the armed ids are all of them; visiting them in ascending
+        rule id keeps the violation order of a full scan.  Returns the
+        trace's report (with sparse ``per_rule_points``) and one
+        :data:`RuleClose` per touched rule for the analytics tally.
         """
         report = MonitoringReport()
-        for rule_id, rule in enumerate(compiled.rules):
-            tracker = self.trackers.get(rule_id)
-            opened = tracker.opened if tracker is not None else 0
-            key = rule.signature()
-            report.per_rule_points[key] = report.per_rule_points.get(key, 0) + opened
-            report.total_points += opened
+        per_rule_points = report.per_rule_points
+        violations = report.violations
+        keys, signatures = compiled.keys, compiled.signatures
+        trackers = self.trackers
+        closes: List[RuleClose] = []
+        total = satisfied = 0
+        for rule_id, armed in sorted(self.armed_counts.items()):
+            tracker = trackers.get(rule_id)
             if tracker is None:
-                if analytics is not None:
-                    armed = self.armed_counts.get(rule_id, 0)
-                    if armed:
-                        analytics[rule_key(rule)] = (0, 0, 0, armed, None)
+                closes.append((keys[rule_id], 0, 0, 0, armed, None))
                 continue
-            report.satisfied_points += tracker.satisfied
+            opened = tracker.opened
+            signature = signatures[rule_id]
+            per_rule_points[signature] = per_rule_points.get(signature, 0) + opened
+            total += opened
+            satisfied += tracker.satisfied
             pending = tracker.pending_positions()
-            if analytics is not None:
-                analytics[rule_key(rule)] = (
-                    opened,
-                    tracker.satisfied,
-                    len(pending),
-                    self.armed_counts.get(rule_id, 0),
-                    tracker.first_open,
-                )
-            for position in pending:
-                report.violations.append(
+            closes.append(
+                (keys[rule_id], opened, tracker.satisfied, len(pending), armed, tracker.first_open)
+            )
+            if pending:
+                rule = compiled.rules[rule_id]
+                violations.extend(
                     RuleViolation(
                         rule=rule,
                         trace_index=self.trace_index,
                         position=position,
                         trace_name=self.name,
                     )
+                    for position in pending
                 )
-        return report
+        report.total_points = total
+        report.satisfied_points = satisfied
+        return report, closes
 
 
 class StreamingMonitor:
@@ -240,7 +305,12 @@ class StreamingMonitor:
     >>> monitor.report().violation_count
     """
 
-    def __init__(self, rules: RuleSource, first_trace_index: int = 0) -> None:
+    def __init__(
+        self,
+        rules: RuleSource,
+        first_trace_index: int = 0,
+        tally: Optional[RuleTally] = None,
+    ) -> None:
         self.compiled = (
             rules if isinstance(rules, CompiledRuleSet) else compile_rules(rules)
         )
@@ -251,12 +321,10 @@ class StreamingMonitor:
         self.traces_seen = 0
         #: Events consumed across completed *and* the in-flight trace.
         self.events_seen = 0
-        #: Cumulative per-rule analytics over every closed trace:
-        #: ``signature -> [opened, satisfied, violated, trie_advances]``.
-        #: Plain int adds folded at trace close (never per event), so
-        #: accumulation is order-free and cheap; :meth:`rule_analytics`
-        #: exposes the dict-shaped view the ANALYTICS wire verb serves.
-        self.analytics: Dict[str, List[int]] = {}
+        #: Per-rule analytics, folded once per trace close (never per
+        #: event).  A pool passes its shard's tally so that all of the
+        #: shard's sessions share one; :meth:`rule_analytics` reads it.
+        self.tally = tally if tally is not None else RuleTally()
 
     # ------------------------------------------------------------------ #
     # Incremental consumption
@@ -290,30 +358,12 @@ class StreamingMonitor:
         """
         if self._run is None:
             raise MonitoringError("no trace is open; feed events or begin_trace() first")
-        trace_analytics: Dict[str, Tuple[int, int, int, int, Optional[float]]] = {}
-        report = self._run.close(self.compiled, trace_analytics)
+        report, closes = self._run.close(self.compiled)
         self._run = None
         self._next_trace_index += 1
         self.traces_seen += 1
         self._combined.merge(report)
-        closed_at = time.perf_counter()
-        for key, (opened, satisfied, violated, armed, first_open) in trace_analytics.items():
-            slot = self.analytics.get(key)
-            if slot is None:
-                self.analytics[key] = [opened, satisfied, violated, armed]
-            else:
-                slot[0] += opened
-                slot[1] += satisfied
-                slot[2] += violated
-                slot[3] += armed
-            obs_metrics.record_rule_close(
-                key,
-                opened,
-                satisfied,
-                violated,
-                armed,
-                closed_at - first_open if first_open is not None else None,
-            )
+        self.tally.fold(closes, time.perf_counter())
         return report
 
     def check_trace(
@@ -334,20 +384,12 @@ class StreamingMonitor:
     def rule_analytics(self) -> Dict[str, Dict[str, int]]:
         """Per-rule serving analytics over every closed trace (a copy).
 
-        ``signature -> {"opened", "satisfied", "violated", "trie_advances"}``
+        ``rule key -> {"opened", "satisfied", "violated", "trie_advances"}``
         — the counters the rule-ranking loop consumes.  Values are plain
         sums over closed traces, so merging two monitors' analytics is
-        key-wise addition in any order.
+        key-wise addition in any order.  Rules no trace armed are absent.
         """
-        return {
-            key: {
-                "opened": values[0],
-                "satisfied": values[1],
-                "violated": values[2],
-                "trie_advances": values[3],
-            }
-            for key, values in self.analytics.items()
-        }
+        return RuleTally.analytics(RuleTally.merged([self.tally]))
 
     def check_database(self, database: SequenceDatabase) -> MonitoringReport:
         """Monitor every trace of a database; returns their combined report.

@@ -47,6 +47,8 @@ class RuleMonitor:
         events = tuple(trace)
         for rule in self.rules:
             points = temporal_points_in_sequence(events, rule.premise)
+            if not points:
+                continue  # per_rule_points is sparse: no entry for zero points
             key = rule.signature()
             report.per_rule_points[key] = report.per_rule_points.get(key, 0) + len(points)
             for position in points:

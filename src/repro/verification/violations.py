@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.events import EventLabel
 from ..rules.rule import RecurrentRule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleViolation:
     """One unsatisfied temporal point of a monitored rule.
 
     The rule's premise completed at ``position`` of trace ``trace_index``
     (named ``trace_name`` when available) but the consequent never occurred
     in the remainder of the trace.
+
+    Slotted: a serving process creates one per violating point at session
+    close and the monitor pool keeps them until ``REPORT``, so the record
+    is kept to one small allocation with no per-instance dict.
     """
 
     rule: RecurrentRule
@@ -44,7 +48,14 @@ class RuleViolation:
 
 @dataclass
 class MonitoringReport:
-    """Aggregated outcome of monitoring a set of rules over a trace database."""
+    """Aggregated outcome of monitoring a set of rules over a trace database.
+
+    ``per_rule_points`` is sparse: it maps a rule's ``signature()`` to its
+    temporal point count and leaves out rules with no points, so its size
+    (and the cost of :meth:`merge`) follows the rules a trace touched, not
+    the size of the rule set.  Renderers that need every rule fill in the
+    zeros themselves.
+    """
 
     total_points: int = 0
     satisfied_points: int = 0
@@ -72,28 +83,23 @@ class MonitoringReport:
         point tallies combine key-wise — the aggregation both the offline
         database check and the streaming monitor's cumulative report use.
         """
+        self.merge_counts(other)
+        self.violations.extend(other.violations)
+        return self
+
+    def merge_counts(self, other: "MonitoringReport") -> "MonitoringReport":
+        """Fold another report's point counts and per-rule tallies, not its
+        violations (returns ``self``).
+
+        Counts commute, so callers may fold them in any order and keep only
+        the violations in a canonical order — the monitor pool does this to
+        keep memory proportional to violations, not to sessions served.
+        """
         self.total_points += other.total_points
         self.satisfied_points += other.satisfied_points
-        self.violations.extend(other.violations)
         for key, count in other.per_rule_points.items():
             self.per_rule_points[key] = self.per_rule_points.get(key, 0) + count
         return self
-
-    @classmethod
-    def merge_all(cls, reports: Iterable["MonitoringReport"]) -> "MonitoringReport":
-        """Fold an ordered iterable of reports into one fresh report.
-
-        Merging is order-sensitive (the violation list concatenates), so
-        callers that need a deterministic aggregate — the monitor pool
-        merging per-session reports, the daemon merging per-batch reports —
-        pass the reports in a canonical order (admission/trace order) and
-        get an aggregate byte-identical to a single sequential monitor run.
-        The inputs are left untouched.
-        """
-        combined = cls()
-        for report in reports:
-            combined.merge(report)
-        return combined
 
     def violations_of(self, rule: RecurrentRule) -> List[RuleViolation]:
         """All recorded violations of one rule."""

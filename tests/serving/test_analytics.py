@@ -1,10 +1,13 @@
 """Per-rule serving analytics: wire ANALYTICS verb, trace propagation
 through the server into pool spans, and `repro top` rendering."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import tracing
-from repro.obs.metrics import REGISTRY, RULE_POINTS_TOTAL, set_enabled
+from repro.obs.metrics import REGISTRY, set_enabled
 from repro.rules.rule import RecurrentRule
 from repro.serving.pool import MonitorPool
 from repro.serving.server import EventPushServer, PushClient
@@ -54,6 +57,26 @@ def _drive(client):
     client.end("good")
     client.feed_batch("bad", ["open", "lock"])
     client.end("bad")
+
+
+def _scraped_rule_samples():
+    """The three ``repro_rule_*`` families as read by a registry scrape:
+    ``({(rule, outcome): points}, {rule: trie advances}, {rule: active
+    seconds observation count})``."""
+    snapshot = REGISTRY.snapshot()
+    points = {
+        tuple(labels): value
+        for labels, value in snapshot["repro_rule_points_total"]["samples"]
+    }
+    advances = {
+        labels[0]: value
+        for labels, value in snapshot["repro_rule_trie_advances_total"]["samples"]
+    }
+    active = {
+        labels[0]: count
+        for labels, _, _, count in snapshot["repro_rule_active_seconds"]["samples"]
+    }
+    return points, advances, active
 
 
 class TestMonitorAnalytics:
@@ -126,18 +149,76 @@ class TestAnalyticsVerb:
         assert merged["open -> use, close"]["violated"] == 8
 
     def test_registry_mirror_when_enabled(self, client):
+        """A scrape renders the per-rule families from the shard tallies."""
         REGISTRY.reset()
         set_enabled(True)
+        _drive(client)
+        points, advances, active = _scraped_rule_samples()
+        # Both rules: one satisfied point ("good"), one violated ("bad"),
+        # armed once per session, and active in both sessions.
+        for rule in ("open -> use, close", "lock -> unlock"):
+            assert points[(rule, "opened")] == 2
+            assert points[(rule, "satisfied")] == 1
+            assert points[(rule, "violated")] == 1
+            assert advances[rule] == 2
+            assert active[rule] == 2
+        text = REGISTRY.render_text()
+        assert 'repro_rule_points_total{rule="lock -> unlock",outcome="violated"} 1' in text
+        assert 'repro_rule_active_seconds_count{rule="open -> use, close"} 2' in text
+        # A second scrape exports nothing twice.
+        assert _scraped_rule_samples() == (points, advances, active)
+
+    def test_concurrent_scrapes_export_every_close_exactly_once(self):
+        """Scrapes racing session closes on four shards neither lose nor
+        double-count tally growth: the registry ends equal to the tallies."""
+        REGISTRY.reset()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MonitorPool(RULES, shards=4, queue_depth=1024) as pool:
+                stop = threading.Event()
+
+                def scrape():
+                    while not stop.is_set():
+                        REGISTRY.snapshot()
+
+                scrapers = [threading.Thread(target=scrape) for _ in range(6)]
+                for scraper in scrapers:
+                    scraper.start()
+                try:
+                    tickets = []
+                    for number in range(400):
+                        events = ["open", "use", "close", "lock"] if number % 3 else ["open"]
+                        pool.feed_batch(f"s{number}", events)
+                        tickets.append(pool.end_session(f"s{number}"))
+                    for ticket in tickets:
+                        ticket.wait(timeout=30.0)
+                finally:
+                    stop.set()
+                    for scraper in scrapers:
+                        scraper.join(timeout=30.0)
+                assert not any(scraper.is_alive() for scraper in scrapers)
+                points, advances, _ = _scraped_rule_samples()
+                analytics = pool.rule_analytics()
+        finally:
+            sys.setswitchinterval(previous)
+        assert analytics["open -> use, close"]["opened"] == 400
+        for rule, tally in analytics.items():
+            for outcome in ("opened", "satisfied", "violated"):
+                assert points.get((rule, outcome), 0) == tally[outcome]
+            assert advances.get(rule, 0) == tally["trie_advances"]
+
+    def test_muted_registry_leaves_rule_families_empty(self, client):
+        REGISTRY.reset()
+        set_enabled(False)
         try:
             _drive(client)
+            assert _scraped_rule_samples() == ({}, {}, {})
         finally:
             set_enabled(True)
-        assert RULE_POINTS_TOTAL.value(
-            rule="open -> use, close", outcome="opened"
-        ) == 2
-        assert RULE_POINTS_TOTAL.value(
-            rule="lock -> unlock", outcome="violated"
-        ) == 1
+        assert _scraped_rule_samples() == ({}, {}, {})
+        # The ANALYTICS verb reads the tallies, which muting leaves alone.
+        assert client.analytics()["rules"]["lock -> unlock"]["violated"] == 1
 
 
 class TestTracePropagation:

@@ -1,5 +1,6 @@
 """Monitor-pool tests: parity with a single monitor, backpressure, hot swap."""
 
+import functools
 import json
 
 import pytest
@@ -52,7 +53,7 @@ def reference_report(sessions, rules_of_session):
         reports.append(monitor.end_trace())
     from repro.verification.violations import MonitoringReport
 
-    return MonitoringReport.merge_all(reports)
+    return functools.reduce(MonitoringReport.merge, reports, MonitoringReport())
 
 
 # --------------------------------------------------------------------------- #
@@ -215,10 +216,33 @@ def test_zero_event_session_reports_zero_points():
         report = pool.end_session("empty").wait(timeout=10.0)
         assert report.total_points == 0
         assert report.violation_count == 0
-        # Parity: the reference zero-length trace also tallies every rule
-        # at zero points.
+        # Parity: the reference zero-length trace reports the same empty
+        # (sparse) per-rule tallies.
+        assert report.per_rule_points == {}
         expected = reference_report({"empty": []}, {"empty": RULES_A})
         assert report_bytes(pool.report()) == report_bytes(expected)
+
+
+def test_violation_free_sessions_leave_nothing_retained():
+    """Closed sessions fold into counts; only violating sessions keep state."""
+    sessions = 10_000
+    with MonitorPool(RULES_A, shards=2, queue_depth=2 * sessions) as pool:
+        tickets = []
+        for number in range(sessions):
+            assert pool.feed_batch(f"s{number}", ["open", "use", "close"]) == ACCEPTED
+            tickets.append(pool.end_session(f"s{number}"))
+        for ticket in tickets:
+            ticket.wait(timeout=60.0)
+        assert pool.stats()["sessions_closed"] == sessions
+        assert sum(len(shard.violations) for shard in pool._shards) == 0
+        report = pool.report()
+        assert report.total_points == report.satisfied_points == sessions
+        assert report.per_rule_points == {(("open",), ("close",)): sessions}
+        # One violating session is the one entry kept.
+        pool.feed("bad", "open")
+        pool.end_session("bad").wait(timeout=10.0)
+        assert sum(len(shard.violations) for shard in pool._shards) == 1
+        assert [v.trace_name for v in pool.report().violations] == ["bad"]
 
 
 def test_swap_bumps_generation_and_serves_new_sessions_new_rules():

@@ -19,6 +19,7 @@ from repro.ltl.translate import rule_to_ltl
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.rules.rule import RecurrentRule
 from repro.serving import StreamingMonitor, compile_rules, monitor_stream
+from repro.serving.compile import rule_key
 from repro.verification.monitor import RuleMonitor
 
 ALPHABET = [str(i) for i in range(5)]
@@ -54,6 +55,86 @@ def test_streaming_report_identical_to_offline_monitor(rules, traces):
     offline = RuleMonitor(rules).check_database(database)
     streaming = StreamingMonitor(compile_rules(rules)).check_database(database)
     _assert_reports_identical(offline, streaming)
+
+
+#: Disjoint event families: a trace touching some families arms only their
+#: rules, so close visits a sparse, interleaved subset of rule ids.
+FAMILY_ALPHABETS = [[f"f{family}.{i}" for i in range(3)] for family in range(6)]
+
+
+def _family_rule(alphabet):
+    family_pattern = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(tuple)
+    return st.builds(
+        lambda premise, consequent: RecurrentRule(
+            premise=premise, consequent=consequent, s_support=1, i_support=1, confidence=1.0
+        ),
+        premise=family_pattern,
+        consequent=family_pattern,
+    )
+
+
+many_family_rules_strategy = st.lists(
+    st.one_of([_family_rule(alphabet) for alphabet in FAMILY_ALPHABETS]),
+    min_size=0,
+    max_size=40,
+)
+many_family_database_strategy = st.lists(
+    st.lists(
+        st.sampled_from([event for alphabet in FAMILY_ALPHABETS[:4] for event in alphabet]),
+        max_size=16,
+    ),
+    max_size=5,
+)
+
+
+@given(rules=many_family_rules_strategy, traces=many_family_database_strategy)
+@settings(max_examples=200, deadline=None)
+def test_many_family_rule_sets_keep_offline_violation_order(rules, traces):
+    """Close visits only the touched rules, in ascending rule id: the
+    violation order still matches the offline monitor's full scan."""
+    database = SequenceDatabase.from_sequences(traces)
+    offline = RuleMonitor(rules).check_database(database)
+    streaming = StreamingMonitor(compile_rules(rules)).check_database(database)
+    _assert_reports_identical(offline, streaming)
+
+
+def test_close_is_proportional_to_the_rules_a_trace_touched(monkeypatch):
+    """1,200 rules in 50 disjoint families; a trace of one family closes
+    without computing any rule signature and reports only that family.
+
+    Premises have two events, as in the serving benchmark's fixture: a
+    one-event premise is armed at the start of every trace, so such a rule
+    counts as touched by every trace.
+    """
+    rules = []
+    for family in range(50):
+        alphabet = [f"f{family}.e{i}" for i in range(5)]
+        premises = [(a, b) for a in alphabet for b in alphabet if a != b]
+        premises += [(a, a) for a in alphabet[:4]]
+        rules.extend(
+            _rule(premise, [alphabet[number % 5]]) for number, premise in enumerate(premises)
+        )
+    assert len(rules) == 1200
+    compiled = compile_rules(rules)
+    touched = {rule.signature() for rule in rules if rule.premise[0].startswith("f7.")}
+    trace = ["f7.e0", "f7.e1", "f7.e2", "noise", "f7.e3", "f7.e1"]
+    expected = RuleMonitor(rules).check_trace(trace)
+
+    def no_signatures(self):
+        raise AssertionError("close must use the precomputed signatures")
+
+    monkeypatch.setattr(RecurrentRule, "signature", no_signatures)
+    monitor = StreamingMonitor(compiled)
+    report = monitor.check_trace(trace)
+    monkeypatch.undo()
+
+    assert report.per_rule_points
+    assert set(report.per_rule_points) <= touched
+    assert all(count > 0 for count in report.per_rule_points.values())
+    _assert_reports_identical(expected, report)
+    assert set(monitor.rule_analytics()) <= {
+        rule_key(rule) for rule in rules if rule.signature() in touched
+    }
 
 
 @given(rules=rules_strategy, traces=database_strategy)

@@ -138,8 +138,8 @@ def test_monitor_rules_whose_events_never_occur():
     report = monitor_database(db, [_rule(["ghost"], ["phantom"])])
     assert report.total_points == 0
     assert report.violation_count == 0
-    # The rule is still accounted for: zero points per checked trace.
-    assert report.per_rule_points == {(("ghost",), ("phantom",)): 0}
+    # per_rule_points is sparse: a rule with no temporal points has no entry.
+    assert report.per_rule_points == {}
 
 
 def test_monitor_empty_trace_in_database():
