@@ -7,8 +7,8 @@ serving counters sit outside the per-event automaton step.  This benchmark
 holds the layer to that promise on the two hot paths it touches:
 
 * **mining** — a non-redundant rule mine over the scaled canonical
-  profile, serial backend (the per-shard/per-unit timing and the
-  stats-mirror cost);
+  profile, serial backend (the per-unit timing and the stats-mirror
+  cost);
 * **serving** — pushing batched session events through a sharded
   :class:`~repro.serving.pool.MonitorPool` (the per-event counter and the
   per-scrape gauge cost);

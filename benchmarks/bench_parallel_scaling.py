@@ -1,14 +1,14 @@
 """Parallel engine scaling: speedup vs. worker count on the paper profile.
 
 Runs the closed iterative-pattern miner and the non-redundant rule miner on
-the scaled D5C20N10S20 dataset, serially and on the process-pool backend
+the scaled D5C20N10S20 dataset, serially and on the process backend
 with increasing worker counts, and reports wall-clock speedups.  Every
 parallel run is also checked bit-identical to the serial reference — the
 engine's core contract.
 
 The workload scale is ``REPRO_SCALING_SCALE`` (default: the larger of
-``REPRO_BENCH_SCALE`` and 0.02, so there is enough work per shard for the
-pool to amortise its start-up).  The >1.5x-at-4-workers assertion only
+``REPRO_BENCH_SCALE`` and 0.02, so there is enough work per unit for the
+workers to amortise their start-up).  The >1.5x-at-4-workers assertion only
 fires on hosts that can physically deliver it (>= 4 CPUs and a serial run
 long enough to measure); set ``REPRO_REQUIRE_SPEEDUP=1`` to force it.
 """

@@ -33,8 +33,8 @@ Sub-commands cover the full workflow of the paper:
 ``/statusz`` for Prometheus scrapers and load-balancer probes.
 
 The mining and serving commands accept ``--trace-out FILE``: spans
-recording where each run's wall-clock went (per shard, per daemon cycle,
-per refresh) are appended to the file as JSON lines;
+recording where each run's wall-clock went (per work unit, per daemon
+cycle, per refresh) are appended to the file as JSON lines;
 ``tools/trace_summary.py`` prints the per-phase breakdown.
 
 Every command reads and writes the trace formats of :mod:`repro.traces.io`
@@ -492,21 +492,23 @@ def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         help="worker processes for the parallel engine (unset: serial with "
-        "'auto', all CPU cores with '--backend process')",
+        "'auto', all CPU cores with '--backend process' or 'stealing')",
     )
     subparser.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="execution backend; 'auto' goes parallel when --workers > 1, "
-        "'stealing' adds dynamic subtree splitting for skewed databases",
+        help="execution backend; 'auto' is 'process' when --workers > 1 and "
+        "'serial' otherwise; 'process' and 'stealing' are the same work-unit "
+        "coordinator, which splits hot subtrees across workers",
     )
     subparser.add_argument(
         "--split-depth",
         type=_positive_int,
         default=None,
-        help="stealing backend only: maximum search depth at which frontier "
-        "nodes may still be split into stealable units (default 8)",
+        help="with more than one worker: maximum search depth at which "
+        "frontier nodes may still be split into stealable units (default 8; "
+        "rejected by the serial backend)",
     )
 
 
@@ -570,9 +572,7 @@ def _finish_checkpoint(args: argparse.Namespace, backend, result) -> None:
     """Close the journal and report how much of the run it saved."""
     if getattr(backend, "checkpoint", None) is None:
         return
-    resumed = result.stats.extra.get("units_resumed", 0) + result.stats.extra.get(
-        "shards_resumed", 0
-    )
+    resumed = result.stats.extra.get("units_resumed", 0)
     print(
         f"checkpoint: resumed {resumed} completed units from {args.checkpoint}",
         file=sys.stderr,
@@ -1078,7 +1078,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trace_out", None):
         # One collector for the whole command; every span below (engine
-        # shards, daemon cycles, server dispatch) lands in the file.
+        # units, daemon cycles, server dispatch) lands in the file.
         tracing.install(args.trace_out)
     try:
         return _COMMANDS[args.command](args)

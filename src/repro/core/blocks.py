@@ -13,7 +13,7 @@ through an offsets array.  The layout buys three things:
 * inner loops iterate over machine ints and hoist the per-sequence
   ``encoded[sid]`` / ``index[sid]`` lookups out of the per-instance loop,
 * a block pickles as a handful of contiguous buffers instead of millions
-  of tuples when shard results cross the worker/coordinator boundary, and
+  of tuples when unit outcomes cross the worker/coordinator boundary, and
 * the per-sequence partitioning gives the projection code its grouping for
   free (the rows of one sequence are a contiguous slice).
 
@@ -27,7 +27,7 @@ oracle in :mod:`repro.core.instances`).
 position)`` columns used for premise projections and temporal points, where
 each row is a single position rather than a span.
 
-:class:`WireInstanceBlock` is the shard *wire form* of an instance block:
+:class:`WireInstanceBlock` is the engine's *wire form* of an instance block:
 because an instance is uniquely determined by its start position, the
 ``ends`` column is redundant on the worker-to-coordinator boundary — the
 coordinator re-derives it by walking the pattern forward from each start.
@@ -138,7 +138,7 @@ class InstanceBlock:
         return tuple(self)
 
     def nbytes(self) -> int:
-        """Size of the underlying buffers — the shard-transfer payload."""
+        """Size of the underlying buffers — the unit-transfer payload."""
         return (
             len(self.seq_ids) * self.seq_ids.itemsize
             + len(self.offsets) * self.offsets.itemsize

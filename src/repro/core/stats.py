@@ -28,7 +28,7 @@ class MiningStats:
     #: instance-list rows materialised into columnar blocks while growing
     #: patterns — the allocation volume of the projected-database hot loop
     instances_materialized: int = 0
-    #: payload bytes of instance blocks packaged into shard outcomes (the
+    #: payload bytes of instance blocks packaged into unit outcomes (the
     #: worker-to-coordinator transfer volume on the process backend; counted
     #: identically on the serial backend for comparability)
     shipped_bytes: int = 0
@@ -56,7 +56,7 @@ class MiningStats:
     def merge_counters(self, other: "MiningStats") -> None:
         """Fold another run's search counters into this one.
 
-        Used by the parallel engine to combine per-shard statistics.  The
+        Used by the parallel engine to combine per-unit statistics.  The
         counter set is derived from the dataclass fields so future counters
         merge automatically; wall-clock time is excluded because it is
         owned by whoever timed the whole run (summing per-worker clocks

@@ -16,15 +16,16 @@ A :class:`MiningCheckpoint` is a directory holding two files:
   ``unit``    ``(key, UnitOutcome)``                   unit completed
   ``spawn``   ``(parent key, (WorkUnit, ...))``        unit split children
   ``orphan``  ``(key,)``                               subtree invalidated
-  ``shard``   ``(root tuple, ShardOutcome)``           static shard done
   ==========  =======================================  ==================
 
+Frames of any other kind (such as the ``shard`` entries older versions
+wrote) are skipped on replay; their work is simply mined again.
+
 The journal is sound because work outcomes are *plan-independent*: a
-``(kind, split-path)`` unit (and a static shard, which is a root set) is
-a pure function of the database and the mining configuration, so any
-outcome journaled under a matching identity can be reused even if the
-resumed run plans differently (e.g. the incremental cache turned a full
-mine into a delta mine).  Resume therefore needs no knowledge of *why*
+``(kind, split-path)`` unit is a pure function of the database and the
+mining configuration, so any outcome journaled under a matching
+identity can be reused even if the resumed run plans differently (e.g.
+the incremental cache turned a full mine into a delta mine).  Resume therefore needs no knowledge of *why*
 the previous run died — it replays the journal, marks finished units
 done, walks the spawn lineage below them, and mines only the remainder;
 the deterministic merge makes the final output byte-identical to an
@@ -115,7 +116,6 @@ class MiningCheckpoint:
         self.identity = {str(key): str(value) for key, value in identity.items()}
         self._done_units: Dict[tuple, Any] = {}
         self._children: Dict[tuple, List[Any]] = {}
-        self._done_shards: Dict[tuple, Any] = {}
         journal_path = self.directory / JOURNAL_NAME
         manifest = {"version": CHECKPOINT_VERSION, "identity": self.identity}
         if self._load_manifest() != manifest:
@@ -154,8 +154,6 @@ class MiningCheckpoint:
                 self._children.setdefault(entry[1], []).extend(entry[2])
             elif kind == "orphan":
                 self._discard_subtree(entry[1])
-            elif kind == "shard":
-                self._done_shards[entry[1]] = entry[2]
 
     def _discard_subtree(self, key: tuple) -> None:
         stack = [key]
@@ -198,12 +196,6 @@ class MiningCheckpoint:
         self._discard_subtree(key)
         self._append(("orphan", key))
 
-    def record_shard(self, shard, outcome) -> None:
-        """Journal one completed static shard's outcome."""
-        key = tuple(shard.roots)
-        self._done_shards[key] = outcome
-        self._append(("shard", key, outcome))
-
     # ------------------------------------------------------------------ #
     # Resume
     # ------------------------------------------------------------------ #
@@ -233,10 +225,6 @@ class MiningCheckpoint:
         if cached:
             obs_metrics.DURABILITY_RESUMED_TOTAL.inc(len(cached), kind="unit")
         return cached, remaining
-
-    def completed_shards(self) -> Dict[tuple, Any]:
-        """Journaled static-shard outcomes, keyed by root tuple."""
-        return dict(self._done_shards)
 
     @property
     def entries(self) -> int:

@@ -1,11 +1,14 @@
-"""Parallel sharded mining engine.
+"""Parallel mining engine over work units.
 
-The engine splits a miner's depth-first search over its independent
-first-level roots (singleton patterns, single-event premises), runs the
-shards on a pluggable :class:`ExecutionBackend`, and merges the per-shard
-outputs deterministically so that parallel results are bit-identical to
-the serial ones.  See :mod:`repro.engine.sharding` for the ordering
-argument and :mod:`repro.engine.runner` for the miner protocol.
+The engine runs a miner's depth-first search as ``(kind, split-path)``
+work units seeded from its independent first-level roots (singleton
+patterns, single-event premises).  Every :class:`ExecutionBackend` runs
+the same protocol: one worker executes the units in process, more workers
+share them through a crash-recovering coordinator that splits hot
+subtrees on demand.  Outcomes merge deterministically, so parallel results
+are bit-identical to the serial ones.  See :mod:`repro.engine.stealing`
+for the splitting and recovery argument and :mod:`repro.engine.runner`
+for the miner protocol.
 
 Typical use::
 
@@ -21,27 +24,13 @@ from .backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
+    WorkStealingBackend,
+    plan_shards,
     resolve_backend,
-    run_sharded,
 )
 from .runner import LazyIndexContext, ShardRunner, plan_weighted_roots
-from .sharding import (
-    PlanResult,
-    RootResult,
-    Shard,
-    ShardOutcome,
-    UnitOutcome,
-    WorkUnit,
-    merge_outcomes,
-    plan_shards,
-)
-from .stealing import (
-    DEFAULT_SPLIT_DEPTH,
-    NULL_SPLITTER,
-    NullSplitter,
-    StealSplitter,
-    WorkStealingBackend,
-)
+from .sharding import PlanResult, UnitOutcome, WorkUnit
+from .stealing import DEFAULT_SPLIT_DEPTH, StealSplitter
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -49,21 +38,14 @@ __all__ = [
     "ProcessPoolBackend",
     "SerialBackend",
     "WorkStealingBackend",
+    "plan_shards",
     "resolve_backend",
-    "run_sharded",
     "LazyIndexContext",
     "ShardRunner",
     "plan_weighted_roots",
     "PlanResult",
-    "RootResult",
-    "Shard",
-    "ShardOutcome",
     "UnitOutcome",
     "WorkUnit",
-    "merge_outcomes",
-    "plan_shards",
     "DEFAULT_SPLIT_DEPTH",
-    "NULL_SPLITTER",
-    "NullSplitter",
     "StealSplitter",
 ]

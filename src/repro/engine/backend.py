@@ -1,103 +1,129 @@
 """Execution backends: where and how the mining search actually runs.
 
-A backend's :meth:`ExecutionBackend.execute` owns the whole plan → run →
-merge pipeline for one :class:`~repro.engine.runner.ShardRunner`.  This
-module ships the two statically planned backends:
+Every backend runs the same protocol.  The miner plans one seed
+:class:`~repro.engine.sharding.WorkUnit` per frequent first-level root,
+:func:`plan_shards` orders the seeds heaviest first, and the units run
+either in the current process (one worker) or on the crash-recovering
+work-stealing coordinator of :mod:`repro.engine.stealing` (more than one
+worker).  Completed outcomes are journaled to an armed checkpoint, and the
+miner's ``resolve_units`` reassembles them by sorted record key, so every
+backend produces bit-identical mining results; parallelism only changes
+wall-clock time.
 
-* :class:`SerialBackend` — run every shard in the current process.  This is
-  the default and the reference semantics; with ``max_shards=1`` (the
-  default) it is exactly the historical single-pass depth-first search.
-* :class:`ProcessPoolBackend` — fan shards out to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The runner is shipped
-  to each worker once through the pool initializer; workers rebuild their
-  ``PositionIndex`` cache once and reuse it across all their shards.
+The backend classes differ only in their name (the ``backend`` label of
+``repro_engine_runs_total``) and their default worker count:
 
-:class:`~repro.engine.stealing.WorkStealingBackend` (its own module) adds
-the adaptive third option: dynamic subtree splitting over a shared work
-queue for skewed databases.
-
-Because the merge step is deterministic — sorted root id on the shard
-path (:func:`~repro.engine.sharding.merge_outcomes`), sorted record keys
-on the stealing path — every backend produces bit-identical mining
-results; parallelism only changes wall-clock time.
+* :class:`SerialBackend` — one worker, in process; nothing ever splits.
+  The default and the reference semantics.
+* :class:`ProcessPoolBackend` — one worker process per CPU by default.
+* :class:`WorkStealingBackend` — the same coordinator under its own name.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence as TypingSequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.errors import ConfigurationError, ExecutionFault
+from ..core.errors import ConfigurationError
 from ..core.stats import MiningStats
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..testing import faults
 from .runner import ShardRunner
-from .sharding import Shard, ShardOutcome, merge_outcomes, plan_shards
-
-#: Shards created per worker so stragglers can be rebalanced by the pool.
-OVERSUBSCRIPTION = 4
-
-#: How many times a broken pool (a worker process died mid-shard) is
-#: rebuilt and the unfinished shards resubmitted before the run fails
-#: with a diagnostic naming the shards that never survived a round.
-DEFAULT_POOL_RESTARTS = 3
-
-# Per-worker-process runner installed by the pool initializer.  Module-level
-# state is required here: only module-level functions pickle cleanly as pool
-# initializers/tasks, and the whole point is to ship the runner once per
-# worker instead of once per shard.
-_WORKER_RUNNER: Optional[ShardRunner] = None
+from .sharding import WorkUnit
+from .stealing import (
+    DEFAULT_CHECK_INTERVAL,
+    DEFAULT_OFFLOAD_MIN_COST,
+    DEFAULT_SPLIT_DEPTH,
+    DEFAULT_UNIT_RETRIES,
+    _run_units_in_process,
+    _run_units_with_processes,
+)
 
 
-def _initialize_worker(runner: ShardRunner) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
-    runner.setup()
+# Named for the benchmark tracer (perfbench/tracer.py), which patches it.
+def plan_shards(units: Sequence[WorkUnit]) -> List[WorkUnit]:
+    """Order the seed units for dispatch: heaviest first.
 
-
-def _execute_shard(shard: Shard) -> ShardOutcome:
-    assert _WORKER_RUNNER is not None, "worker used before initialization"
-    if faults.ACTIVE is not None:
-        faults.trigger("engine.shard", key=str(shard.index))
-    return _WORKER_RUNNER.run_shard(shard)
+    Big subtrees enter the queue early and get the whole run to subdivide.
+    Ties break on root and path, so the order is a pure function of the
+    plan, never of execution timing.
+    """
+    return sorted(units, key=lambda unit: (-unit.cost_hint, unit.root, unit.path))
 
 
 class ExecutionBackend:
-    """Strategy interface for executing a miner's root-parallel search.
+    """Run a miner's search as ``(kind, split-path)`` work units.
 
-    ``execute`` owns the whole plan → run → merge pipeline.  The default
-    implementation is the static path: pack the planned roots into LPT
-    shards, run them through :meth:`map_shards`, and reassemble by sorted
-    root id.  Backends with their own scheduling discipline (the
-    work-stealing backend) override ``execute`` outright and never touch
-    the shard machinery.
+    With one worker the units run on a local queue in this process and
+    nothing splits unless ``eager_split`` forces it (the deterministic
+    stress mode the parity tests drive).  With more workers a coordinator
+    hands units to worker processes one at a time; hungry workers split
+    their frontier nodes at most ``split_depth`` deep into new units and
+    look at the queue every ``check_interval`` visits.
+
+    ``unit_retries`` is the crash-recovery budget: how many times a unit
+    whose worker died is replayed before the run fails with a poison-unit
+    diagnostic.  ``unit_deadline`` (seconds, default off) terminates any
+    worker that holds one unit longer than the deadline and replays the
+    unit with forced eager splitting.
     """
 
     name = "abstract"
 
+    #: Worker count used when none is given; ``None`` means one per CPU.
+    default_workers: Optional[int] = None
+
     #: Optional :class:`~repro.durability.checkpoint.MiningCheckpoint`.
-    #: When set, every completed shard (or work unit, on the stealing
-    #: backend) is journaled as it lands, and ``execute`` reuses the
-    #: outcomes already journaled by a previous (crashed) run instead of
-    #: re-mining them.  Soundness: outcomes are pure functions of the
-    #: database and configuration the checkpoint identity pins, and the
-    #: merge is deterministic, so a resumed run is byte-identical to an
-    #: uninterrupted one.
+    #: When set, every completed work unit is journaled as it lands, and
+    #: ``execute`` reuses the outcomes already journaled by a previous
+    #: (crashed) run instead of re-mining them.  Soundness: outcomes are
+    #: pure functions of the database and configuration the checkpoint
+    #: identity pins, and the merge is deterministic, so a resumed run is
+    #: byte-identical to an uninterrupted one.
     checkpoint = None
 
-    def execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
-        """Run the whole pipeline and publish the run's observability data.
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        split_depth: int = DEFAULT_SPLIT_DEPTH,
+        check_interval: int = DEFAULT_CHECK_INTERVAL,
+        offload_min_cost: int = DEFAULT_OFFLOAD_MIN_COST,
+        eager_split: bool = False,
+        unit_retries: int = DEFAULT_UNIT_RETRIES,
+        unit_deadline: Optional[float] = None,
+    ) -> None:
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
+        if split_depth < 1:
+            raise ConfigurationError(f"split_depth must be >= 1, got {split_depth!r}")
+        if check_interval < 1:
+            raise ConfigurationError(
+                f"check_interval must be >= 1, got {check_interval!r}"
+            )
+        if unit_retries < 0:
+            raise ConfigurationError(f"unit_retries must be >= 0, got {unit_retries!r}")
+        if unit_deadline is not None and unit_deadline <= 0:
+            raise ConfigurationError(
+                f"unit_deadline must be positive, got {unit_deadline!r}"
+            )
+        if workers is None:
+            workers = self.default_workers or os.cpu_count() or 1
+        self.workers = workers
+        self.split_depth = split_depth
+        self.check_interval = check_interval
+        self.offload_min_cost = offload_min_cost
+        self.eager_split = eager_split
+        self.unit_retries = unit_retries
+        self.unit_deadline = unit_deadline
 
-        The search itself lives in :meth:`_execute` (overridden by
-        backends with their own scheduling discipline); this wrapper owns
-        the single per-run touch point with :mod:`repro.obs` — the span
-        around the run and the one-shot mirror of the final merged
-        ``MiningStats`` onto registry counters.  Mirroring here, after all
-        per-shard/per-unit stats merged, is what keeps the registry free
-        of double counting on any backend.
+    def execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
+        """Run the whole search and publish the run's observability data.
+
+        This wrapper owns the single per-run touch point with
+        :mod:`repro.obs` — the span around the run and the one-shot mirror
+        of the final merged ``MiningStats`` onto registry counters.
+        Mirroring here, after every unit's stats merged, is what keeps the
+        registry free of double counting.
         """
         with tracing.span("engine.execute", backend=self.name):
             records, stats = self._execute(runner)
@@ -106,194 +132,63 @@ class ExecutionBackend:
 
     def _execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
         """Plan, execute and merge the search; return (records, counters)."""
-        plan = runner.plan()
-        if not plan.roots:
-            stats = MiningStats()
-            stats.pruned_support += plan.pruned_support
+        seeds, pruned_support = runner.plan_units()
+        units = plan_shards(seeds)
+        stats = MiningStats()
+        stats.pruned_support += pruned_support
+        if not units:
             return [], stats
-        shards = plan_shards(plan.roots, self.shard_count(len(plan.roots)))
-        cached: List[ShardOutcome] = []
-        pending = list(shards)
+        cached: List[Any] = []
         if self.checkpoint is not None:
-            done = self.checkpoint.completed_shards()
-            cached = [done[tuple(s.roots)] for s in shards if tuple(s.roots) in done]
-            pending = [s for s in shards if tuple(s.roots) not in done]
-        outcomes = self.map_shards(runner, pending) if pending else []
-        records, stats = merge_outcomes(cached + outcomes)
-        obs_metrics.merge_outcome_metrics(cached + outcomes)
+            # Reuse whatever a previous (crashed) run journaled under the
+            # same identity; only the remainder is dispatched.  Unit
+            # outcomes are plan-independent, so this is sound even when
+            # the resumed plan differs from the crashed one.
+            cached, units = self.checkpoint.plan_resume(units)
+            if cached:
+                stats.bump("units_resumed", len(cached))
+        if not units:
+            outcomes = []
+        elif self.workers <= 1:
+            outcomes = _run_units_in_process(runner, units, self)
+        else:
+            outcomes = _run_units_with_processes(runner, units, self, stats)
+        # Only freshly executed outcomes donate spans: journal-resumed ones
+        # were recorded by the run that journaled them.
         tracing.absorb_outcome_spans(outcomes)
-        stats.pruned_support += plan.pruned_support
-        if cached:
-            stats.bump("shards_resumed", len(cached))
-            obs_metrics.DURABILITY_RESUMED_TOTAL.inc(len(cached), kind="shard")
-        return records, stats
-
-    def _record_shard(self, shard: Shard, outcome: ShardOutcome) -> None:
-        """Journal one completed shard if a checkpoint is armed."""
-        if self.checkpoint is not None:
-            self.checkpoint.record_shard(shard, outcome)
-
-    def shard_count(self, num_roots: int) -> int:
-        """How many shards to split ``num_roots`` roots into."""
-        raise NotImplementedError
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        """Execute every shard and return outcomes in shard order."""
-        raise NotImplementedError
+        outcomes = cached + outcomes
+        for outcome in outcomes:
+            stats.merge_counters(outcome.stats)
+        obs_metrics.merge_outcome_metrics(outcomes)
+        return runner.resolve_units(outcomes), stats
 
     def describe(self) -> str:
         """Short human-readable form used by the CLI and benchmarks."""
-        return self.name
+        details = [f"workers={self.workers}"] if self.workers > 1 else []
+        if self.split_depth != DEFAULT_SPLIT_DEPTH:
+            details.append(f"split_depth={self.split_depth}")
+        if self.eager_split:
+            details.append("eager")
+        return f"{self.name}[{', '.join(details)}]" if details else self.name
 
 
 class SerialBackend(ExecutionBackend):
-    """Run shards in-process, in order.
-
-    ``max_shards`` exists for testing the shard/merge path without
-    processes: the default of 1 keeps the classic single-pass search, while
-    larger values force the work through the same planning and merging
-    machinery the parallel backend uses.
-    """
+    """One in-process worker: the reference semantics."""
 
     name = "serial"
-
-    def __init__(self, max_shards: int = 1) -> None:
-        if max_shards < 1:
-            raise ConfigurationError(f"max_shards must be >= 1, got {max_shards!r}")
-        self.max_shards = max_shards
-
-    def shard_count(self, num_roots: int) -> int:
-        return max(1, min(self.max_shards, num_roots))
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        runner.setup()
-        outcomes = []
-        for shard in shards:
-            with tracing.span("engine.shard", index=shard.index, roots=len(shard.roots)):
-                outcome = runner.run_shard(shard)
-            self._record_shard(shard, outcome)
-            outcomes.append(outcome)
-        return outcomes
+    default_workers = 1
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan shards out to a pool of worker processes.
-
-    Worker-process death (OOM kill, segfault) breaks a
-    :class:`ProcessPoolExecutor` wholesale; this backend recovers by
-    keeping every completed shard outcome, rebuilding the pool and
-    resubmitting only the unfinished shards.  Shards are replayable by
-    construction (pure functions of the shipped runner), so the merged
-    result is unchanged by recovery.  A shard that never survives
-    ``pool_restarts`` consecutive rebuilds fails the run with an
-    :class:`~repro.core.errors.ExecutionFault` naming it.
-    """
+    """Worker processes, one per CPU unless ``workers`` says otherwise."""
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        oversubscription: int = OVERSUBSCRIPTION,
-        pool_restarts: int = DEFAULT_POOL_RESTARTS,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if oversubscription < 1:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1, got {oversubscription!r}"
-            )
-        if pool_restarts < 0:
-            raise ConfigurationError(
-                f"pool_restarts must be >= 0, got {pool_restarts!r}"
-            )
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.oversubscription = oversubscription
-        self.pool_restarts = pool_restarts
-        self._recovery_counters: Dict[str, int] = {}
 
-    def shard_count(self, num_roots: int) -> int:
-        return max(1, min(num_roots, self.workers * self.oversubscription))
+class WorkStealingBackend(ExecutionBackend):
+    """The process backend under the name ``--backend stealing`` selects."""
 
-    def _execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
-        self._recovery_counters = {}
-        records, stats = super()._execute(runner)
-        for name, amount in self._recovery_counters.items():
-            stats.bump(name, amount)
-        return records, stats
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        if self.workers <= 1 or len(shards) <= 1:
-            # Nothing to parallelise; avoid pool start-up entirely.  The
-            # fallback inherits the checkpoint so completions still journal.
-            fallback = SerialBackend(max_shards=len(shards) or 1)
-            fallback.checkpoint = self.checkpoint
-            return fallback.map_shards(runner, shards)
-        outcomes: Dict[int, ShardOutcome] = {}
-        remaining: Dict[int, Shard] = {shard.index: shard for shard in shards}
-        broken_rounds = 0
-        while remaining:
-            if not self._run_round(runner, remaining, outcomes):
-                continue  # everything submitted this round completed
-            broken_rounds += 1
-            self._bump("pool_restarts")
-            if broken_rounds > self.pool_restarts:
-                survivors = ", ".join(
-                    f"shard {index} (roots {list(remaining[index].roots)})"
-                    for index in sorted(remaining)
-                )
-                raise ExecutionFault(
-                    "process pool broke "
-                    f"{broken_rounds} times without completing: {survivors}; "
-                    "quarantining as poison shards"
-                )
-            self._bump("shards_retried", len(remaining))
-        return [outcomes[shard.index] for shard in shards]
-
-    def _run_round(
-        self,
-        runner: ShardRunner,
-        remaining: Dict[int, Shard],
-        outcomes: Dict[int, ShardOutcome],
-    ) -> bool:
-        """Run one pool over the remaining shards; True if the pool broke."""
-        broken = False
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(remaining)),
-            initializer=_initialize_worker,
-            initargs=(runner,),
-        ) as pool:
-            futures = {
-                index: pool.submit(_execute_shard, shard)
-                for index, shard in sorted(remaining.items())
-            }
-            for index, future in futures.items():
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    # A worker died; this future (and possibly others) was
-                    # lost with it.  Harvest whatever did finish and let
-                    # the caller rebuild the pool for the rest.
-                    broken = True
-                    continue
-                outcomes[index] = outcome
-                self._record_shard(remaining[index], outcome)
-                del remaining[index]
-        return broken
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        self._recovery_counters[name] = self._recovery_counters.get(name, 0) + amount
-
-    def describe(self) -> str:
-        if self.workers <= 1:
-            return f"{self.name}[workers={self.workers}] (serial fallback)"
-        return f"{self.name}[workers={self.workers}]"
+    name = "stealing"
 
 
 def resolve_backend(
@@ -303,56 +198,36 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Build a backend from CLI-style ``--backend`` / ``--workers`` values.
 
-    ``name=None`` (or ``"auto"``) picks the process pool whenever more than
-    one worker is requested and the serial backend otherwise, so plain
+    ``name=None`` (or ``"auto"``) picks the process backend whenever more
+    than one worker is requested and the serial backend otherwise, so plain
     ``--workers 4`` is enough to go parallel.  Asking for the serial
     backend *and* multiple workers is contradictory and rejected rather
-    than silently ignoring the worker count; likewise ``split_depth`` only
-    means something to the work-stealing backend.
+    than silently ignoring the worker count; likewise ``split_depth``
+    means nothing to the serial backend, which never splits.
     """
-    # Imported here: stealing builds on this module's ExecutionBackend.
-    from .stealing import DEFAULT_SPLIT_DEPTH, WorkStealingBackend
-
-    if split_depth is not None and name != "stealing":
-        raise ConfigurationError(
-            f"--split-depth only applies to the 'stealing' backend, not {name!r}"
-        )
-    if name == "stealing":
-        return WorkStealingBackend(
-            workers=workers,
-            split_depth=split_depth if split_depth is not None else DEFAULT_SPLIT_DEPTH,
-        )
     if name is None or name == "auto":
-        if workers is not None and workers > 1:
-            return ProcessPoolBackend(workers=workers)
-        return SerialBackend()
+        name = "process" if workers is not None and workers > 1 else "serial"
     if name == "serial":
         if workers is not None and workers > 1:
             raise ConfigurationError(
                 f"the serial backend runs one process; drop --workers {workers} "
                 "or use the 'process' backend"
             )
+        if split_depth is not None:
+            raise ConfigurationError(
+                "--split-depth needs more than one worker; the serial backend never splits"
+            )
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(workers=workers)
-    raise ConfigurationError(
-        f"unknown execution backend {name!r} "
-        "(expected 'serial', 'process', 'stealing' or 'auto')"
+    backends = {"process": ProcessPoolBackend, "stealing": WorkStealingBackend}
+    if name not in backends:
+        raise ConfigurationError(
+            f"unknown execution backend {name!r} "
+            "(expected 'serial', 'process', 'stealing' or 'auto')"
+        )
+    return backends[name](
+        workers=workers,
+        split_depth=split_depth if split_depth is not None else DEFAULT_SPLIT_DEPTH,
     )
-
-
-def run_sharded(
-    backend: ExecutionBackend,
-    runner: ShardRunner,
-) -> Tuple[List[Any], MiningStats]:
-    """Plan, execute and merge a root-parallel search on ``backend``.
-
-    Returns the mined records in canonical serial order together with the
-    summed search counters (including root-level support pruning from the
-    planning step).  Kept as a thin wrapper for backward compatibility;
-    the pipeline lives in :meth:`ExecutionBackend.execute`.
-    """
-    return backend.execute(runner)
 
 
 #: Backend names accepted by :func:`resolve_backend` (CLI choices).

@@ -1,9 +1,10 @@
-"""The shard runner: the picklable bridge between miners and backends.
+"""The runner: the picklable bridge between miners and backends.
 
 A :class:`ShardRunner` wraps a miner and an encoded database and knows how
-to (a) plan the root-level work, (b) build the expensive per-run search
-context — the :class:`~repro.core.positions.PositionIndex` and the root
-projections — exactly once per process, and (c) mine one shard of roots.
+to (a) plan the root-level seed units, (b) build the expensive per-run
+search context — the :class:`~repro.core.positions.PositionIndex` and the
+root projections — exactly once per process, and (c) execute one work
+unit.
 
 Miners plug in through a duck-typed protocol (no imports from the miner
 packages so the engine stays dependency-free):
@@ -14,12 +15,8 @@ packages so the engine stays dependency-free):
     planning, and once per worker process for mining.
 ``plan_roots(context)``
     Return a :class:`~repro.engine.sharding.PlanResult` of frequent roots.
-``mine_root(context, root, stats)``
-    Mine one root's subtree and return its records in depth-first order
-    (the static shard path).
 ``initial_units(context, plan)``
-    The root-level :class:`~repro.engine.sharding.WorkUnit` seeds of the
-    work-stealing path.
+    The root-level :class:`~repro.engine.sharding.WorkUnit` seeds.
 ``mine_unit(context, unit, stats, splitter)``
     Execute one work unit, consulting ``splitter`` for dynamic subtree
     splitting and heavy-phase offload.
@@ -27,11 +24,11 @@ packages so the engine stays dependency-free):
     Deterministically reassemble unit outcomes into the canonical serial
     record order (coordinating process only).
 
-The runner is pickled into each worker exactly once (via the pool
-initializer); the context is *never* pickled — ``__getstate__`` drops it so
-every worker rebuilds its ``PositionIndex`` cache locally once and reuses
-it for all the shards it executes, instead of rebuilding per subtree or
-shipping bulky indexes over the wire.
+The runner crosses into each worker process once; the context is *never*
+pickled — ``__getstate__`` drops it so every worker rebuilds its
+``PositionIndex`` cache locally once and reuses it for all the units it
+executes, instead of rebuilding per subtree or shipping bulky indexes
+over the wire.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from ..core.positions import PositionIndex
 from ..core.stats import MiningStats
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .sharding import PlanResult, RootResult, Shard, ShardOutcome, UnitOutcome, WorkUnit
+from .sharding import PlanResult, UnitOutcome, WorkUnit
 
 
 def plan_weighted_roots(
@@ -55,7 +52,7 @@ def plan_weighted_roots(
 
     Both miner families plan identically — iterate the roots in sorted
     order, prune those whose weight (instance or sequence count) is below
-    the support threshold, and weight the survivors for shard packing.
+    the support threshold, and weight the survivors for dispatch order.
     """
     roots: List[Tuple[EventId, int]] = []
     pruned = 0
@@ -87,7 +84,7 @@ class LazyIndexContext:
     The :class:`PositionIndex` is materialised on first use: the
     coordinating process only plans, so only the processes that actually
     mine pay for index construction — and each pays exactly once, reusing
-    it across all the shards it executes.
+    it across all the units it executes.
     """
 
     __slots__ = ("encoded", "_index")
@@ -118,7 +115,7 @@ class LazyIndexContext:
 
 
 class ShardRunner:
-    """Execute shards of a miner's root-parallel search."""
+    """Execute work units of a miner's root-parallel search."""
 
     def __init__(
         self,
@@ -139,17 +136,13 @@ class ShardRunner:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def plan(self) -> PlanResult:
-        """Plan the root-level work (coordinating process only)."""
-        return self.miner.plan_roots(self._ensure_context())
-
     def setup(self) -> None:
         """Build (or reuse) the per-process search context.
 
         In a worker process (the runner crossed a pickle boundary with the
         coordinator's tracing armed), this also arms the worker-side
         shipping collector and adopts the coordinator's trace context, so
-        the worker's unit/shard spans join the coordinator's trace when
+        the worker's unit spans join the coordinator's trace when
         they travel back inside the outcomes.
         """
         # Two ways a worker learns the coordinator had tracing armed:
@@ -179,61 +172,22 @@ class ShardRunner:
             tracing.adopt(*trace_ctx)
         self._ensure_context()
 
-    def run_shard(self, shard: Shard) -> ShardOutcome:
-        """Mine every root of ``shard`` and package the outcome.
-
-        ``shipped_bytes`` accounts the instance-block payload packaged into
-        the outcome — the volume that crosses the worker-to-coordinator
-        pickle boundary on the process backend (counted identically on the
-        serial backend so the number is comparable across backends).
-        """
-        context = self._ensure_context()
-        started = time.perf_counter()
-        stats = MiningStats()
-        root_results: List[RootResult] = []
-        # Worker-side only: the serial backend already wraps run_shard in
-        # an "engine.shard" span coordinator-side.
-        shard_span = (
-            tracing.span("engine.shard", index=shard.index, roots=len(shard.roots))
-            if tracing.shipping()
-            else tracing._NOOP
-        )
-        with shard_span:
-            for root in shard.roots:
-                records = tuple(self.miner.mine_root(context, root, stats))
-                for record in records:
-                    stats.shipped_bytes += _record_payload_bytes(record)
-                root_results.append(RootResult(root, records))
-        delta = (
-            obs_metrics.shard_observation(time.perf_counter() - started)
-            if obs_metrics.ENABLED
-            else None
-        )
-        return ShardOutcome(
-            shard.index, tuple(root_results), stats, delta, tracing.drain_shipped()
-        )
-
     # ------------------------------------------------------------------ #
-    # Work-stealing unit protocol
+    # Unit protocol
     # ------------------------------------------------------------------ #
     def plan_units(self) -> Tuple[List[WorkUnit], int]:
-        """Plan the root-level seed units (coordinating process only).
-
-        Units come back heaviest first so big subtrees enter the queue
-        early and get the whole run to subdivide; the order is a pure
-        function of the plan, never of execution timing.
-        """
-        plan = self.plan()
-        units = list(self.miner.initial_units(self._ensure_context(), plan))
-        units.sort(key=lambda unit: (-unit.cost_hint, unit.root, unit.path))
-        return units, plan.pruned_support
+        """Plan the root-level seed units (coordinating process only)."""
+        context = self._ensure_context()
+        plan = self.miner.plan_roots(context)
+        return list(self.miner.initial_units(context, plan)), plan.pruned_support
 
     def run_unit(self, unit: WorkUnit, splitter: Any) -> UnitOutcome:
         """Execute one work unit, packaging records and counters.
 
-        ``shipped_bytes`` accounting mirrors :meth:`run_shard`: the
-        instance payload packaged into the outcome is counted identically
-        on every backend so the number stays comparable.
+        ``shipped_bytes`` accounts the instance-block payload packaged into
+        the outcome — the volume that crosses the worker-to-coordinator
+        pickle boundary when workers run in processes (counted identically
+        in process so the number is comparable across backends).
 
         Crash-recovery contract: a unit execution must be a pure function
         of ``(self, unit)`` — all state is re-derived by replaying along

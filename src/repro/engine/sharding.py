@@ -1,41 +1,27 @@
-"""Deterministic sharding of the mining search space.
+"""The work-unit protocol's data types.
 
 Both miner families grow their search trees from independent first-level
 roots: singleton events for the iterative-pattern miners, single-event
 premises for the recurrent-rule miners.  The subtree below each root never
-reads state produced by another subtree, so the roots can be mined in any
-order — and therefore in parallel — as long as the per-root outputs are
-reassembled in the canonical (sorted-root, depth-first) order the serial
-miners emit.
-
-This module owns the two deterministic halves of that contract:
-
-* :func:`plan_shards` packs weighted roots into a fixed number of shards
-  with a greedy longest-processing-time heuristic whose tie-breaking is
-  fully deterministic, so the same inputs always produce the same plan;
-* :func:`merge_outcomes` reassembles per-shard outputs by sorted root id,
-  which is provably the serial emission order regardless of how the roots
-  were packed or which worker finished first.
+reads state produced by another subtree, and any frontier node inside a
+subtree can itself be carved off and re-derived elsewhere by replaying
+projections along its path.  A :class:`WorkUnit` names such a piece of the
+search by ``(kind, split-path)``; a :class:`UnitOutcome` carries back what
+executing it produced.  The miners' ``resolve_units`` reassembles outcomes
+in the canonical serial order, whichever worker produced them and in
+whatever order they finished.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, NamedTuple, Optional, Sequence as TypingSequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..core.events import EventId
 from ..core.stats import MiningStats
 
 
-class Shard(NamedTuple):
-    """One unit of parallel work: a set of search-tree roots to mine."""
-
-    index: int
-    roots: Tuple[EventId, ...]
-
-
 class WorkUnit(NamedTuple):
-    """One stealable unit of search work for the work-stealing backend.
+    """One unit of search work, executed by any backend.
 
     ``path`` identifies a search-tree node as the chain of events from the
     root (``path[0] == root``); the worker re-derives the node's state by
@@ -87,90 +73,11 @@ class PlanResult(NamedTuple):
     """The frequent roots of a search (with weights) plus root-level pruning.
 
     ``roots`` holds ``(root_event, weight)`` pairs where the weight is a
-    cheap proxy for subtree cost (instance or projection count);
+    cheap proxy for subtree cost (instance or projection count) that
+    becomes the seed unit's ``cost_hint``;
     ``pruned_support`` counts roots discarded by the support threshold,
     mirroring the serial miners' root-level ``pruned_support`` accounting.
     """
 
     roots: Tuple[Tuple[EventId, int], ...]
     pruned_support: int
-
-
-class RootResult(NamedTuple):
-    """The records mined from one root's subtree, in depth-first order."""
-
-    root: EventId
-    records: Tuple[object, ...]
-
-
-class ShardOutcome(NamedTuple):
-    """Everything a worker reports back for one shard."""
-
-    shard_index: int
-    root_results: Tuple[RootResult, ...]
-    stats: MiningStats
-    #: Metrics-registry delta recorded while executing the shard, merged
-    #: into the coordinator's registry like the stats; ``None`` when muted.
-    metrics: Optional[Dict[str, object]] = None
-    #: Worker-side trace spans for this shard, absorbed by the coordinator
-    #: (see :func:`repro.obs.tracing.absorb_outcome_spans`); ``None`` when
-    #: tracing is disarmed.
-    spans: Optional[Tuple[Dict[str, object], ...]] = None
-
-
-def plan_shards(
-    roots: TypingSequence[Tuple[EventId, int]], num_shards: int
-) -> List[Shard]:
-    """Pack weighted roots into at most ``num_shards`` deterministic shards.
-
-    Uses the classic longest-processing-time greedy: place heavy roots
-    first, each into the currently lightest shard.  Ties (equal weights,
-    equal loads) break on root id and shard index respectively, so the
-    plan is a pure function of its inputs.  Within a shard, roots are kept
-    sorted ascending; the merge step re-sorts globally anyway, so the
-    packing never influences output order.
-    """
-    if not roots:
-        return []
-    num_shards = max(1, min(num_shards, len(roots)))
-    if num_shards == 1:
-        return [Shard(0, tuple(sorted(event for event, _ in roots)))]
-
-    # (load, shard_index) heap: lightest shard first, lowest index on ties.
-    heap: List[Tuple[int, int]] = [(0, index) for index in range(num_shards)]
-    heapq.heapify(heap)
-    assignments: List[List[EventId]] = [[] for _ in range(num_shards)]
-    for event, weight in sorted(roots, key=lambda item: (-item[1], item[0])):
-        load, index = heapq.heappop(heap)
-        assignments[index].append(event)
-        heapq.heappush(heap, (load + max(1, weight), index))
-
-    return [
-        Shard(index, tuple(sorted(events)))
-        for index, events in enumerate(assignments)
-        if events
-    ]
-
-
-def merge_outcomes(
-    outcomes: TypingSequence[ShardOutcome],
-) -> Tuple[List[object], MiningStats]:
-    """Reassemble shard outputs into the canonical serial order.
-
-    The serial miners iterate roots in ascending id order and emit each
-    subtree depth-first; concatenating per-root record lists by sorted root
-    id therefore reproduces the serial output exactly.  Search counters are
-    summed across shards; wall-clock time is deliberately *not* summed
-    (the caller times the whole run — summing per-worker clocks would
-    double-count overlapping work).
-    """
-    stats = MiningStats()
-    root_results: List[RootResult] = []
-    for outcome in outcomes:
-        root_results.extend(outcome.root_results)
-        stats.merge_counters(outcome.stats)
-    root_results.sort(key=lambda result: result.root)
-    records: List[object] = []
-    for result in root_results:
-        records.extend(result.records)
-    return records, stats

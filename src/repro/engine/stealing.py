@@ -1,14 +1,12 @@
-"""Adaptive work-stealing execution: dynamic subtree splitting under skew.
+"""Work-unit execution: dynamic subtree splitting and crash recovery.
 
-The static LPT shard plan (:func:`~repro.engine.sharding.plan_shards`)
-guesses subtree costs at plan time from root-level weights.  On skewed
-databases — a handful of hot first-level prefixes owning most of the search
-tree — that guess is structurally wrong: whole worker pools idle behind the
-one shard that drew the hot root.  This module replaces the guess with
-demand-driven subdivision:
+Every backend runs the search as :class:`~repro.engine.sharding.WorkUnit`
+values, seeded with one unit per frequent root (heaviest first).  With one
+worker the units run on a local queue in this process
+(:func:`_run_units_in_process`).  With more, a coordinator drives worker
+processes (:func:`_run_units_with_processes`) and replaces any plan-time
+guess at subtree costs with demand-driven subdivision:
 
-* workers pull :class:`~repro.engine.sharding.WorkUnit` values from a
-  shared queue seeded with one unit per frequent root (heaviest first);
 * while mining a unit, a worker periodically consults its
   :class:`StealSplitter`; when the queue runs low it *splits* the
   shallowest unexplored frontier nodes of its depth-first search — suffix
@@ -51,19 +49,15 @@ spreads across the pool.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import time
 import traceback
 from collections import deque
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..core.errors import ConfigurationError, ExecutionFault
+from ..core.errors import ExecutionFault
 from ..core.stats import MiningStats
-from ..obs import metrics as obs_metrics
-from ..obs import tracing
 from ..testing import faults
-from .backend import ExecutionBackend
 from .sharding import UnitOutcome, WorkUnit, describe_unit
 
 #: Maximum node depth (path length) at which frontier nodes may still be
@@ -79,24 +73,6 @@ DEFAULT_CHECK_INTERVAL = 64
 #: heavy phase is never offloaded as its own unit — replaying the path
 #: would cost more than the phase itself.
 DEFAULT_OFFLOAD_MIN_COST = 256
-
-
-class NullSplitter:
-    """The no-splitting policy: serial and shard backends use this."""
-
-    split_depth = 0
-
-    def should_split(self) -> bool:
-        return False
-
-    def should_offload(self, cost_hint: int) -> bool:
-        return False
-
-    def submit(self, units: Sequence[WorkUnit]) -> None:
-        raise RuntimeError("NullSplitter cannot accept split-off work units")
-
-
-NULL_SPLITTER = NullSplitter()
 
 
 class StealSplitter:
@@ -379,7 +355,7 @@ class _Coordinator:
     poison unit.
     """
 
-    def __init__(self, runner: Any, units: List[WorkUnit], backend: "WorkStealingBackend",
+    def __init__(self, runner: Any, units: List[WorkUnit], backend: Any,
                  stats: MiningStats) -> None:
         self.runner = runner
         self.backend = backend
@@ -630,22 +606,22 @@ class _Coordinator:
 
 
 def _run_units_with_processes(
-    runner: Any, units: List[WorkUnit], backend: "WorkStealingBackend", stats: MiningStats
+    runner: Any, units: List[WorkUnit], backend: Any, stats: MiningStats
 ) -> List[UnitOutcome]:
     """Execute units on a pool of stealing workers; collect all outcomes."""
     return _Coordinator(runner, units, backend, stats).run()
 
 
 def _run_units_in_process(
-    runner: Any, units: List[WorkUnit], backend: "WorkStealingBackend"
+    runner: Any, units: List[WorkUnit], backend: Any
 ) -> List[UnitOutcome]:
-    """Run units on a local deque in the current process.
+    """Run units on a local deque in the current process (one worker).
 
-    With ``eager_split`` the splitter says yes to every split and offload,
+    Without ``eager_split`` nothing ever splits: this is the serial
+    reference.  With it the splitter says yes to every split and offload,
     so the full split / replay / offload / resolve machinery is exercised
     deterministically without any processes — the mode the property tests
-    drive.  Without it nothing ever splits and the run degenerates to the
-    serial reference.
+    drive.
     """
     runner.setup()
     pending: deque = deque(units)
@@ -674,96 +650,3 @@ def _run_units_in_process(
             checkpoint.record_unit(unit, outcome)
         outcomes.append(outcome)
     return outcomes
-
-
-class WorkStealingBackend(ExecutionBackend):
-    """Adaptive work-stealing backend with dynamic subtree splitting.
-
-    Prefer this over the static-plan ``process`` backend when the database
-    is skewed — a few hot events owning most of the search tree — or when
-    subtree costs are otherwise unpredictable at plan time.  On uniformly
-    distributed work the LPT plan's lower coordination overhead makes the
-    ``process`` backend marginally faster.
-
-    ``split_depth`` bounds how deep in the search tree frontier nodes may
-    still be split off (thieves replay projections along the split path,
-    so deeper splits are more expensive to steal); ``check_interval``
-    controls how often busy workers look at the queue; ``eager_split``
-    forces every split decision to yes (testing / stress mode).
-
-    ``unit_retries`` is the crash-recovery budget: how many times a unit
-    whose worker died is replayed before the run fails with a poison-unit
-    diagnostic.  ``unit_deadline`` (seconds, default off) terminates any
-    worker that holds one unit longer than the deadline and replays the
-    unit with forced eager splitting — converting stragglers into
-    split-and-retry.
-    """
-
-    name = "stealing"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        split_depth: int = DEFAULT_SPLIT_DEPTH,
-        check_interval: int = DEFAULT_CHECK_INTERVAL,
-        offload_min_cost: int = DEFAULT_OFFLOAD_MIN_COST,
-        eager_split: bool = False,
-        unit_retries: int = DEFAULT_UNIT_RETRIES,
-        unit_deadline: Optional[float] = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if split_depth < 1:
-            raise ConfigurationError(f"split_depth must be >= 1, got {split_depth!r}")
-        if check_interval < 1:
-            raise ConfigurationError(
-                f"check_interval must be >= 1, got {check_interval!r}"
-            )
-        if unit_retries < 0:
-            raise ConfigurationError(f"unit_retries must be >= 0, got {unit_retries!r}")
-        if unit_deadline is not None and unit_deadline <= 0:
-            raise ConfigurationError(
-                f"unit_deadline must be positive, got {unit_deadline!r}"
-            )
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.split_depth = split_depth
-        self.check_interval = check_interval
-        self.offload_min_cost = offload_min_cost
-        self.eager_split = eager_split
-        self.unit_retries = unit_retries
-        self.unit_deadline = unit_deadline
-
-    def describe(self) -> str:
-        suffix = ", eager" if self.eager_split else ""
-        return f"{self.name}[workers={self.workers}, split_depth={self.split_depth}{suffix}]"
-
-    def _execute(self, runner: Any) -> Tuple[List[Any], MiningStats]:
-        units, pruned_support = runner.plan_units()
-        stats = MiningStats()
-        stats.pruned_support += pruned_support
-        if not units:
-            return [], stats
-        cached: List[UnitOutcome] = []
-        if self.checkpoint is not None:
-            # Reuse whatever a previous (crashed) run journaled under the
-            # same identity; only the remainder is dispatched.  Unit
-            # outcomes are plan-independent, so this is sound even when
-            # the resumed plan differs from the crashed one.
-            cached, units = self.checkpoint.plan_resume(units)
-            if cached:
-                stats.bump("units_resumed", len(cached))
-        if not units:
-            outcomes = []
-        elif self.workers <= 1:
-            outcomes = _run_units_in_process(runner, units, self)
-        else:
-            outcomes = _run_units_with_processes(runner, units, self, stats)
-        # Only freshly executed outcomes donate spans: journal-resumed ones
-        # were recorded by the run that journaled them.
-        tracing.absorb_outcome_spans(outcomes)
-        outcomes = cached + outcomes
-        for outcome in outcomes:
-            stats.merge_counters(outcome.stats)
-        obs_metrics.merge_outcome_metrics(outcomes)
-        records = runner.resolve_units(outcomes)
-        return records, stats

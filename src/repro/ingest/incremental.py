@@ -14,8 +14,8 @@ appended batches' alphabets keeps its cached records verbatim.
 :class:`IncrementalMiner` exploits this through the existing engine: it
 wraps the real miner in a plan filter that keeps only the *touched* roots
 (events appearing in the newly appended batches), runs the filtered plan on
-any :class:`~repro.engine.backend.ExecutionBackend` — serial, process pool
-or work stealing — and merges the fresh records with the cached records of
+any :class:`~repro.engine.backend.ExecutionBackend` — serial, process
+or stealing — and merges the fresh records with the cached records of
 untouched roots by the miner's canonical record key.  Because every backend
 already merges deterministically by that same key, the merged output is
 bit-identical to a full re-mine of the concatenated store.  Three events
@@ -44,7 +44,7 @@ from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
 from ..durability.checkpoint import miner_config_token
 from ..durability.journal import atomic_write_bytes
-from ..engine import ExecutionBackend, PlanResult, SerialBackend, ShardRunner, run_sharded
+from ..engine import ExecutionBackend, PlanResult, SerialBackend, ShardRunner
 from .store import TraceStore
 
 #: On-disk record-cache format version; unknown versions are ignored.
@@ -93,9 +93,6 @@ class _DeltaPlanMiner:
 
     def build_context(self, encoded: Any, extras: Dict[str, Any]) -> Any:
         return self.inner.build_context(encoded, extras)
-
-    def mine_root(self, context: Any, root: EventId, stats: MiningStats) -> Any:
-        return self.inner.mine_root(context, root, stats)
 
     def initial_units(self, context: Any, plan: PlanResult) -> Any:
         return self.inner.initial_units(context, plan)
@@ -336,7 +333,7 @@ class IncrementalMiner:
             changed = None if full else self._dirty
             delta = _DeltaPlanMiner(self.miner, changed)
             runner = ShardRunner(delta, database.encoded, extras, context=self._context)
-            records, search_stats = run_sharded(chosen, runner)
+            records, search_stats = chosen.execute(runner)
             stats.merge_counters(search_stats)
 
             cache = {} if full else dict(self._cache or {})

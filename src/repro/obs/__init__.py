@@ -7,11 +7,11 @@ package is the single funnel every layer records into:
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry` of
   labelled counters, gauges, and fixed-bucket histograms; thread-safe,
   snapshot/merge-able across worker processes (engine workers ship
-  registry deltas inside their shard/unit outcomes, merged
+  registry deltas inside their unit outcomes, merged
   deterministically like ``MiningStats``), rendered in the Prometheus
   text format for the ``METRICS`` wire verb and ``repro metrics``;
 * :mod:`repro.obs.tracing` — lightweight spans
-  (``with span("engine.shard", index=3)``) recording monotonic durations
+  (``with span("engine.unit", kind="grow")``) recording monotonic durations
   to a bounded ring and optionally a JSONL trace file
   (``--trace-out``), disarmed at the cost of one attribute check per
   site, summarised offline by ``tools/trace_summary.py``; spans carry
@@ -40,7 +40,6 @@ from .metrics import (
     record_mining_stats,
     record_rule_close,
     set_enabled,
-    shard_observation,
     unit_observation,
 )
 from .tracing import (
@@ -69,7 +68,6 @@ __all__ = [
     "remote_span",
     "reset_tracing",
     "set_enabled",
-    "shard_observation",
     "span",
     "unit_observation",
 ]

@@ -14,7 +14,7 @@ and no way to scrape a live server.  This module is the single funnel:
   plain picklable dict and :meth:`MetricsRegistry.merge` folds one in —
   counters and histogram buckets add, gauges keep their maximum — so
   engine *worker processes* ship a delta registry back inside their
-  shard/unit outcomes and the coordinator folds them in deterministically,
+  unit outcomes and the coordinator folds them in deterministically,
   exactly like ``MiningStats.merge_counters``.  Merging is commutative and
   associative, so completion order never changes the result.
 * :meth:`MetricsRegistry.render_text` renders the Prometheus text
@@ -55,12 +55,11 @@ __all__ = [
     "record_rule_close",
     "rule_tally_delta",
     "unit_observation",
-    "shard_observation",
     "merge_outcome_metrics",
 ]
 
 #: Fixed default histogram buckets (seconds).  Spanning 100µs..10s covers
-#: everything from a single verb dispatch to a full mining shard.
+#: everything from a single verb dispatch to a whole mined subtree.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -100,7 +99,7 @@ SERVING_BUCKETS: Tuple[float, ...] = (
     0.25,
 )
 
-#: Work units, shards, and rule/session lifetimes run long-tailed the
+#: Work units and rule/session lifetimes run long-tailed the
 #: other way — whole subtrees or whole sessions: 1ms..120s.
 UNIT_BUCKETS: Tuple[float, ...] = (
     0.001,
@@ -554,23 +553,14 @@ REGISTRY = MetricsRegistry()
 # --- engine ---------------------------------------------------------
 ENGINE_UNIT_SECONDS = REGISTRY.histogram(
     "repro_engine_unit_seconds",
-    "Wall-clock seconds per work-stealing work unit, by unit kind.",
+    "Wall-clock seconds per executed work unit, by unit kind.",
     labels=("kind",),
-    buckets=UNIT_BUCKETS,
-)
-ENGINE_SHARD_SECONDS = REGISTRY.histogram(
-    "repro_engine_shard_seconds",
-    "Wall-clock seconds per statically planned mining shard.",
     buckets=UNIT_BUCKETS,
 )
 ENGINE_UNITS_TOTAL = REGISTRY.counter(
     "repro_engine_units_total",
     "Work units executed to completion, by unit kind.",
     labels=("kind",),
-)
-ENGINE_SHARDS_TOTAL = REGISTRY.counter(
-    "repro_engine_shards_total",
-    "Mining shards executed to completion.",
 )
 ENGINE_RUNS_TOTAL = REGISTRY.counter(
     "repro_engine_runs_total",
@@ -733,18 +723,6 @@ def unit_observation(kind: str, seconds: float) -> Dict[str, object]:
     return delta.snapshot()
 
 
-def shard_observation(seconds: float) -> Dict[str, object]:
-    """A delta snapshot recording one executed mining shard."""
-    delta = MetricsRegistry()
-    delta.histogram(
-        ENGINE_SHARD_SECONDS.name,
-        ENGINE_SHARD_SECONDS.help,
-        buckets=ENGINE_SHARD_SECONDS.buckets,
-    ).observe(seconds)
-    delta.counter(ENGINE_SHARDS_TOTAL.name, ENGINE_SHARDS_TOTAL.help).inc()
-    return delta.snapshot()
-
-
 def merge_outcome_metrics(outcomes: Iterable[object]) -> None:
     """Fold the ``metrics`` delta of every outcome into :data:`REGISTRY`."""
     if not ENABLED:
@@ -830,11 +808,11 @@ def record_mining_stats(stats: object, backend: str) -> None:
     """Mirror a finished run's ``MiningStats`` onto registry counters.
 
     Called exactly once per mining run by the execution backends, *after*
-    per-shard stats have been merged — never at individual bump sites, so
+    per-unit stats have been merged — never at individual bump sites, so
     in-process and cross-process accumulation can't double-count.  Keeps
     ``MiningStats.extra`` as the backward-compatible carrier while giving
-    every key (``units_retried``, ``workers_lost``, ``pool_restarts``,
-    ``units_resumed``, …) a scrapeable counter.
+    every key (``units_retried``, ``workers_lost``, ``units_resumed``, …)
+    a scrapeable counter.
     """
     if not ENABLED:
         return

@@ -6,8 +6,8 @@ one timed region with a dotted name and free-form attributes::
 
     from ..obs import tracing
     ...
-    with tracing.span("engine.shard", index=shard.index):
-        outcome = runner.run_shard(shard)
+    with tracing.span("engine.unit", kind=unit.kind, root=unit.root):
+        records = miner.mine_unit(context, unit, stats, splitter)
 
 Tracing follows the ``testing/faults.py`` arming pattern: the module-level
 :data:`ACTIVE` collector is ``None`` unless somebody installed one, and
@@ -21,9 +21,9 @@ When armed (``--trace-out FILE`` on ``repro mine-patterns`` /
 finished span is appended to a bounded in-memory ring (oldest entries
 evicted) and, if a path was given, written as one JSON line::
 
-    {"name": "engine.shard", "ts": 1720000000.123, "dur": 0.0421,
+    {"name": "engine.unit", "ts": 1720000000.123, "dur": 0.0421,
      "pid": 4242, "trace": "9f0c…", "span": "41d2…", "parent": "77aa…",
-     "attrs": {"index": 3}}
+     "attrs": {"kind": "grow", "root": 3}}
 
 ``tools/trace_summary.py`` aggregates such a file into a per-span-name
 breakdown.  The span naming scheme (``layer.phase``) is documented in
@@ -40,7 +40,7 @@ context crosses process boundaries two ways:
 * *into engine workers* — worker processes arm a file-less *shipping*
   collector (:func:`install_shipping`), adopt the coordinator's context
   (:func:`adopt`), and their finished spans travel back inside
-  ``UnitOutcome``/``ShardOutcome`` (the ``spans`` field) for the
+  ``UnitOutcome`` (the ``spans`` field) for the
   coordinator to fold into its own ring and JSONL file
   (:func:`absorb_outcome_spans`).  Workers never write the trace file
   themselves — spawned workers re-import this module disarmed, and forked

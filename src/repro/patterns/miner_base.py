@@ -10,7 +10,7 @@ its own prefixes.
 Instance lists travel the search as columnar
 :class:`~repro.core.blocks.InstanceBlock` values: flat int columns instead
 of per-instance tuples, so the inner projection loops allocate nothing per
-instance and shard results pickle as a few buffers.  Each search node builds
+instance and unit outcomes pickle as a few buffers.  Each search node builds
 one :class:`~repro.core.projection.AlphabetIndex` — the node's shared
 ``frozenset(pattern)`` plus merged per-sequence alphabet-occurrence lists —
 which the forward projection, the backward closure scan and the infix check
@@ -22,10 +22,9 @@ node inside a subtree can itself be carved off as a
 :class:`~repro.engine.sharding.WorkUnit` keyed by its ``(root, split-path)``
 and re-derived elsewhere by replaying projections along the path.  The
 miners implement the engine's protocol (``build_context`` / ``plan_roots``
-/ ``mine_root`` for the static shard path, ``initial_units`` /
-``mine_unit`` / ``resolve_units`` for the work-stealing path) and let an
+/ ``initial_units`` / ``mine_unit`` / ``resolve_units``) and let an
 :class:`~repro.engine.backend.ExecutionBackend` decide where the search
-runs.  Either way the merged output is bit-identical: the serial
+runs.  Wherever it runs the merged output is bit-identical: the serial
 depth-first emission order equals the ascending lexicographic order of the
 emitted patterns, so sorting records by pattern reassembles it exactly.
 """
@@ -48,7 +47,6 @@ from ..core.projection import (
 from ..core.sequence import SequenceDatabase, absolute_support
 from ..core.stats import MiningStats
 from ..engine import (
-    NULL_SPLITTER,
     ExecutionBackend,
     LazyIndexContext,
     PlanResult,
@@ -57,7 +55,6 @@ from ..engine import (
     UnitOutcome,
     WorkUnit,
     plan_weighted_roots,
-    run_sharded,
 )
 from ..engine.stealing import FrontierFrame, drive_split_subtree
 from .config import IterativeMiningConfig
@@ -111,7 +108,7 @@ class PatternSearchContext(LazyIndexContext):
     The index and the singleton instance blocks are materialised lazily:
     the coordinating process only plans (a counts-only pass), so only the
     processes that actually mine pay for them — each exactly once,
-    reused across all the shards that process executes.
+    reused across all the units that process executes.
     """
 
     __slots__ = ("min_support", "_singletons")
@@ -166,7 +163,7 @@ class IterativePatternMinerBase:
 
         chosen = backend or self.backend or SerialBackend()
         runner = ShardRunner(self, database.encoded, self.runner_extras(database))
-        records, search_stats = run_sharded(chosen, runner)
+        records, search_stats = chosen.execute(runner)
         stats.merge_counters(search_stats)
 
         result = self.collect_result(database, records, stats)
@@ -239,7 +236,7 @@ class IterativePatternMinerBase:
         )
 
     def plan_roots(self, context: PatternSearchContext) -> PlanResult:
-        """Frequent singletons, weighted by instance count for shard packing.
+        """Frequent singletons, weighted by instance count for dispatch order.
 
         A counts-only database pass: occurrence counts equal singleton
         instance counts, so the coordinator never materialises the
@@ -249,17 +246,6 @@ class IterativePatternMinerBase:
         for sequence in context.encoded:
             counts.update(sequence)
         return plan_weighted_roots(counts, context.min_support)
-
-    def mine_root(
-        self, context: PatternSearchContext, root: EventId, stats: MiningStats
-    ) -> List[PatternRecord]:
-        """Mine the subtree rooted at the singleton ``<root>``.
-
-        The static shard path: one grow unit, never split.
-        """
-        return self.mine_unit(
-            context, WorkUnit(GROW_UNIT, root, (root,)), stats, NULL_SPLITTER
-        )
 
     def initial_units(
         self, context: PatternSearchContext, plan: PlanResult

@@ -16,9 +16,8 @@ binary search per supporting sequence per path step.  A premise's
 consequent growth — the heavy phase of rule mining — can likewise leave as
 its own ``consequent`` unit when the pool runs hungry.  The miners
 implement the engine's protocol (``build_context`` / ``plan_roots`` /
-``mine_root`` for the static shard path, ``initial_units`` / ``mine_unit``
-/ ``resolve_units`` for the work-stealing path); merged output is
-bit-identical either way because the serial emission order equals the
+``initial_units`` / ``mine_unit`` / ``resolve_units``); merged output is
+bit-identical on every backend because the serial emission order equals the
 ascending lexicographic order of ``(premise, consequent)`` keys.  The
 Definition 5.2 sweep is global, so it always runs in the coordinating
 process after the deterministic merge.
@@ -43,7 +42,6 @@ from ..core.events import EncodedDatabase, EventId
 from ..core.sequence import SequenceDatabase, absolute_support
 from ..core.stats import MiningStats
 from ..engine import (
-    NULL_SPLITTER,
     ExecutionBackend,
     LazyIndexContext,
     PlanResult,
@@ -52,7 +50,6 @@ from ..engine import (
     UnitOutcome,
     WorkUnit,
     plan_weighted_roots,
-    run_sharded,
 )
 from ..engine.stealing import FrontierFrame, drive_split_subtree
 from .config import RuleMiningConfig
@@ -89,7 +86,7 @@ class RuleSearchContext(LazyIndexContext):
     The index and the root premise projections are materialised lazily:
     the coordinating process only plans (a counts-only pass), so only the
     processes that actually mine pay for them — each exactly once,
-    reused across all the shards that process executes.
+    reused across all the units that process executes.
     """
 
     __slots__ = ("min_s_support", "allowed_events", "_initial")
@@ -152,7 +149,7 @@ class RecurrentRuleMinerBase:
 
         chosen = backend or self.backend or SerialBackend()
         runner = ShardRunner(self, database.encoded, self.runner_extras(database))
-        records, search_stats = run_sharded(chosen, runner)
+        records, search_stats = chosen.execute(runner)
         stats.merge_counters(search_stats)
 
         result = self.collect_result(database, records, stats)
@@ -256,17 +253,6 @@ class RecurrentRuleMinerBase:
                 distinct &= allowed
             counts.update(distinct)
         return plan_weighted_roots(counts, context.min_s_support)
-
-    def mine_root(
-        self, context: RuleSearchContext, root: EventId, stats: MiningStats
-    ) -> List[RuleRecord]:
-        """Mine every rule whose premise starts with ``root``.
-
-        The static shard path: one rules unit, never split.
-        """
-        return self.mine_unit(
-            context, WorkUnit(RULES_UNIT, root, (root,)), stats, NULL_SPLITTER
-        )
 
     def initial_units(
         self, context: RuleSearchContext, plan: PlanResult

@@ -55,7 +55,7 @@ def initial_premise_projections(
     Maps each (allowed) event to a :class:`PositionBlock` of
     ``(sequence_index, position)`` rows, one per sequence containing it,
     pointing at its earliest occurrence.  This is the root level of the
-    premise search; the parallel engine computes it once to plan shards and
+    premise search; the engine computes it once to plan the seed units and
     workers reuse it to seed their subtrees.
     """
     builders: Dict[EventId, PositionBlockBuilder] = {}
@@ -163,8 +163,8 @@ class PremiseMiner:
         """Yield the s-frequent premises of one root's subtree, depth-first.
 
         ``projections`` must be the earliest-occurrence projections of
-        ``<event>`` (see :func:`initial_premise_projections`); the parallel
-        engine calls this per shard root.
+        ``<event>`` (see :func:`initial_premise_projections`); the engine
+        reaches it through the root's work unit.
         """
         yield from self._grow(encoded_db, (event,), projections)
 

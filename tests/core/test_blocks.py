@@ -286,14 +286,14 @@ def test_initial_premise_projections_are_columnar_earliest_occurrences(sequences
 # --------------------------------------------------------------------- #
 # End-to-end: block pipeline across backends, instances vs oracle
 # --------------------------------------------------------------------- #
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=5))
+@given(sequences=sequences_strategy, split_depth=st.integers(min_value=1, max_value=5))
 @settings(max_examples=20, deadline=None)
-def test_mined_instances_match_oracle_across_serial_shard_paths(sequences, max_shards):
+def test_mined_instances_match_oracle_across_serial_shard_paths(sequences, split_depth):
+    """Instances stay exact when the serial run splits into eager units."""
     db = SequenceDatabase.from_sequences([[str(event) for event in s] for s in sequences])
     serial = mine_closed_patterns(db, min_support=2, collect_instances=True)
-    sharded = mine_closed_patterns(
-        db, min_support=2, collect_instances=True, backend=SerialBackend(max_shards=max_shards)
-    )
+    split = SerialBackend(eager_split=True, split_depth=split_depth)
+    sharded = mine_closed_patterns(db, min_support=2, collect_instances=True, backend=split)
     assert serial.patterns == sharded.patterns
     for mined in serial.patterns:
         encoded_pattern = db.vocabulary.encode(mined.events)

@@ -15,7 +15,6 @@ from repro.patterns.config import IterativeMiningConfig
 # unit_key only reads .kind and .path; a namedtuple stands in for the
 # engine's WorkUnit (and pickles cleanly, which record_spawn requires).
 FakeUnit = namedtuple("FakeUnit", "kind path")
-FakeShard = namedtuple("FakeShard", "roots")
 
 IDENTITY = {"database": "abc123", "miner": "M", "config": "M()"}
 
@@ -24,12 +23,10 @@ def test_records_survive_reopen(tmp_path):
     root = FakeUnit("expand", (0,))
     with MiningCheckpoint(tmp_path, IDENTITY) as ckpt:
         ckpt.record_unit(root, "outcome-0")
-        ckpt.record_shard(FakeShard((1, 2)), "shard-out")
     with MiningCheckpoint(tmp_path, IDENTITY) as ckpt:
         cached, remaining = ckpt.plan_resume([root, FakeUnit("expand", (1,))])
         assert cached == ["outcome-0"]
         assert remaining == [FakeUnit("expand", (1,))]
-        assert ckpt.completed_shards() == {(1, 2): "shard-out"}
 
 
 def test_identity_mismatch_discards_journal(tmp_path):

@@ -134,7 +134,7 @@ def test_torn_checkpoint_journal_truncated(tmp_path):
     with MiningCheckpoint(
         ckpt_dir, {"database": store.fingerprint, "miner": "M", "config": "M()"}
     ) as ckpt:
-        ckpt.record_shard(type("S", (), {"roots": (1, 2)})(), "outcome")
+        ckpt.record_unit(type("U", (), {"kind": "grow", "path": (1, 2)})(), "outcome")
     journal = ckpt_dir / "checkpoint.bin"
     journal.write_bytes(journal.read_bytes() + b"\x09\x00")
     report = audit_store(tmp_path / "store")

@@ -1,9 +1,12 @@
 """Checkpoint resume through the engine: interrupted mines finish identical."""
 
+import pickle
+
 import pytest
 
 from repro.core.sequence import SequenceDatabase
 from repro.durability.checkpoint import MiningCheckpoint
+from repro.durability.journal import JournalWriter
 from repro.engine import resolve_backend
 from repro.jboss.workloads import generate_security_traces
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
@@ -100,15 +103,36 @@ def test_completed_checkpoint_resumes_everything(tmp_path):
 
 
 def test_serial_backend_resumes_shards(tmp_path):
+    # The serial backend journals per unit, so a mine killed partway
+    # resumes at unit grain instead of starting over.
     database = pattern_database()
+    cold, resumed = interrupted_then_resumed(tmp_path, database, pattern_miner, "serial")
+    assert resumed.as_rows() == cold.as_rows()
+    assert resumed.stats.extra.get("units_resumed", 0) >= 1
+    assert resumed.stats.visited == cold.stats.visited
+
+
+#: A ``("shard", roots, ShardOutcome)`` frame as older versions journaled
+#: it, pickled by hand because the outcome class no longer exists.
+LEGACY_SHARD_FRAME = (
+    b"(Vshard\n(I0\nI1\ntcrepro.engine.sharding\nShardOutcome\n)Rt."
+)
+
+
+def test_legacy_shard_frames_are_skipped_on_replay(tmp_path):
+    database = pattern_database()
+    cold = pattern_miner().mine(database, backend=resolve_backend("serial", None, None))
+    MiningCheckpoint(tmp_path / "ckpt", IDENTITY).close()
+    journal = JournalWriter(tmp_path / "ckpt" / "checkpoint.bin")
+    journal.append(LEGACY_SHARD_FRAME)
+    journal.append(pickle.dumps(("shard", (0, 1), "outcome")))
+    journal.close()
+
     backend = resolve_backend("serial", None, None)
     backend.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
-    first = pattern_miner().mine(database, backend=backend)
+    resumed = pattern_miner().mine(database, backend=backend)
     backend.checkpoint.close()
-
-    again = resolve_backend("serial", None, None)
-    again.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
-    second = pattern_miner().mine(database, backend=again)
-    again.checkpoint.close()
-    assert second.as_rows() == first.as_rows()
-    assert second.stats.extra.get("shards_resumed", 0) >= 1
+    assert resumed.as_rows() == cold.as_rows()
+    # Nothing was reused: every unit was mined again.
+    assert resumed.stats.extra.get("units_resumed", 0) == 0
+    assert resumed.stats.visited == cold.stats.visited

@@ -1,20 +1,18 @@
 """Serial vs. parallel parity: the engine must not change mining results.
 
-The contract of the sharded engine is that the execution backend is
-invisible in the output: patterns and rules come back bit-identical — same
+The contract of the engine is that the execution backend is invisible
+in the output: patterns and rules come back bit-identical — same
 elements, same order, same supports and instances — whatever the backend.
 The hypothesis tests drive randomized databases through the serial
-reference, a force-sharded serial backend (exercising the plan/merge path
-in-process on every example) and, more sparingly, a real process pool.
+reference and, sparingly, real worker processes; eager in-process
+splitting is covered in ``test_stealing.py``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ProcessPoolBackend, SerialBackend
+from repro.engine import ProcessPoolBackend
 from repro.patterns.closed_miner import mine_closed_patterns
-from repro.patterns.full_miner import mine_frequent_patterns
-from repro.rules.full_miner import mine_all_rules
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 
 sequences_strategy = st.lists(
@@ -29,44 +27,7 @@ def _database(sequences):
 
 
 # --------------------------------------------------------------------- #
-# Force-sharded serial backend: cheap enough to run on every example.
-# --------------------------------------------------------------------- #
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=6))
-@settings(max_examples=60, deadline=None)
-def test_sharded_pattern_mining_matches_serial(sequences, max_shards):
-    db = _database(sequences)
-    sharded = SerialBackend(max_shards=max_shards)
-    for miner in (mine_closed_patterns, mine_frequent_patterns):
-        serial = miner(db, min_support=2)
-        parallel_path = miner(db, min_support=2, backend=sharded)
-        assert serial.patterns == parallel_path.patterns
-        assert serial.min_support == parallel_path.min_support
-
-
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_sharded_rule_mining_matches_serial(sequences, max_shards):
-    db = _database(sequences)
-    sharded = SerialBackend(max_shards=max_shards)
-    for miner in (mine_all_rules, mine_non_redundant_rules):
-        serial = miner(db, min_s_support=2, min_confidence=0.5)
-        parallel_path = miner(db, min_s_support=2, min_confidence=0.5, backend=sharded)
-        assert serial.rules == parallel_path.rules
-
-
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_sharded_search_counters_match_serial(sequences, max_shards):
-    """Sharding only reorders the search; it must visit and prune the same nodes."""
-    db = _database(sequences)
-    serial = mine_closed_patterns(db, min_support=2)
-    sharded = mine_closed_patterns(db, min_support=2, backend=SerialBackend(max_shards=max_shards))
-    for counter in ("visited", "emitted", "pruned_support", "pruned_closure"):
-        assert getattr(serial.stats, counter) == getattr(sharded.stats, counter)
-
-
-# --------------------------------------------------------------------- #
-# Real process pool: fewer examples (each one forks worker processes).
+# Real worker processes: fewer examples (each one forks workers).
 # --------------------------------------------------------------------- #
 @given(sequences=sequences_strategy)
 @settings(max_examples=5, deadline=None)

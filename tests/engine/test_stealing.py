@@ -1,10 +1,9 @@
 """Work-stealing backend: bit-identical output under every split policy.
 
-The stealing engine's contract extends the shard engine's: not only must
-the backend be invisible in the output, it must stay invisible under
-*dynamic subtree splitting* — any frontier node may be carved off as a
-stolen unit, closure checks and consequent growth may be offloaded to
-other workers, and the merged result must still match the serial reference
+The engine's contract: the backend must be invisible in the output, and
+stay invisible under *dynamic subtree splitting* — any frontier node may
+be carved off as a stolen unit, closure checks and consequent growth may
+be offloaded to other workers, and the merged result must still match the serial reference
 bit for bit, core search counters included.
 
 ``eager_split`` forces every split and offload decision to yes, so the
@@ -44,8 +43,8 @@ def skewed_database() -> SequenceDatabase:
 
     Event ``h`` repeats densely through every trace (a deep, heavy
     subtree), while the remaining events are sparse one-off roots — the
-    shape that defeats static LPT planning, because the plan cannot split
-    the single hot root's subtree.
+    shape that defeats any plan made per root, because only splitting can
+    spread the single hot root's subtree.
     """
     sequences = []
     for shift in range(6):
@@ -185,9 +184,12 @@ class TestResolveStealingBackend:
         assert backend.split_depth >= 1
 
     def test_split_depth_rejected_for_other_backends(self):
-        for name in ("serial", "process", "auto"):
+        # Only the serial backend (named, or picked by 'auto' for one
+        # worker) never splits; every multi-worker backend accepts a depth.
+        for name in ("serial", "auto"):
             with pytest.raises(ConfigurationError):
-                resolve_backend(name, workers=2, split_depth=4)
+                resolve_backend(name, workers=1, split_depth=4)
+        assert resolve_backend("process", workers=2, split_depth=4).split_depth == 4
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.core.errors import ExecutionFault
-from repro.engine import ProcessPoolBackend, WorkStealingBackend
+from repro.engine import WorkStealingBackend, resolve_backend
 from repro.patterns.closed_miner import mine_closed_patterns
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.testing import faults
@@ -48,14 +48,13 @@ def test_stealing_rule_mining_survives_a_worker_kill(lock_database):
 
 
 @fork_only
-def test_process_pool_backend_recovers_from_a_killed_shard(lock_database):
+def test_process_backend_recovers_from_a_killed_unit(lock_database):
     serial = mine_closed_patterns(lock_database, min_support=2)
-    faults.install("engine.shard", "kill", count=1)
-    backend = ProcessPoolBackend(workers=2)
+    faults.install("engine.unit", "kill", count=1)
+    backend = resolve_backend("process", 2)
     recovered = mine_closed_patterns(lock_database, min_support=2, backend=backend)
     assert recovered.patterns == serial.patterns
-    assert recovered.stats.extra["pool_restarts"] == 1
-    assert recovered.stats.extra["shards_retried"] >= 1
+    assert recovered.stats.extra["workers_lost"] == 1
 
 
 @fork_only

@@ -1,10 +1,10 @@
 """Registry merge determinism across execution backends.
 
 The engine's workers record their measurements into throwaway delta
-registries shipped inside each :class:`UnitOutcome` / :class:`ShardOutcome`
-and merged exactly once by the coordinator.  These tests pin the resulting
-contract: whatever the backend — single process, forked pool, stealing
-threads — the merged registry equals what a single-process run records,
+registries shipped inside each :class:`UnitOutcome` and merged exactly
+once by the coordinator.  These tests pin the resulting contract: whatever
+the backend — single process, split units, worker processes — the merged
+registry equals what a single-process run records,
 and internal accounting (histogram counts vs. counters vs. ``MiningStats``)
 always reconciles, proving every delta arrived exactly once.
 """
@@ -12,12 +12,9 @@ always reconciles, proving every delta arrived exactly once.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ProcessPoolBackend, SerialBackend
-from repro.engine.stealing import WorkStealingBackend
+from repro.engine import ProcessPoolBackend, SerialBackend, WorkStealingBackend
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
-    ENGINE_SHARD_SECONDS,
-    ENGINE_SHARDS_TOTAL,
     ENGINE_UNIT_SECONDS,
     ENGINE_UNITS_TOTAL,
     MINING_COUNTER_TOTAL,
@@ -47,21 +44,31 @@ def _mine_and_scrape(database, backend=None):
     return result, mirror
 
 
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=5))
+def _units_recorded():
+    """(unit counter total, unit histogram count total) across kinds."""
+    snapshot = REGISTRY.snapshot()
+    counted = sum(value for _, value in snapshot[ENGINE_UNITS_TOTAL.name]["samples"])
+    observed = sum(sample[3] for sample in snapshot[ENGINE_UNIT_SECONDS.name]["samples"])
+    return counted, observed
+
+
+@given(sequences=sequences_strategy, split_depth=st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
-def test_sharded_serial_mirror_matches_single_process(sequences, max_shards):
+def test_sharded_serial_mirror_matches_single_process(sequences, split_depth):
+    """Eager in-process splitting records what the unsplit serial run does."""
     database = SequenceDatabase.from_sequences(sequences)
     _, single = _mine_and_scrape(database)
-    result, sharded = _mine_and_scrape(database, SerialBackend(max_shards=max_shards))
-    assert sharded == single
+    backend = SerialBackend(eager_split=True, split_depth=split_depth)
+    result, split = _mine_and_scrape(database, backend)
+    assert split == single
     for name in SEARCH_COUNTERS:
-        assert sharded[name] == getattr(result.stats, name)
-    # Every shard's delta arrived exactly once: the per-shard histogram and
-    # the shard counter agree (zero shards only when nothing was frequent).
-    shards = ENGINE_SHARDS_TOTAL.value()
-    assert ENGINE_SHARD_SECONDS.sample()[2] == shards
+        assert split[name] == getattr(result.stats, name)
+    # Every unit's delta arrived exactly once: the per-unit histogram and
+    # the unit counter agree (zero units only when nothing was frequent).
+    units, observed = _units_recorded()
+    assert observed == units
     if result.stats.visited:
-        assert shards >= 1
+        assert units >= 1
 
 
 @given(sequences=sequences_strategy)
@@ -74,14 +81,14 @@ def test_process_pool_deltas_merge_like_single_process(sequences):
     assert pooled == single
     for name in SEARCH_COUNTERS:
         assert pooled[name] == getattr(result.stats, name)
-    shards = ENGINE_SHARDS_TOTAL.value()
-    assert ENGINE_SHARD_SECONDS.sample()[2] == shards
+    units, observed = _units_recorded()
+    assert observed == units
     if result.stats.visited:
-        assert shards >= 1
+        assert units >= 1
 
 
 def test_stealing_deltas_reconcile_with_stats():
-    """Thread-pool unit deltas arrive exactly once, split or not.
+    """Worker-process unit deltas arrive exactly once, split or not.
 
     Unit *counts* are scheduling-dependent (splits happen when workers go
     hungry), so the invariant pinned here is reconciliation: the mirror
@@ -112,10 +119,10 @@ def test_muted_runs_ship_no_deltas():
     REGISTRY.reset()
     obs_metrics.set_enabled(False)
     try:
-        mine_closed_patterns(database, min_support=2, backend=SerialBackend(max_shards=2))
+        mine_closed_patterns(database, min_support=2, backend=SerialBackend())
     finally:
         obs_metrics.set_enabled(True)
-    assert ENGINE_SHARDS_TOTAL.value() == 0
+    assert _units_recorded() == (0, 0)
     assert MINING_COUNTER_TOTAL.value(name="visited") == 0
 
 

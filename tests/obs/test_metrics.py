@@ -130,7 +130,7 @@ class TestRenderText:
         # before any of them recorded (the acceptance criterion).
         text = obs_metrics.REGISTRY.render_text()
         for name in (
-            "repro_engine_shard_seconds",
+            "repro_engine_unit_seconds",
             "repro_mining_counter_total",
             "repro_pool_queue_depth",
             "repro_server_request_seconds",

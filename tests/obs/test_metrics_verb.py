@@ -55,7 +55,7 @@ def test_metrics_verb_returns_prometheus_text(client):
     # The whole catalogue is visible from one scrape: engine, pool,
     # server and durability families all render (the acceptance criterion).
     for family in (
-        "repro_engine_shards_total",
+        "repro_engine_units_total",
         "repro_pool_sessions_active",
         "repro_server_requests_total",
         "repro_durability_journal_appends_total",

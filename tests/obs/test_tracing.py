@@ -30,13 +30,13 @@ class TestSpan:
 
     def test_armed_span_records_name_duration_attrs(self):
         collector = tracing.install()
-        with tracing.span("engine.shard", index=3):
+        with tracing.span("engine.unit", kind="grow", root=3):
             pass
         entries = collector.snapshot()
         assert len(entries) == 1
         entry = entries[0]
-        assert entry["name"] == "engine.shard"
-        assert entry["attrs"] == {"index": 3}
+        assert entry["name"] == "engine.unit"
+        assert entry["attrs"] == {"kind": "grow", "root": 3}
         assert entry["dur"] >= 0.0
         assert isinstance(entry["pid"], int)
 
@@ -201,12 +201,12 @@ class TestWorkerShipping:
         )
         entries = collector.snapshot()
         execute = next(e for e in entries if e["name"] == "engine.execute")
-        shards = [e for e in entries if e["name"] == "engine.shard"]
-        assert shards, entries
+        units = [e for e in entries if e["name"] == "engine.unit"]
+        assert units, entries
         # The worker-side spans were shipped back: they carry worker pids
         # and the coordinator's trace id.
-        assert any(e["pid"] != os.getpid() for e in shards)
-        assert all(e["trace"] == execute["trace"] for e in shards)
+        assert any(e["pid"] != os.getpid() for e in units)
+        assert all(e["trace"] == execute["trace"] for e in units)
 
 
 class TestJsonlFile:
@@ -214,13 +214,13 @@ class TestJsonlFile:
         path = tmp_path / "trace.jsonl"
         tracing.install(str(path))
         with tracing.span("engine.execute", backend="serial"):
-            with tracing.span("engine.shard", index=0):
+            with tracing.span("engine.unit", kind="grow", root=0):
                 pass
         tracing.reset()
         lines = path.read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line) for line in lines]
         # Inner span finishes (and lands) first.
-        assert [entry["name"] for entry in entries] == ["engine.shard", "engine.execute"]
+        assert [entry["name"] for entry in entries] == ["engine.unit", "engine.execute"]
         assert entries[1]["dur"] >= entries[0]["dur"]
 
     def test_reinstall_appends_to_existing_file(self, tmp_path):
@@ -275,15 +275,15 @@ class TestCliPlumbing:
 
         path = tmp_path / "trace.jsonl"
         entries = [
-            {"name": "engine.shard", "ts": 1.0, "dur": 0.25, "pid": 1},
-            {"name": "engine.shard", "ts": 2.0, "dur": 0.75, "pid": 1},
+            {"name": "engine.unit", "ts": 1.0, "dur": 0.25, "pid": 1},
+            {"name": "engine.unit", "ts": 2.0, "dur": 0.75, "pid": 1},
             {"name": "daemon.cycle", "ts": 3.0, "dur": 2.0, "pid": 1},
         ]
         text = "\n".join(json.dumps(entry) for entry in entries) + "\nnot json\n"
         path.write_text(text, encoding="utf-8")
         assert module.main([str(path)]) == 0
         out = capsys.readouterr().out
-        assert "daemon.cycle" in out and "engine.shard" in out
+        assert "daemon.cycle" in out and "engine.unit" in out
         assert "3 spans, 2 distinct names" in out
         rows = module.summarise(module.load_spans([str(path)]))
         assert rows[0]["name"] == "daemon.cycle"  # sorted by total desc
@@ -315,7 +315,7 @@ class TestCliPlumbing:
         UTF-8 sequence; the valid prefix must still summarise."""
         module = self._load_tool()
         path = tmp_path / "torn.jsonl"
-        good = json.dumps({"name": "engine.shard", "ts": 1.0, "dur": 0.5, "pid": 1})
+        good = json.dumps({"name": "engine.unit", "ts": 1.0, "dur": 0.5, "pid": 1})
         torn = json.dumps({"name": "daemon.cycle", "attrs": {"file": "tracé"}})
         payload = (good + "\n" + torn).encode("utf-8")[:-4]  # tear inside "é"…
         path.write_bytes(payload)

@@ -4,8 +4,8 @@
 Every mining/serving command accepts ``--trace-out FILE``; the collector
 appends one JSON object per finished span::
 
-    {"name": "engine.shard", "ts": ..., "dur": 0.0123, "pid": 4711,
-     "attrs": {"index": 0, "roots": 12}}
+    {"name": "engine.unit", "ts": ..., "dur": 0.0123, "pid": 4711,
+     "attrs": {"kind": "grow", "root": 12}}
 
 This tool reads one or more such files and prints, per span name, the
 count and the total / mean / p95 / max duration — a quick answer to
