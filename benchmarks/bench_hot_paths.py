@@ -1,8 +1,9 @@
 """Pattern-growth hot-loop microbenchmark: columnar blocks vs. tuple lists.
 
 Drives the exact per-node work of the iterative-pattern search over a
-repetitive loop workload twice: once on the tuple-based reference path
-(``List[PatternInstance]`` + per-event boundary scans) and once on the
+repetitive loop workload twice: once on the tuple-based reference path of
+the test oracles (``tests/oracles``: ``List[PatternInstance]`` + per-event
+boundary scans) and once on the
 columnar block path the miners run (``InstanceBlock`` + per-node
 ``AlphabetIndex`` boundary cache).  Two loops are timed separately:
 
@@ -10,9 +11,8 @@ columnar block path the miners run (``InstanceBlock`` + per-node
   full-miner hot path and the core cost driver of Section 4 mining; the
   ≥3x speedup target applies here;
 * the **closed loop** — growth plus the forward/backward/infix closedness
-  checks.  The infix verification bottoms out in the same exact QRE oracle
-  on both paths (deliberately not rewritten — it is the correctness
-  anchor), so its speedup is structurally smaller.
+  checks.  The tuple path verifies infix candidates with the exact QRE
+  matcher, the block path with the projection kernel.
 
 Both traversals are asserted bit-identical before any time is reported.
 On top of the loop timings the benchmark records the worker-to-coordinator
@@ -42,17 +42,13 @@ import time
 from pathlib import Path
 
 from repro.core.positions import PositionIndex
-from repro.core.projection import (
-    AlphabetIndex,
-    forward_extensions,
-    forward_extensions_block,
-    singleton_blocks,
-    singleton_instances,
-)
+from repro.core.projection import AlphabetIndex, forward_extensions_block, singleton_blocks
 from repro.core.sequence import SequenceDatabase
-from repro.patterns.closure import is_closed, is_closed_block
+from repro.patterns.closure import is_closed_block
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
+from tests.oracles.closure import is_closed
+from tests.oracles.projection import forward_extensions, singleton_instances
 
 from conftest import append_bench_record, write_result
 

@@ -11,9 +11,9 @@ shape the shared trie exists for):
   rule set);
 * **streaming throughput** — events/second of a
   :class:`~repro.serving.stream_monitor.StreamingMonitor` over the
-  compiled automaton versus the offline
-  :class:`~repro.verification.monitor.RuleMonitor`, which re-derives
-  temporal points per rule per trace.  Reports must be identical
+  compiled automaton versus the re-scanning reference monitor of the test
+  oracles (``tests/oracles/monitor.py``), which re-derives temporal
+  points per rule per trace.  Reports must be identical
   (asserted) and the streaming path must be **>= 5x** faster at canonical
   scale (asserted, the acceptance criterion);
 * **hot-swap latency** — re-compiling after a rule-set change, i.e. the
@@ -50,7 +50,7 @@ from repro.core.sequence import SequenceDatabase
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
 from repro.serving import StreamingMonitor, compile_rules
-from repro.verification.monitor import RuleMonitor
+from tests.oracles.monitor import RuleMonitor
 
 from conftest import append_bench_record, write_result
 

@@ -12,7 +12,7 @@ properties for automated verification.  This example closes that loop:
 Run with:  python examples/runtime_monitoring.py
 """
 
-from repro import RuleMonitor, mine_non_redundant_rules
+from repro import StreamingMonitor, mine_non_redundant_rules
 from repro.traces import TraceCollector, TestSuiteRunner, instrument
 
 
@@ -69,7 +69,7 @@ def main() -> None:
         print(f"  {rule}")
 
     print("\n== monitoring new runs ==")
-    monitor = RuleMonitor(rules.rules)
+    monitor = StreamingMonitor(rules.rules)
     collector = TraceCollector()
     with collector.trace("good-run"):
         handle = instrument(FileHandle(), collector, class_name="FileHandle")

@@ -69,7 +69,7 @@ from .rules import (
 from .serving import CompiledRuleSet, StreamingMonitor, WatchDaemon, compile_rules
 from .specs import SpecificationRepository, chart_from_pattern, rank_patterns, rank_rules
 from .traces import Trace, TraceCollector, instrument, read_traces, write_traces
-from .verification import RuleMonitor, coverage_of, monitor_database
+from .verification import coverage_of
 
 __version__ = "1.0.0"
 
@@ -128,8 +128,6 @@ __all__ = [
     "instrument",
     "read_traces",
     "write_traces",
-    "RuleMonitor",
     "coverage_of",
-    "monitor_database",
     "__version__",
 ]

@@ -14,7 +14,7 @@ Sub-commands cover the full workflow of the paper:
   garbage-collecting unreferenced vocabulary labels into a new
   fingerprint lineage;
 * ``monitor``      — check a specification repository against traces
-  (``--stream`` compiles the rules and checks one event at a time);
+  (``--stream`` reads the file one trace at a time, in bounded memory);
 * ``watch``        — the serving daemon: tail a directory into a store,
   re-mine incrementally, hot-swap the compiled rules, monitor new traces
   (``--push-port`` additionally hosts the event-push socket front end);
@@ -94,7 +94,6 @@ from .serving.server import EventPushServer, ProtocolError, PushClient
 from .serving.stream_monitor import StreamingMonitor
 from .specs.repository import SpecificationRepository
 from .traces.io import read_traces, write_traces
-from .verification.monitor import RuleMonitor
 
 #: Shared help string for every ``--format`` option.
 _FORMAT_HELP = "text | jsonl | csv (suffix .gz for the gzip-wrapped variants)"
@@ -203,10 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--stream",
         action="store_true",
-        help="compile the rules into a shared automaton and check the file "
-        "one trace at a time (bounded memory, same violations; traces are "
-        "numbered in file order, and CSV rows of one trace must be "
-        "contiguous as with every streaming reader)",
+        help="read the file one trace at a time (bounded memory, same "
+        "report) instead of loading it whole; CSV rows of one trace must "
+        "then be contiguous, while the whole-file reader also accepts "
+        "interleaved rows and orders traces by trace_id",
     )
 
     watch = subparsers.add_parser(
@@ -774,20 +773,18 @@ def _command_monitor(args: argparse.Namespace) -> int:
         # A repository that mined zero rules is a valid (vacuous)
         # specification: report a clean zero-violation run, don't crash.
         print("note: the specification repository contains no rules", file=sys.stderr)
+    monitor = StreamingMonitor(repository.rules)
     try:
         if args.stream:
-            # Serving path: compile once, stream the file one trace at a
-            # time (memory bounded by the longest trace, not the file).
-            monitor = StreamingMonitor(repository.rules)
+            # Memory bounded by the longest trace, not the file.
             for record in stream_traces(args.input, format=args.format):
                 monitor.check_trace(record.events, name=record.name)
-            report = monitor.report()
         else:
-            database = read_traces(args.input, format=args.format)
-            report = RuleMonitor(repository.rules).check_database(database)
+            monitor.check_database(read_traces(args.input, format=args.format))
     except (DataFormatError, OSError) as error:
         print(f"error: {args.input}: {error}", file=sys.stderr)
         return 2
+    report = monitor.report()
     print(report.summary())
     for violation in report.violations[: args.max_violations]:
         print(f"  VIOLATION {violation.describe()}")

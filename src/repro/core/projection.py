@@ -22,195 +22,30 @@ The symmetric statement holds for backward extensions ``<e> ++ P`` scanning
 to the left of the instance start.  Both directions rely on the fact that an
 instance is uniquely determined by its start (respectively end) position.
 
-Two implementations live side by side:
-
-* the **reference path** over ``List[PatternInstance]``
-  (:func:`singleton_instances`, :func:`forward_extensions`,
-  :func:`backward_extension_events`) — a direct, readable translation kept
-  as the comparison baseline for the correctness tests and the hot-path
-  benchmark;
-* the **block path** over :class:`~repro.core.blocks.InstanceBlock`
-  (:func:`singleton_blocks`, :func:`forward_extensions_block`,
-  :func:`backward_extension_events_block`) — the columnar implementation
-  the miners actually run.  It iterates flat int columns, hoists the
-  per-sequence lookups out of the per-instance loop, and answers every
-  "first/last alphabet event around t" query with one binary search in a
-  per-node merged occurrence list (:class:`AlphabetIndex`) instead of one
-  ``bisect`` per alphabet event per instance.
-
-Both paths produce instances in the identical canonical order, so the block
-path is bit-compatible with the reference (and with the pre-columnar
-releases); the property tests assert exactly that.
+The miners run this projection over columnar instance blocks
+(:class:`~repro.core.blocks.InstanceBlock`; :func:`singleton_blocks`,
+:func:`forward_extensions_block`, :func:`backward_extension_events_block`).
+They iterate flat int columns, hoist the per-sequence lookups out of the
+per-instance loop, and answer every "first/last alphabet event around t"
+query with one binary search in a per-node merged occurrence list
+(:class:`AlphabetIndex`) instead of one ``bisect`` per alphabet event per
+instance.  Rows come out in canonical order (sequence, then start).  The
+readable list-based translation of the rules above lives in the test
+oracles (``tests/oracles/projection.py``), and the property tests pin the
+block path against it row for row.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, List, Optional, Sequence as TypingSequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence as TypingSequence, Set, Tuple
 
 from .blocks import BLOCK_TYPECODE, BlockBuilder, InstanceBlock
 from .events import EncodedDatabase, EventId
-from .instances import PatternInstance
-from .positions import PositionIndex, SequencePositions
+from .positions import PositionIndex
 
 
-def singleton_instances(encoded_db: EncodedDatabase) -> Dict[EventId, List[PatternInstance]]:
-    """Instances of every single-event pattern ``<e>`` in one database pass."""
-    instances: Dict[EventId, List[PatternInstance]] = {}
-    for sequence_index, sequence in enumerate(encoded_db):
-        for position, event in enumerate(sequence):
-            instances.setdefault(event, []).append(
-                PatternInstance(sequence_index, position, position)
-            )
-    return instances
-
-
-def _first_alphabet_event_after(
-    positions: SequencePositions, alphabet: FrozenSet[EventId], position: int
-) -> Optional[int]:
-    """Position of the first occurrence of any alphabet event strictly after ``position``."""
-    best: Optional[int] = None
-    for event in alphabet:
-        candidate = positions.first_after(event, position)
-        if candidate is not None and (best is None or candidate < best):
-            best = candidate
-    return best
-
-
-def _last_alphabet_event_before(
-    positions: SequencePositions, alphabet: FrozenSet[EventId], position: int
-) -> Optional[int]:
-    """Position of the last occurrence of any alphabet event strictly before ``position``."""
-    best: Optional[int] = None
-    for event in alphabet:
-        candidate = positions.last_before(event, position)
-        if candidate is not None and (best is None or candidate > best):
-            best = candidate
-    return best
-
-
-def forward_extensions(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
-) -> Dict[EventId, List[PatternInstance]]:
-    """Instances of every frequent-or-not single-event forward extension of ``pattern``.
-
-    Returns a mapping ``e -> instances of pattern ++ <e>``.  Only events that
-    yield at least one instance appear as keys.
-
-    Reference implementation over instance tuples; the miners run
-    :func:`forward_extensions_block`, which must (and is property-tested to)
-    agree with this one row for row.
-    """
-    alphabet = frozenset(pattern)
-    extensions: Dict[EventId, List[PatternInstance]] = {}
-    for instance in instances:
-        sequence = encoded_db[instance.sequence_index]
-        positions = index[instance.sequence_index]
-        boundary = _first_alphabet_event_after(positions, alphabet, instance.end)
-        window_end = boundary if boundary is not None else len(sequence)
-        seen_outside: Set[EventId] = set()
-        # Events outside the pattern alphabet occurring before the next
-        # alphabet event: their first occurrence ends the extended instance.
-        for position in range(instance.end + 1, window_end):
-            event = sequence[position]
-            if event in seen_outside:
-                continue
-            seen_outside.add(event)
-            if positions.occurs_between(event, instance.start, instance.end):
-                # ``event`` appears in a gap of the current instance, so the
-                # extended pattern's QRE (which excludes ``event`` from every
-                # gap) is violated for this instance.
-                continue
-            extensions.setdefault(event, []).append(
-                PatternInstance(instance.sequence_index, instance.start, position)
-            )
-        if boundary is not None:
-            # The next alphabet event itself is a valid extension target: the
-            # extended pattern then repeats an event it already contains.
-            event = sequence[boundary]
-            extensions.setdefault(event, []).append(
-                PatternInstance(instance.sequence_index, instance.start, boundary)
-            )
-    return extensions
-
-
-def backward_extension_instance(
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instance: PatternInstance,
-    event: EventId,
-) -> Optional[PatternInstance]:
-    """The instance of ``<event> ++ pattern`` extending ``instance`` backwards, if any.
-
-    When ``event`` belongs to the pattern's alphabet, its last occurrence
-    before the instance start may coincide with the last alphabet occurrence;
-    that position is a valid backward extension (the extended pattern repeats
-    an event it already contains), so only a *strictly later* alphabet
-    occurrence blocks the extension.
-    """
-    alphabet = frozenset(pattern)
-    positions = index[instance.sequence_index]
-    if event not in alphabet and positions.occurs_between(event, instance.start, instance.end):
-        return None
-    previous_alphabet = _last_alphabet_event_before(positions, alphabet, instance.start)
-    previous_event = positions.last_before(event, instance.start)
-    if previous_event is None:
-        return None
-    if previous_alphabet is not None and previous_alphabet > previous_event:
-        return None
-    return PatternInstance(instance.sequence_index, previous_event, instance.end)
-
-
-def backward_extension_events(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
-) -> Set[EventId]:
-    """Events ``e`` such that *every* instance of ``pattern`` extends to ``<e> ++ pattern``.
-
-    Used by the closure check: any such event proves the pattern non-closed
-    (Definition 4.2), because the instance counts match and each instance of
-    the pattern nests inside the corresponding backward-extended instance.
-
-    Reference implementation; the miners run
-    :func:`backward_extension_events_block`.
-    """
-    if not instances:
-        return set()
-    candidates: Optional[Set[EventId]] = None
-    alphabet = frozenset(pattern)
-    for instance in instances:
-        sequence = encoded_db[instance.sequence_index]
-        positions = index[instance.sequence_index]
-        previous_alphabet = _last_alphabet_event_before(positions, alphabet, instance.start)
-        window_start = previous_alphabet + 1 if previous_alphabet is not None else 0
-        local: Set[EventId] = set()
-        for position in range(window_start, instance.start):
-            event = sequence[position]
-            if event in alphabet:
-                continue
-            if positions.occurs_between(event, instance.start, instance.end):
-                continue
-            local.add(event)
-        if previous_alphabet is not None:
-            event = sequence[previous_alphabet]
-            # A pattern-alphabet event immediately "reachable" to the left is
-            # also a valid backward extension (the pattern repeats it).
-            local.add(event)
-        candidates = local if candidates is None else (candidates & local)
-        if not candidates:
-            return set()
-    return candidates or set()
-
-
-# --------------------------------------------------------------------- #
-# Columnar (block) path — what the miners actually run.
-# --------------------------------------------------------------------- #
 class AlphabetIndex:
     """Per-search-node shared boundary cache.
 
@@ -218,8 +53,9 @@ class AlphabetIndex:
     "first alphabet event after t" / "last alphabet event before t" queries
     differ only in ``t``.  This cache merges the per-event sorted occurrence
     lists of the alphabet into one sorted list per sequence — built lazily,
-    once per (node, sequence) — and answers each query with a single binary
-    search instead of one ``bisect`` per alphabet event per instance.
+    once per (node, sequence) — so the projection and closure loops answer
+    each query with a single binary search on :meth:`merged` instead of
+    one ``bisect`` per alphabet event per instance.
 
     It also owns the node's ``frozenset(pattern)`` so the projection,
     backward-extension and closure helpers stop rebuilding it per call.
@@ -287,22 +123,6 @@ class AlphabetIndex:
             self._merged[sequence_index] = merged
         return merged
 
-    def first_after(self, sequence_index: int, position: int) -> Optional[int]:
-        """First alphabet occurrence strictly after ``position``."""
-        merged = self.merged(sequence_index)
-        cursor = bisect_right(merged, position)
-        if cursor == len(merged):
-            return None
-        return merged[cursor]
-
-    def last_before(self, sequence_index: int, position: int) -> Optional[int]:
-        """Last alphabet occurrence strictly before ``position``."""
-        merged = self.merged(sequence_index)
-        cursor = bisect_left(merged, position)
-        if cursor == 0:
-            return None
-        return merged[cursor - 1]
-
 
 def singleton_blocks(encoded_db: EncodedDatabase) -> Dict[EventId, InstanceBlock]:
     """Instance blocks of every single-event pattern ``<e>`` in one pass."""
@@ -322,7 +142,7 @@ def forward_extensions_block(
     node: AlphabetIndex,
     block: InstanceBlock,
 ) -> Dict[EventId, InstanceBlock]:
-    """Columnar :func:`forward_extensions`: ``e -> block of pattern ++ <e>``.
+    """Every forward extension of a block: ``e -> block of pattern ++ <e>``.
 
     Iterates the block sequence group by sequence group, hoisting the
     ``encoded_db[sid]`` / ``index[sid]`` / merged-alphabet lookups out of
@@ -420,28 +240,6 @@ def _new_entry() -> list:
             starts, ends, seq_ids, offsets]
 
 
-def singleton_block_of(index: PositionIndex, event: EventId) -> InstanceBlock:
-    """The instance block of the single-event pattern ``<event>``.
-
-    Unlike :func:`singleton_blocks` this builds one event's block straight
-    from the position index instead of scanning the database, so callers
-    that need a single root (work-unit replay, the infix oracle) pay only
-    for the rows they use.
-    """
-    seq_ids = array(BLOCK_TYPECODE)
-    offsets = array(BLOCK_TYPECODE)
-    starts = array(BLOCK_TYPECODE)
-    for sequence_index in range(len(index)):
-        occurrences = index[sequence_index].positions_of(event)
-        if not occurrences:
-            continue
-        seq_ids.append(sequence_index)
-        offsets.append(len(starts))
-        starts.extend(occurrences)
-    offsets.append(len(starts))
-    return InstanceBlock(seq_ids, offsets, starts, array(BLOCK_TYPECODE, starts))
-
-
 def project_extension_block(
     encoded_db: EncodedDatabase,
     index: PositionIndex,
@@ -455,39 +253,78 @@ def project_extension_block(
     row-identical to ``forward_extensions_block(...)[event]`` (and to the
     empty block when the event yields no extension) but without touching
     any other extension event: each instance costs a couple of binary
-    searches instead of a window scan.  Used by the work-stealing replay
-    path, where only one extension event is ever of interest;
-    :func:`project_rows_in_sequence` applies the identical per-row rule
-    sequence-locally for the infix-closure oracle — keep the two in
-    lockstep.
+    searches instead of a window scan.  The work-stealing replay path runs
+    it once per path step, one :func:`project_rows_in_sequence` call per
+    sequence group.
     """
     out_seq_ids = array(BLOCK_TYPECODE)
     out_offsets = array(BLOCK_TYPECODE)
     out_starts = array(BLOCK_TYPECODE)
     out_ends = array(BLOCK_TYPECODE)
-    in_alphabet = event in node.alphabet
+    steps = ((node, event),)
     starts = block.starts
     ends = block.ends
     seq_ids = block.seq_ids
     offsets = block.offsets
     for group in range(len(seq_ids)):
         sid = seq_ids[group]
-        sequence = encoded_db[sid]
-        sequence_len = len(sequence)
-        merged = node.merged(sid)
-        merged_len = len(merged)
-        occurrences = index[sid].positions_of(event)
-        if not in_alphabet and not occurrences:
-            continue
-        group_open = False
         lo = offsets[group]
         hi = offsets[group + 1]
-        for start, end in zip(starts[lo:hi], ends[lo:hi]):
+        group_starts, group_ends = project_rows_in_sequence(
+            encoded_db[sid], index[sid].table(), sid, steps, starts[lo:hi], ends[lo:hi]
+        )
+        if group_starts:
+            out_seq_ids.append(sid)
+            out_offsets.append(len(out_starts))
+            out_starts.extend(group_starts)
+            out_ends.extend(group_ends)
+    out_offsets.append(len(out_starts))
+    return InstanceBlock(out_seq_ids, out_offsets, out_starts, out_ends)
+
+
+def project_rows_in_sequence(
+    sequence: TypingSequence[EventId],
+    table: Dict[EventId, List[int]],
+    sequence_index: int,
+    steps: TypingSequence[Tuple[AlphabetIndex, EventId]],
+    starts: TypingSequence[int],
+    ends: TypingSequence[int],
+) -> Tuple[TypingSequence[int], TypingSequence[int]]:
+    """Extend one sequence's instance spans by each step's event in turn.
+
+    ``starts``/``ends`` are the parallel span columns of some pattern's
+    instances in sequence ``sequence_index``; each ``(node, event)`` step
+    maps the instances of ``node.pattern`` to those of ``node.pattern ++
+    <event>``, so the steps of a pattern ``P`` seeded with the
+    occurrences of ``P[0]`` yield the instances of ``P``.  Returns the
+    extended ``(starts, ends)``.
+
+    The one per-row extension rule of the columnar path: an in-alphabet
+    event can only extend to the first alphabet occurrence after the end;
+    an outside event extends to its next occurrence when no alphabet event
+    comes first and it does not occur in the instance's gaps.  The
+    work-stealing replay (:func:`project_extension_block`) runs one step
+    per sequence group; the closed miner's infix check runs whole chains
+    sequence by sequence so a failing candidate aborts at its first
+    mismatching sequence.
+    """
+    sequence_len = len(sequence)
+    for node, event in steps:
+        if not starts:
+            break
+        alphabet = node.alphabet
+        in_alphabet = event in alphabet
+        occurrences = table.get(event, ())
+        if not in_alphabet and not occurrences:
+            return [], []
+        merged = node.merged(sequence_index)
+        merged_len = len(merged)
+        new_starts: List[int] = []
+        new_ends: List[int] = []
+        for start, end in zip(starts, ends):
             if in_alphabet:
-                # The extension repeats an alphabet event: the only valid
-                # target is the first alphabet occurrence after the end.
                 after = end + 1
-                if after < sequence_len and sequence[after] in node.alphabet:
+                if after < sequence_len and sequence[after] in alphabet:
                     boundary = after
                 else:
                     cursor = bisect_right(merged, end)
@@ -511,80 +348,10 @@ def project_extension_block(
                     gap_cursor = bisect_right(occurrences, start)
                     if gap_cursor < len(occurrences) and occurrences[gap_cursor] < end:
                         continue
-            if not group_open:
-                out_seq_ids.append(sid)
-                out_offsets.append(len(out_starts))
-                group_open = True
-            out_starts.append(start)
-            out_ends.append(target)
-    out_offsets.append(len(out_starts))
-    return InstanceBlock(out_seq_ids, out_offsets, out_starts, out_ends)
-
-
-def project_rows_in_sequence(
-    sequence: TypingSequence[EventId],
-    table: Dict[EventId, List[int]],
-    nodes: List[AlphabetIndex],
-    pattern: Tuple[EventId, ...],
-    sequence_index: int,
-    first_rows: List[Tuple[int, int]],
-) -> List[Tuple[int, int]]:
-    """Exact instance spans of ``pattern`` in one sequence, chained.
-
-    The per-sequence, multi-step sibling of :func:`project_extension_block`
-    — each step applies the identical per-row extension rule (in-alphabet
-    boundary fast path, merged-list boundary bisect, no-alphabet-between
-    check, gap pre-filter); keep the two in lockstep.  ``nodes[k]`` is the
-    :class:`AlphabetIndex` of ``pattern[:k + 1]``; ``first_rows`` seeds
-    the chain (the spans of some prefix of ``pattern``, usually its first
-    event's occurrences).  The closed miner's infix-closure oracle drives
-    this sequence by sequence so a failing candidate aborts at its first
-    mismatching sequence; a property test pins it against
-    :func:`project_extension_block` step for step.
-    """
-    rows = first_rows
-    sequence_len = len(sequence)
-    for k in range(len(nodes) - 1):
-        if not rows:
-            break
-        node = nodes[k]
-        event = pattern[k + 1]
-        merged = node.merged(sequence_index)
-        merged_len = len(merged)
-        alphabet = node.alphabet
-        in_alphabet = event in alphabet
-        occurrences = table.get(event, [])
-        if not in_alphabet and not occurrences:
-            return []
-        new_rows: List[Tuple[int, int]] = []
-        for start, end in rows:
-            if in_alphabet:
-                after = end + 1
-                if after < sequence_len and sequence[after] in alphabet:
-                    boundary = after
-                else:
-                    cursor = bisect_right(merged, end)
-                    if cursor == merged_len:
-                        continue
-                    boundary = merged[cursor]
-                if sequence[boundary] != event:
-                    continue
-                target = boundary
-            else:
-                cut = bisect_right(occurrences, end)
-                if cut == len(occurrences):
-                    continue
-                target = occurrences[cut]
-                cursor = bisect_right(merged, end)
-                if cursor < merged_len and merged[cursor] < target:
-                    continue
-                if end - start > 1:
-                    gap_cursor = bisect_right(occurrences, start)
-                    if gap_cursor < len(occurrences) and occurrences[gap_cursor] < end:
-                        continue
-            new_rows.append((start, target))
-        rows = new_rows
-    return rows
+            new_starts.append(start)
+            new_ends.append(target)
+        starts, ends = new_starts, new_ends
+    return starts, ends
 
 
 def backward_extension_events_block(
@@ -593,11 +360,14 @@ def backward_extension_events_block(
     node: AlphabetIndex,
     block: InstanceBlock,
 ) -> Set[EventId]:
-    """Columnar :func:`backward_extension_events` over an instance block.
+    """Events ``e`` such that *every* instance in ``block`` extends to ``<e> ++ pattern``.
 
-    The window ``(previous alphabet occurrence, start)`` contains no
-    alphabet events by construction, so unlike the reference loop no
-    per-position alphabet membership test is needed.
+    Used by the closure check: any such event proves the pattern non-closed
+    (Definition 4.2), because the instance counts match and each instance
+    of the pattern nests inside the corresponding backward-extended
+    instance.  The window ``(previous alphabet occurrence, start)`` holds
+    no alphabet event by construction, so no per-position alphabet
+    membership test is needed.
     """
     if not block:
         return set()

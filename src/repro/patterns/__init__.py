@@ -11,12 +11,7 @@ Public entry points:
 """
 
 from .closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
-from .closure import (
-    backward_closure_violation,
-    forward_closure_violation,
-    infix_closure_violation,
-    is_closed,
-)
+from .closure import forward_closure_violation
 from .config import IterativeMiningConfig
 from .full_miner import FullIterativePatternMiner, mine_frequent_patterns
 from .generators import GeneratorPatternMiner, mine_generators, propose_generator_rules
@@ -25,10 +20,7 @@ from .result import MinedPattern, PatternMiningResult
 __all__ = [
     "ClosedIterativePatternMiner",
     "mine_closed_patterns",
-    "backward_closure_violation",
     "forward_closure_violation",
-    "infix_closure_violation",
-    "is_closed",
     "IterativeMiningConfig",
     "FullIterativePatternMiner",
     "mine_frequent_patterns",

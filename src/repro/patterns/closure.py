@@ -11,21 +11,22 @@ miners — it suffices to examine the super-sequences obtained from ``P`` by a
 * a **backward extension** ``<e> ++ P``,
 * an **infix extension** inserting ``e`` into one of the gaps of ``P``.
 
-The forward check is free: the miner already computes the instance lists of
-every forward extension while growing the search tree, and ``P ++ <e>`` has
-full instance correspondence with ``P`` exactly when every instance of ``P``
-extends.  The backward check scans the region to the left of every instance
-(``repro.core.projection.backward_extension_events``).  The infix check first
-collects candidate events occurring in the gaps of *every* instance (usually
-none) and verifies each candidate insertion against the exact instance
-semantics.
+The forward check is free: the miner already computes the instance blocks
+of every forward extension while growing the search tree, and ``P ++ <e>``
+has full instance correspondence with ``P`` exactly when every instance of
+``P`` extends.  The backward check scans the region to the left of every
+instance (:func:`~repro.core.projection.backward_extension_events_block`).
+The infix check first collects candidate events occurring in the gaps of
+*every* instance (usually none) and verifies each candidate insertion with
+the projection kernel
+(:func:`~repro.core.projection.project_rows_in_sequence`).
 
-The checks exist in two forms: the original list-based helpers (kept as the
-reference path for tests and benchmarks) and columnar ``*_block`` variants
-over :class:`~repro.core.blocks.InstanceBlock`, which share the search
-node's :class:`~repro.core.projection.AlphabetIndex` so the per-instance
-boundary queries collapse into binary searches on one merged occurrence
-list.  The miners run the block variants.
+All three checks run over instance blocks
+(:class:`~repro.core.blocks.InstanceBlock`) and share the search node's
+:class:`~repro.core.projection.AlphabetIndex`, so the per-instance boundary
+queries collapse into binary searches on one merged occurrence list.  The
+list-based reference checks live in the test oracles
+(``tests/oracles/closure.py``), which the property tests compare against.
 """
 
 from __future__ import annotations
@@ -34,17 +35,11 @@ from typing import Dict, List, Optional, Sequence as TypingSequence, Sized, Tupl
 
 from ..core.blocks import InstanceBlock
 from ..core.events import EventId
-from ..core.instances import (
-    PatternInstance,
-    find_instances_in_sequence,
-    gap_events,
-    instances_correspond,
-)
+from ..core.instances import gap_events
 from ..core.positions import PositionIndex
 from ..core.projection import (
     AlphabetIndex,
     EncodedDatabase,
-    backward_extension_events,
     backward_extension_events_block,
     project_rows_in_sequence,
 )
@@ -66,24 +61,11 @@ def forward_closure_violation(
     return None
 
 
-def backward_closure_violation(
+def _gap_candidates_block(
     encoded_db: EncodedDatabase,
     index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
-) -> Optional[EventId]:
-    """An event whose backward extension absorbs every instance, or ``None``."""
-    events = backward_extension_events(encoded_db, index, pattern, instances)
-    if events:
-        return min(events)
-    return None
-
-
-def _gap_candidates(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
+    node: AlphabetIndex,
+    block: InstanceBlock,
 ) -> Dict[EventId, List[int]]:
     """Candidate infix insertions: events in the gaps of every instance.
 
@@ -92,117 +74,8 @@ def _gap_candidates(
     positions it occupies *in the first instance* — a sound restriction of
     the insertion positions worth verifying, because an insertion that
     preserves every instance must in particular appear in that gap of the
-    first instance.
-    """
-    if not instances:
-        return {}
-    alphabet = frozenset(pattern)
-    first_instance = instances[0]
-    first_sequence = encoded_db[first_instance.sequence_index]
-    gaps_by_event: Dict[EventId, List[int]] = {}
-    for gap_index, position in gap_events(
-        first_sequence, pattern, (first_instance.start, first_instance.end)
-    ):
-        gaps = gaps_by_event.setdefault(first_sequence[position], [])
-        if gap_index not in gaps:
-            gaps.append(gap_index)
-    candidates = set(gaps_by_event)
-    for instance in instances[1:]:
-        if not candidates:
-            return {}
-        positions = index[instance.sequence_index]
-        candidates = {
-            event
-            for event in candidates
-            if positions.occurs_between(event, instance.start, instance.end)
-        }
-    return {event: gaps_by_event[event] for event in candidates}
-
-
-def infix_closure_violation(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
-) -> Optional[Tuple[EventId, int]]:
-    """A ``(event, insert_position)`` infix insertion violating closedness, or ``None``.
-
-    The returned ``insert_position`` is the index in the pattern *before*
-    which the event is inserted (``1 .. len(pattern) - 1``).
-    """
-    candidates = _gap_candidates(encoded_db, index, pattern, instances)
-    if not candidates:
-        return None
-    support = len(instances)
-    for event in sorted(candidates):
-        for insert_position in candidates[event]:
-            extended = pattern[:insert_position] + (event,) + pattern[insert_position:]
-            extended_instances = _oracle_instances(encoded_db, index, extended)
-            if len(extended_instances) != support:
-                continue
-            if instances_correspond(instances, extended_instances):
-                return (event, insert_position)
-    return None
-
-
-def _oracle_instances(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-) -> List[PatternInstance]:
-    """Exact instances of ``pattern`` across the database.
-
-    Only sequences containing every event of the pattern can host an
-    instance, so sequences failing that cheap index check are skipped before
-    running the exact QRE matcher.  Scanning the *whole* database (rather
-    than only sequences hosting the base pattern) matters for correctness:
-    instance support is not anti-monotone under event insertion, so the
-    extension may have instances in sequences the base pattern never matched,
-    and undercounting them could wrongly equate the two supports.
-    """
-    needed = tuple(frozenset(pattern))
-    results: List[PatternInstance] = []
-    for sequence_index, sequence in enumerate(encoded_db):
-        positions = index[sequence_index]
-        if any(positions.count(event) == 0 for event in needed):
-            continue
-        for start, end in find_instances_in_sequence(sequence, pattern):
-            results.append(PatternInstance(sequence_index, start, end))
-    return results
-
-
-def is_closed(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    pattern: Tuple[EventId, ...],
-    instances: TypingSequence[PatternInstance],
-    extension_instances: Dict[EventId, List[PatternInstance]],
-    check_infix: bool = True,
-) -> bool:
-    """Full closedness check combining the forward, backward and infix tests."""
-    if forward_closure_violation(extension_instances, len(instances)) is not None:
-        return False
-    if backward_closure_violation(encoded_db, index, pattern, instances) is not None:
-        return False
-    if check_infix and infix_closure_violation(encoded_db, index, pattern, instances) is not None:
-        return False
-    return True
-
-
-# --------------------------------------------------------------------- #
-# Columnar (block) path — what the closed miner actually runs.
-# --------------------------------------------------------------------- #
-def _gap_candidates_block(
-    encoded_db: EncodedDatabase,
-    index: PositionIndex,
-    node: AlphabetIndex,
-    block: InstanceBlock,
-) -> Dict[EventId, List[int]]:
-    """Columnar :func:`_gap_candidates` over an instance block.
-
-    The candidate set almost always empties after a handful of rows, so the
-    scan walks the block's flat columns directly and never materialises
-    instance tuples.
+    first instance.  The candidate set almost always empties after a
+    handful of rows, so the scan walks the block's flat columns directly.
     """
     if not block:
         return {}
@@ -234,28 +107,31 @@ def _gap_candidates_block(
 
 
 def _rows_correspond(
-    block: InstanceBlock, lo: int, hi: int, rows: List[Tuple[int, int]]
+    block: InstanceBlock,
+    lo: int,
+    hi: int,
+    super_starts: TypingSequence[int],
+    super_ends: TypingSequence[int],
 ) -> bool:
     """Per-sequence Definition 4.2 correspondence, two-pointer form.
 
     ``block`` rows ``lo..hi`` are the sub-instances of one sequence;
-    ``rows`` the equally-many super-instances.  Both have strictly
-    increasing starts *and* ends (an instance is determined by either
-    endpoint), so the reference algorithm's "first unused enclosing
-    super-instance" reduces to a forward sweep: super-rows ending before
-    the current sub-row can never enclose a later sub-row either, and once
-    a super-row starts after the sub-row every later one does too.
+    ``super_starts``/``super_ends`` the equally-many super-instances.  Both
+    have strictly increasing starts *and* ends (an instance is determined
+    by either endpoint), so "first unused enclosing super-instance"
+    reduces to a forward sweep: super-rows ending before the current
+    sub-row can never enclose a later sub-row either, and once a super-row
+    starts after the sub-row every later one does too.
     """
     starts = block.starts
     ends = block.ends
     cursor = 0
-    cursor_hi = len(rows)
+    cursor_hi = len(super_ends)
     for row in range(lo, hi):
-        start = starts[row]
         end = ends[row]
-        while cursor < cursor_hi and rows[cursor][1] < end:
+        while cursor < cursor_hi and super_ends[cursor] < end:
             cursor += 1
-        if cursor == cursor_hi or rows[cursor][0] > start:
+        if cursor == cursor_hi or super_starts[cursor] > starts[row]:
             return False
         cursor += 1
     return True
@@ -267,14 +143,16 @@ def infix_closure_violation_block(
     node: AlphabetIndex,
     block: InstanceBlock,
 ) -> Optional[Tuple[EventId, int]]:
-    """Columnar :func:`infix_closure_violation` over an instance block.
+    """A ``(event, insert_position)`` infix insertion violating closedness, or ``None``.
 
-    Candidates surviving the gap pre-filter are verified entirely on the
-    merged-alphabet projection machinery — no instance tuples, no QRE
+    The returned ``insert_position`` is the index in the pattern *before*
+    which the event is inserted (``1 .. len(pattern) - 1``).  Candidates
+    surviving the gap pre-filter are verified entirely on the
+    merged-alphabet projection kernel — no instance tuples, no QRE
     rescans.  The key structural fact: correspondence plus equal support
     force the extended pattern's instance count to match the pattern's
     *in every single sequence* (and to vanish in sequences the pattern
-    misses), so the oracle verifies sequence by sequence and abandons a
+    misses), so the check verifies sequence by sequence and abandons a
     candidate at its first mismatching sequence instead of materialising
     the extension across the whole database first.
     """
@@ -295,10 +173,13 @@ def infix_closure_violation_block(
     for event in sorted(candidates):
         for insert_position in candidates[event]:
             extended = pattern[:insert_position] + (event,) + pattern[insert_position:]
+            # nodes[k] is the AlphabetIndex of extended[:k + 1], so step k
+            # extends it by extended[k + 1].
             nodes = prefix_nodes[: insert_position]
             nodes = nodes + [nodes[-1].extend(event)]
-            for tail_event in pattern[insert_position:]:
+            for tail_event in pattern[insert_position:-1]:
                 nodes.append(nodes[-1].extend(tail_event))
+            steps = list(zip(nodes, extended[1:]))
             matched = True
             for sequence_index in range(database_size):
                 bounds = groups.get(sequence_index)
@@ -310,18 +191,20 @@ def infix_closure_violation_block(
                         matched = False
                         break
                     continue
-                rows = project_rows_in_sequence(
+                super_starts, super_ends = project_rows_in_sequence(
                     encoded_db[sequence_index],
                     positions.table(),
-                    nodes,
-                    extended,
                     sequence_index,
-                    [(position, position) for position in first_positions],
+                    steps,
+                    first_positions,
+                    first_positions,
                 )
-                if len(rows) != expected:
+                if len(super_starts) != expected:
                     matched = False
                     break
-                if expected and not _rows_correspond(block, bounds[0], bounds[1], rows):
+                if expected and not _rows_correspond(
+                    block, bounds[0], bounds[1], super_starts, super_ends
+                ):
                     matched = False
                     break
             if matched:
@@ -337,7 +220,7 @@ def is_closed_block(
     extension_blocks: Dict[EventId, InstanceBlock],
     check_infix: bool = True,
 ) -> bool:
-    """Columnar :func:`is_closed`: forward, backward and infix tests on blocks.
+    """Full closedness check combining the forward, backward and infix tests.
 
     ``node`` is the search node's shared :class:`AlphabetIndex`; the miner
     builds it once per node and the backward and infix checks reuse its

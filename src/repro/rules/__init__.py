@@ -14,7 +14,7 @@ from .config import RuleMiningConfig
 from .consequent_miner import ConsequentGrower, GrownRule
 from .full_miner import FullRecurrentRuleMiner, mine_all_rules
 from .nonredundant_miner import NonRedundantRecurrentRuleMiner, mine_non_redundant_rules
-from .premise_miner import MinedPremise, PremiseMiner
+from .premise_miner import MinedPremise
 from .redundancy import filter_redundant, find_redundant
 from .result import RuleMiningResult
 from .rule import RecurrentRule
@@ -36,7 +36,6 @@ __all__ = [
     "NonRedundantRecurrentRuleMiner",
     "mine_non_redundant_rules",
     "MinedPremise",
-    "PremiseMiner",
     "filter_redundant",
     "find_redundant",
     "RuleMiningResult",

@@ -4,7 +4,9 @@ Premises are patterns whose *sequence support* (number of sequences
 containing them as a subsequence) meets ``min_s_support``.  The search is a
 PrefixSpan-style depth-first pattern growth over earliest-position
 projections; the s-support apriori property (Theorem 2: extending a premise
-can only lower its sequence support) makes the pruning sound.
+can only lower its sequence support) makes the pruning sound.  The rule
+miners run that search as work units (:mod:`repro.rules.miner_base`); this
+module supplies its projection steps.
 
 Projections are kept columnar: a
 :class:`~repro.core.blocks.PositionBlock` holds one ``(sequence_index,
@@ -17,19 +19,11 @@ the tuple-based interface for consumers.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..core.blocks import PositionBlock, PositionBlockBuilder
 from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
-from ..core.stats import MiningStats
 
 
 class MinedPremise(NamedTuple):
@@ -82,8 +76,8 @@ def premise_extensions(
     Scans the projected suffixes once, recording for every candidate
     extension event its earliest position after the current embedding.
     Projections keep their rows in ascending sequence order, so the
-    extension columns come out ascending as well.  Shared by the recursive
-    premise miner and the unit-based rule search.
+    extension columns come out ascending as well.  The unit-based rule
+    search calls it once per visited premise.
     """
     extensions: Dict[EventId, PositionBlockBuilder] = {}
     seq_ids = projections.seq_ids
@@ -125,65 +119,3 @@ def project_premise_extension(
             builder.append(sequence_index, next_position)
     return builder.build()
 
-
-class PremiseMiner:
-    """Enumerate all premises with sequence support at least ``min_s_support``."""
-
-    def __init__(
-        self,
-        min_s_support: int,
-        max_length: Optional[int] = None,
-        stats: Optional[MiningStats] = None,
-        allowed_events: Optional[FrozenSet[EventId]] = None,
-    ) -> None:
-        self.min_s_support = max(1, min_s_support)
-        self.max_length = max_length
-        self.stats = stats if stats is not None else MiningStats()
-        self.allowed_events = allowed_events
-
-    def _is_allowed(self, event: EventId) -> bool:
-        return self.allowed_events is None or event in self.allowed_events
-
-    def mine(self, encoded_db: EncodedDatabase) -> Iterator[MinedPremise]:
-        """Yield every s-frequent premise, depth-first, shortest prefix first."""
-        initial = initial_premise_projections(encoded_db, self.allowed_events)
-        for event in sorted(initial):
-            projections = initial[event]
-            if len(projections) < self.min_s_support:
-                self.stats.pruned_support += 1
-                continue
-            yield from self.grow_from_root(encoded_db, event, projections)
-
-    def grow_from_root(
-        self,
-        encoded_db: EncodedDatabase,
-        event: EventId,
-        projections: PositionBlock,
-    ) -> Iterator[MinedPremise]:
-        """Yield the s-frequent premises of one root's subtree, depth-first.
-
-        ``projections`` must be the earliest-occurrence projections of
-        ``<event>`` (see :func:`initial_premise_projections`); the engine
-        reaches it through the root's work unit.
-        """
-        yield from self._grow(encoded_db, (event,), projections)
-
-    def _grow(
-        self,
-        encoded_db: EncodedDatabase,
-        pattern: Tuple[EventId, ...],
-        projections: PositionBlock,
-    ) -> Iterator[MinedPremise]:
-        self.stats.visited += 1
-        yield MinedPremise(pattern, len(projections), projections)
-
-        if self.max_length is not None and len(pattern) >= self.max_length:
-            return
-
-        extensions = premise_extensions(encoded_db, projections, self.allowed_events)
-        for event in sorted(extensions):
-            extended_projections = extensions[event]
-            if len(extended_projections) < self.min_s_support:
-                self.stats.pruned_support += 1
-                continue
-            yield from self._grow(encoded_db, pattern + (event,), extended_projections)

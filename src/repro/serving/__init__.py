@@ -9,8 +9,8 @@ serves them against *live* traffic:
   a time in amortized O(active states);
 * :mod:`repro.serving.stream_monitor` — :class:`StreamingMonitor`, the
   incremental checker (``feed`` / ``end_trace`` / ``report``) emitting
-  exactly the violations the offline
-  :class:`~repro.verification.monitor.RuleMonitor` would;
+  exactly the violations the rule semantics
+  (:mod:`repro.rules.temporal_points`) define;
 * :mod:`repro.serving.pool` — :class:`MonitorPool`, the multi-tenant layer:
   worker shards with bounded queues and ``BUSY`` backpressure,
   consistent-hash session→shard affinity, generation-numbered hot swap of

@@ -1,8 +1,8 @@
 """Compiling mined rules into a shared serving automaton.
 
-The offline :class:`~repro.verification.monitor.RuleMonitor` re-derives the
-temporal points of every rule from scratch for every trace: checking ``R``
-rules over a length-``n`` trace costs ``O(R * n)`` full scans plus one
+Checking rules straight from their semantics re-derives the temporal
+points of every rule from scratch for every trace: checking ``R`` rules
+over a length-``n`` trace costs ``O(R * n)`` full scans plus one
 ``O(n)`` suffix re-scan per temporal point.  That is fine for a batch audit
 and hopeless for serving a stream.  This module compiles a rule set *once*
 into a :class:`CompiledRuleSet` whose per-trace state advances one event at
@@ -26,8 +26,8 @@ semantics (Definition 5.1):
   its trie node is *armed* from that position on;
 * **per-rule point openers**: an armed rule opens one temporal point at
   every later occurrence of its premise's last event (``last(P)`` strictly
-  after the prefix embedding end — the characterisation the offline
-  monitor uses);
+  after the prefix embedding end — the characterisation of
+  :func:`~repro.rules.temporal_points.temporal_points_in_sequence`);
 * **per-rule consequent trackers**: templates for the greedy subsequence
   match of the consequent over the suffix after each temporal point,
   compiled as symbol → descending matched-stage moves so one event advances
@@ -162,8 +162,8 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
     """Compile rules (or a specification repository) into a serving automaton.
 
     Rules sharing premise prefixes share trie nodes; identical rules are
-    kept distinct (the monitor reports each, exactly like the offline
-    :class:`~repro.verification.monitor.RuleMonitor` does).  An empty rule
+    kept distinct (the monitor reports each, exactly like checking the
+    rules one by one does).  An empty rule
     set compiles to a valid automaton that matches nothing.
     """
     rules = _rules_of(source)

@@ -2,11 +2,11 @@
 
 :class:`StreamingMonitor` consumes events and traces *incrementally* —
 ``feed`` one event at a time, ``end_trace`` when a trace closes, ``report``
-for the running aggregate — and emits byte-for-byte the same
-:class:`~repro.verification.violations.RuleViolation`s the offline
-:class:`~repro.verification.monitor.RuleMonitor` derives by re-scanning,
-pinned by the hypothesis parity suite in ``tests/serving/`` against both
-the temporal-points semantics and the LTL translation.
+for the running aggregate — and emits byte-for-byte the same violations
+(:class:`~repro.verification.violations.RuleViolation`) that a re-scanning
+reference monitor derives from the temporal-points semantics.  The
+hypothesis parity suite in ``tests/serving/`` pins it against that
+reference (``tests/oracles/monitor.py``) and the LTL translation.
 
 Per event the monitor does three things, in an order that encodes the
 "strictly after" halves of Definition 5.1:
@@ -26,8 +26,8 @@ Every step only touches state that actually moves: unknown events fall out
 of the symbol table in O(1), each trie node is activated at most once per
 trace, and consequent advancement splices whole stage lists.  The per-event
 cost is therefore amortized O(active states), independent of trace length —
-the property that makes the monitor serviceable on live streams where the
-offline monitor's per-trace re-scans are quadratic.
+the property that makes the monitor serviceable on live streams where
+per-trace re-scans are quadratic.
 """
 
 from __future__ import annotations
@@ -394,9 +394,8 @@ class StreamingMonitor:
     def check_database(self, database: SequenceDatabase) -> MonitoringReport:
         """Monitor every trace of a database; returns their combined report.
 
-        Equivalent to :meth:`RuleMonitor.check_database
-        <repro.verification.monitor.RuleMonitor.check_database>` — the
-        parity suite asserts the reports are identical — but single-pass.
+        Traces are numbered in database order; the parity suite asserts
+        the report is identical to the re-scanning reference monitor's.
         """
         combined = MonitoringReport()
         for index in range(len(database)):

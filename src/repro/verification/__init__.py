@@ -1,15 +1,16 @@
-"""Runtime monitoring and coverage analysis of mined specifications."""
+"""Monitoring reports and coverage analysis of mined specifications.
+
+The runtime monitor itself is :class:`repro.serving.StreamingMonitor`;
+this package holds the report types it emits and the coverage analysis.
+"""
 
 from .coverage import CoverageReport, coverage_of, specification_events
-from .monitor import RuleMonitor, monitor_database
 from .violations import MonitoringReport, RuleViolation
 
 __all__ = [
     "CoverageReport",
     "coverage_of",
     "specification_events",
-    "RuleMonitor",
-    "monitor_database",
     "MonitoringReport",
     "RuleViolation",
 ]

@@ -80,8 +80,8 @@ class MonitoringReport:
         """Fold another report into this one (returns ``self`` for chaining).
 
         Point counts add up, violations append in order, and the per-rule
-        point tallies combine key-wise — the aggregation both the offline
-        database check and the streaming monitor's cumulative report use.
+        point tallies combine key-wise — the aggregation both the streaming
+        monitor's database check and its cumulative report use.
         """
         self.merge_counts(other)
         self.violations.extend(other.violations)

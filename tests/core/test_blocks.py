@@ -3,7 +3,7 @@
 The block path (``InstanceBlock`` + ``AlphabetIndex`` + the ``*_block``
 projection/closure functions) is the implementation the miners run; the
 oracle in :mod:`repro.core.instances` and the list-based reference
-functions in :mod:`repro.core.projection` define what it must compute.
+functions in :mod:`tests.oracles` define what it must compute.
 Randomised traces (hypothesis) assert agreement on instances, support,
 forward/backward extensions and all three closure verdicts, and that the
 serial and process-pool mining pipelines stay bit-identical on top of
@@ -19,26 +19,23 @@ from repro.core.instances import PatternInstance, find_instances
 from repro.core.positions import PositionIndex
 from repro.core.projection import (
     AlphabetIndex,
-    backward_extension_events,
     backward_extension_events_block,
-    forward_extensions,
     forward_extensions_block,
     project_extension_block,
     project_rows_in_sequence,
-    singleton_block_of,
     singleton_blocks,
-    singleton_instances,
 )
 from repro.core.sequence import SequenceDatabase
 from repro.engine import ProcessPoolBackend, SerialBackend
-from repro.patterns.closure import (
-    infix_closure_violation,
-    infix_closure_violation_block,
-    is_closed,
-    is_closed_block,
-)
+from repro.patterns.closure import infix_closure_violation_block, is_closed_block
 from repro.patterns.closed_miner import mine_closed_patterns
 from repro.rules.premise_miner import initial_premise_projections
+from tests.oracles.closure import infix_closure_violation, is_closed
+from tests.oracles.projection import (
+    backward_extension_events,
+    forward_extensions,
+    singleton_instances,
+)
 
 # Small alphabets make repetitions (the interesting case) likely.
 sequences_strategy = st.lists(
@@ -134,43 +131,30 @@ def test_project_extension_block_matches_full_projection(sequences, pattern):
 @given(sequences=sequences_strategy, pattern=pattern_strategy)
 @settings(max_examples=60, deadline=None)
 def test_project_rows_in_sequence_matches_block_projection_chain(sequences, pattern):
-    """The per-sequence chained projector stays in lockstep with its block
-    twin: chaining project_extension_block over the whole database and
-    slicing one sequence's group must equal the sequence-local chain."""
+    """A multi-step chain of the per-sequence kernel equals the same steps
+    taken one at a time over the whole database (the replay path), sliced
+    to that sequence's group."""
     encoded = _encode(sequences)
     index = PositionIndex(encoded)
     pattern = tuple(pattern)
     nodes = [AlphabetIndex(index, pattern[:1])]
     for event in pattern[1:]:
         nodes.append(nodes[-1].extend(event))
-    block = singleton_block_of(index, pattern[0])
-    for step, event in enumerate(pattern[1:]):
-        block = project_extension_block(encoded, index, nodes[step], block, event)
-    by_sequence = {sid: [] for sid in range(len(encoded))}
+    steps = list(zip(nodes, pattern[1:]))
+    block = singleton_blocks(encoded).get(pattern[0], InstanceBlock.from_instances([]))
+    for node, event in steps:
+        block = project_extension_block(encoded, index, node, block, event)
+    by_sequence = {sid: ([], []) for sid in range(len(encoded))}
     for instance in block:
-        by_sequence[instance.sequence_index].append((instance.start, instance.end))
+        by_sequence[instance.sequence_index][0].append(instance.start)
+        by_sequence[instance.sequence_index][1].append(instance.end)
     for sid, sequence in enumerate(encoded):
         positions = index[sid]
         first = positions.positions_of(pattern[0])
-        rows = project_rows_in_sequence(
-            sequence,
-            positions.table(),
-            nodes,
-            pattern,
-            sid,
-            [(position, position) for position in first],
+        starts, ends = project_rows_in_sequence(
+            sequence, positions.table(), sid, steps, first, first
         )
-        assert rows == by_sequence[sid]
-
-
-@given(sequences=sequences_strategy)
-@settings(max_examples=40, deadline=None)
-def test_singleton_block_of_matches_singleton_blocks(sequences):
-    encoded = _encode(sequences)
-    index = PositionIndex(encoded)
-    singles = singleton_blocks(encoded)
-    for event, block in singles.items():
-        assert singleton_block_of(index, event) == block
+        assert (list(starts), list(ends)) == by_sequence[sid]
 
 
 @given(sequences=sequences_strategy, pattern=pattern_strategy)
@@ -206,25 +190,21 @@ def test_backward_extension_events_block_matches_reference(sequences, pattern):
 @given(sequences=sequences_strategy, pattern=pattern_strategy)
 @settings(max_examples=60, deadline=None)
 def test_alphabet_index_matches_per_event_scans(sequences, pattern):
-    """The merged boundary cache answers exactly the per-event bisect queries."""
+    """The merged boundary cache lists exactly the alphabet's occurrences,
+    whether built for the whole pattern or derived event by event with
+    ``extend`` (the miners' path)."""
     encoded = _encode(sequences)
     index = PositionIndex(encoded)
     pattern = tuple(pattern)
     alphabet = frozenset(pattern)
-    node = AlphabetIndex(index, pattern)
+    direct = AlphabetIndex(index, pattern)
+    derived = AlphabetIndex(index, pattern[:1])
+    for event in pattern[1:]:
+        derived = derived.extend(event)
     for sid, sequence in enumerate(encoded):
-        positions = index[sid]
-        for probe in range(-1, len(sequence) + 1):
-            first = min(
-                (p for e in alphabet if (p := positions.first_after(e, probe)) is not None),
-                default=None,
-            )
-            last = max(
-                (p for e in alphabet if (p := positions.last_before(e, probe)) is not None),
-                default=None,
-            )
-            assert node.first_after(sid, probe) == first
-            assert node.last_before(sid, probe) == last
+        expected = [position for position, event in enumerate(sequence) if event in alphabet]
+        assert direct.merged(sid) == expected
+        assert derived.merged(sid) == expected
 
 
 # --------------------------------------------------------------------- #

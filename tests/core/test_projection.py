@@ -1,10 +1,15 @@
-"""Tests for the incremental (projected-database) instance computation."""
+"""Tests for the reference incremental (projected-database) instance computation.
+
+The tuple-based projection in :mod:`tests.oracles.projection` is what the
+columnar block path is held to; these tests pin it against the exact QRE
+oracle of :mod:`repro.core.instances`.
+"""
 
 import random
 
 from repro.core.instances import PatternInstance, find_instances
 from repro.core.positions import PositionIndex
-from repro.core.projection import (
+from tests.oracles.projection import (
     backward_extension_events,
     backward_extension_instance,
     forward_extensions,

@@ -16,7 +16,7 @@ from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
-from repro.verification.monitor import RuleMonitor
+from repro.serving import StreamingMonitor
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_figure5_rule_differs_from_single_event_premise_variant(security_rules, 
 
 def test_mined_rule_violations_match_failed_logins(security_rules, small_security_traces):
     rule = security_rules.find(FIGURE5_PREMISE, FIGURE5_CONSEQUENT)
-    report = RuleMonitor([rule]).check_database(small_security_traces)
+    report = StreamingMonitor([rule]).check_database(small_security_traces)
     # Confidence measured during mining equals the monitoring satisfaction rate.
     assert report.satisfaction_rate == pytest.approx(rule.confidence)
     assert report.violation_count > 0

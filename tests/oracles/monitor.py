@@ -1,25 +1,23 @@
-"""Runtime monitoring of mined specifications over traces.
+"""Reference runtime monitor: re-derive every rule's temporal points per trace.
 
-Section 1 motivates specification mining with two uses: program
-comprehension and *program verification / runtime monitoring*.  This module
-provides the second use: given mined recurrent rules (or rules written by
-hand), it checks traces for temporal points where a rule's premise completed
-but its consequent never followed, and reports them as violations.
-
-Checking agrees by construction with both the rule semantics used by the
-miners (temporal points + "followed by") and the LTL translation of
-Table 2 — the property tests assert all three views coincide.
+Checks recurrent rules against traces straight from the rule semantics
+used by the miners (temporal points + "followed by", Definition 5.1): for
+every rule and trace it recomputes the premise's temporal points and
+scans the suffix after each for the consequent.  The shipped
+:class:`repro.serving.StreamingMonitor` compiles the rules instead and
+must report byte-for-byte the same violations; the parity suites and the
+serving benchmark compare it against this monitor.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence as TypingSequence
 
-from ..core.events import EventLabel
-from ..core.sequence import SequenceDatabase
-from ..rules.rule import RecurrentRule
-from ..rules.temporal_points import is_followed_by, temporal_points_in_sequence
-from .violations import MonitoringReport, RuleViolation
+from repro.core.events import EventLabel
+from repro.core.sequence import SequenceDatabase
+from repro.rules.rule import RecurrentRule
+from repro.rules.temporal_points import is_followed_by, temporal_points_in_sequence
+from repro.verification.violations import MonitoringReport, RuleViolation
 
 
 class RuleMonitor:
@@ -33,9 +31,6 @@ class RuleMonitor:
     def __init__(self, rules: Iterable[RecurrentRule]) -> None:
         self.rules: List[RecurrentRule] = list(rules)
 
-    # ------------------------------------------------------------------ #
-    # Single-trace checks
-    # ------------------------------------------------------------------ #
     def check_trace(
         self,
         trace: TypingSequence[EventLabel],
@@ -70,9 +65,6 @@ class RuleMonitor:
         """Whether the trace satisfies every monitored rule (no violations)."""
         return self.check_trace(trace).violation_count == 0
 
-    # ------------------------------------------------------------------ #
-    # Database checks
-    # ------------------------------------------------------------------ #
     def check_database(self, database: SequenceDatabase) -> MonitoringReport:
         """Check every rule against every trace of a database."""
         combined = MonitoringReport()

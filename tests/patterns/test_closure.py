@@ -1,14 +1,14 @@
-"""Unit tests for the closedness checks."""
+"""Unit tests for the reference closedness checks (:mod:`tests.oracles.closure`)."""
 
 from repro.core.instances import find_instances
 from repro.core.positions import PositionIndex
-from repro.core.projection import forward_extensions
-from repro.patterns.closure import (
+from repro.patterns.closure import forward_closure_violation
+from tests.oracles.closure import (
     backward_closure_violation,
-    forward_closure_violation,
     infix_closure_violation,
     is_closed,
 )
+from tests.oracles.projection import forward_extensions
 
 
 def _setup(sequences, pattern):

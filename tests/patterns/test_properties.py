@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.instances import find_instances, find_instances_in_sequence
 from repro.core.pattern import is_subsequence
 from repro.core.positions import PositionIndex
-from repro.core.projection import forward_extensions
 from repro.core.sequence import SequenceDatabase
 from repro.patterns.closed_miner import mine_closed_patterns
 from repro.patterns.full_miner import mine_frequent_patterns
+from tests.oracles.projection import forward_extensions
 
 # Small alphabets make repetitions (the interesting case) likely.
 sequences_strategy = st.lists(

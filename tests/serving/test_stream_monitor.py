@@ -2,8 +2,8 @@
 
 The serving contract: a :class:`StreamingMonitor` over a compiled automaton
 produces *identical* monitoring reports — point counts, per-rule tallies
-and the exact violation list — to the offline
-:class:`~repro.verification.monitor.RuleMonitor`, which re-derives temporal
+and the exact violation list — to the reference
+:class:`~tests.oracles.monitor.RuleMonitor`, which re-derives temporal
 points per rule per trace, and satisfiability agrees with the LTL
 translation of Table 2.  The hypothesis suites drive randomized rule sets
 and databases through all three views.
@@ -20,7 +20,7 @@ from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.rules.rule import RecurrentRule
 from repro.serving import StreamingMonitor, compile_rules, monitor_stream
 from repro.serving.compile import rule_key
-from repro.verification.monitor import RuleMonitor
+from tests.oracles.monitor import RuleMonitor
 
 ALPHABET = [str(i) for i in range(5)]
 

@@ -400,6 +400,50 @@ def test_monitor_stream_matches_offline_output(tmp_path, capsys):
     assert stream_code == offline_code
 
 
+def test_monitor_whole_file_reader_accepts_interleaved_csv(tmp_path, capsys):
+    """Without --stream, interleaved CSV rows are ordered by trace_id and the
+    report equals the sorted file's; the bounded-memory --stream reader
+    rejects the same file."""
+    traces = [
+        ["lock", "use", "unlock"],
+        ["lock", "unlock"],
+        ["lock", "use"],
+        ["lock", "unlock"],
+    ]
+    rows = [
+        (trace_id, position, event)
+        for trace_id, trace in enumerate(traces)
+        for position, event in enumerate(trace)
+    ]
+    header = "trace_id,position,event\n"
+    sorted_csv = tmp_path / "sorted.csv"
+    sorted_csv.write_text(header + "".join(f"{t},{p},{e}\n" for t, p, e in rows))
+    # Round-robin across traces, latest trace first: no trace is contiguous.
+    interleaved = sorted(rows, key=lambda row: (row[1], -row[0]))
+    interleaved_csv = tmp_path / "interleaved.csv"
+    interleaved_csv.write_text(header + "".join(f"{t},{p},{e}\n" for t, p, e in interleaved))
+    specs = tmp_path / "rules.json"
+    assert main(
+        [
+            "mine-rules", "--input", str(sorted_csv),
+            "--min-s-support", "2", "--min-confidence", "0.5",
+            "--max-premise-length", "1", "--max-consequent-length", "1",
+            "--save", str(specs),
+        ]
+    ) == 0
+    capsys.readouterr()
+
+    sorted_code = main(["monitor", "--input", str(sorted_csv), "--specs", str(specs)])
+    sorted_out = capsys.readouterr().out
+    assert sorted_code == 1 and "VIOLATION" in sorted_out
+    assert main(["monitor", "--input", str(interleaved_csv), "--specs", str(specs)]) == 1
+    assert capsys.readouterr().out == sorted_out
+
+    command = ["monitor", "--input", str(interleaved_csv), "--specs", str(specs), "--stream"]
+    assert main(command) == 2
+    assert "not contiguous" in capsys.readouterr().err
+
+
 def test_store_mining_is_incremental_across_invocations(tmp_path, capsys):
     """The persisted record cache makes a second --append run a delta."""
     first = tmp_path / "first.txt"

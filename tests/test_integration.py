@@ -12,6 +12,7 @@ from repro import (
     RuleMiningConfig,
     SequenceDatabase,
     SpecificationRepository,
+    StreamingMonitor,
     mine_all_rules,
     mine_closed_patterns,
     mine_frequent_patterns,
@@ -22,7 +23,7 @@ from repro.datagen import QuestConfig, generate_quest_database
 from repro.patterns import ClosedIterativePatternMiner, FullIterativePatternMiner
 from repro.rules import FullRecurrentRuleMiner, NonRedundantRecurrentRuleMiner
 from repro.specs import chart_from_pattern, rank_patterns, rank_rules
-from repro.verification import RuleMonitor, coverage_of
+from repro.verification import coverage_of
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def test_mined_rules_monitor_their_own_training_traces(synthetic_db):
     )
     if not rules.rules:
         pytest.skip("no 100%-confidence rules on this synthetic draw")
-    monitor = RuleMonitor(rules.rules)
+    monitor = StreamingMonitor(rules.rules)
     report = monitor.check_database(synthetic_db)
     # Rules mined at 100% confidence cannot be violated on their own traces.
     assert report.violation_count == 0
@@ -126,9 +127,9 @@ def test_resource_protocol_end_to_end():
     assert rule is not None
     assert rule.confidence == pytest.approx(1.0)
 
-    monitor = RuleMonitor([rule])
-    assert monitor.satisfies(["acquire", "work", "release"])
-    assert not monitor.satisfies(["acquire", "work"])
+    monitor = StreamingMonitor([rule])
+    assert monitor.check_trace(["acquire", "work", "release"]).violation_count == 0
+    assert monitor.check_trace(["acquire", "work"]).violation_count > 0
 
 
 def test_closed_patterns_are_a_subset_of_full_patterns(synthetic_db):

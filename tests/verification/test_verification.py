@@ -8,7 +8,7 @@ from repro.ltl.translate import rule_to_ltl
 from repro.patterns.result import MinedPattern
 from repro.rules.rule import RecurrentRule
 from repro.verification.coverage import coverage_of, specification_events
-from repro.verification.monitor import RuleMonitor, monitor_database
+from tests.oracles.monitor import RuleMonitor, monitor_database
 
 
 def _rule(premise, consequent):
