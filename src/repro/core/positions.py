@@ -1,36 +1,61 @@
-"""Per-sequence, per-event sorted position indexes.
+"""Per-sequence, per-event sorted position indexes and occurrence links.
 
-The incremental miners repeatedly ask two questions about a sequence:
+The incremental miners repeatedly ask two kinds of question about a
+sequence:
 
 * "where is the first occurrence of event ``e`` strictly after position
-  ``p``?" (forward extension), and
-* "does event ``e`` occur anywhere inside the open interval ``(lo, hi)``?"
-  (gap checks for the QRE instance semantics).
+  ``p``?" (forward extension), answered in ``O(log L)`` by keeping, for
+  every event id, the sorted list of its positions in the sequence; and
+* "does the event at position ``p`` also occur inside the open interval
+  ``(lo, hi)``?" (gap checks for the QRE instance semantics), answered in
+  ``O(1)`` by the per-position occurrence links :attr:`~SequencePositions.previous`
+  and :attr:`~SequencePositions.following` — the previous / next position
+  of the same event.  If ``p`` is the first occurrence of its event after
+  ``hi``, the event occurs in ``(lo, hi)`` exactly when ``lo < previous[p]
+  < hi``; if ``p`` is the last occurrence before ``lo``, exactly when
+  ``lo < following[p] < hi``.  In the pattern kernels ``lo`` and ``hi``
+  hold pattern events, which a gap event never is, so each gap check is
+  one comparison.
 
-Both are answered in ``O(log L)`` by keeping, for every event id, the sorted
-list of its positions in the sequence.  :class:`PositionIndex` builds and
-caches those lists for a whole encoded database.
+:class:`PositionIndex` builds and caches both structures for a whole
+encoded database, one sequence at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence as TypingSequence, Tuple
 
 from .events import EventId
 
 
 class SequencePositions:
-    """Sorted occurrence positions for every event of a single sequence."""
+    """Sorted occurrence positions and occurrence links for one sequence.
 
-    __slots__ = ("length", "_positions")
+    ``previous[p]`` / ``following[p]`` are the previous / next position of
+    the event ``sequence[p]`` (``-1`` / the sequence length if there is
+    none); they are built in the same pass as the occurrence table.
+    """
+
+    __slots__ = ("length", "_positions", "previous", "following")
 
     def __init__(self, encoded: TypingSequence[EventId]) -> None:
-        self.length = len(encoded)
+        length = self.length = len(encoded)
         positions: Dict[EventId, List[int]] = {}
+        previous = [-1] * length
+        following = [length] * length
         for index, event in enumerate(encoded):
-            positions.setdefault(event, []).append(index)
+            occurrences = positions.get(event)
+            if occurrences is None:
+                positions[event] = [index]
+            else:
+                last = occurrences[-1]
+                previous[index] = last
+                following[last] = index
+                occurrences.append(index)
         self._positions = positions
+        self.previous = previous
+        self.following = following
 
     def positions_of(self, event: EventId) -> List[int]:
         """All positions of ``event`` (possibly empty), sorted ascending."""
@@ -65,33 +90,6 @@ class SequencePositions:
     def first_after(self, event: EventId, position: int) -> Optional[int]:
         """First occurrence of ``event`` strictly after ``position``."""
         return self.first_at_or_after(event, position + 1)
-
-    def last_before(self, event: EventId, position: int) -> Optional[int]:
-        """Last occurrence of ``event`` strictly before ``position``."""
-        occurrences = self._positions.get(event)
-        if not occurrences:
-            return None
-        index = bisect_left(occurrences, position)
-        if index == 0:
-            return None
-        return occurrences[index - 1]
-
-    def occurs_between(self, event: EventId, lo: int, hi: int) -> bool:
-        """Whether ``event`` occurs at any position in the open interval ``(lo, hi)``."""
-        if hi - lo <= 1:
-            return False
-        occurrences = self._positions.get(event)
-        if not occurrences:
-            return False
-        index = bisect_right(occurrences, lo)
-        return index < len(occurrences) and occurrences[index] < hi
-
-    def count_between(self, event: EventId, lo: int, hi: int) -> int:
-        """Number of occurrences of ``event`` in the open interval ``(lo, hi)``."""
-        occurrences = self._positions.get(event)
-        if not occurrences:
-            return 0
-        return bisect_left(occurrences, hi) - bisect_right(occurrences, lo)
 
 
 class PositionIndex:

@@ -29,10 +29,15 @@ They iterate flat int columns, hoist the per-sequence lookups out of the
 per-instance loop, and answer every "first/last alphabet event around t"
 query with one binary search in a per-node merged occurrence list
 (:class:`AlphabetIndex`) instead of one ``bisect`` per alphabet event per
-instance.  Rows come out in canonical order (sequence, then start).  The
-readable list-based translation of the rules above lives in the test
-oracles (``tests/oracles/projection.py``), and the property tests pin the
-block path against it row for row.
+instance.  Every gap check ("does ``e`` occur inside ``(start, end)``?")
+is one comparison against the sequence's occurrence links
+(:attr:`~repro.core.positions.SequencePositions.previous` /
+:attr:`~repro.core.positions.SequencePositions.following`), which also
+dedupe the events of a forward window without a per-row set.  Rows come
+out in canonical order (sequence, then start).  The readable list-based
+translation of the rules above lives in the test oracles
+(``tests/oracles/projection.py``), and the property tests pin the block
+path against it row for row.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Dict, List, Optional, Sequence as TypingSequence, Set, Tuple
 
 from .blocks import BLOCK_TYPECODE, BlockBuilder, InstanceBlock
 from .events import EncodedDatabase, EventId
-from .positions import PositionIndex
+from .positions import PositionIndex, SequencePositions
 
 
 class AlphabetIndex:
@@ -164,7 +169,7 @@ def forward_extensions_block(
     for group in range(len(seq_ids)):
         sid = seq_ids[group]
         sequence = encoded_db[sid]
-        table = index[sid].table()
+        previous = index[sid].previous
         merged = node.merged(sid)
         merged_len = len(merged)
         sequence_len = len(sequence)
@@ -185,31 +190,24 @@ def forward_extensions_block(
                 else:
                     boundary = -1
                     window_end = sequence_len
-            if window_end > after:
-                has_gap = end - start > 1
-                seen_outside = set()
-                for position in range(end + 1, window_end):
-                    event = sequence[position]
-                    if event in seen_outside:
-                        continue
-                    seen_outside.add(event)
-                    if has_gap:
-                        # Gap check: ``event`` must not occur strictly
-                        # inside (start, end) — inlined occurs_between on
-                        # the sorted per-event position list.
-                        occurrences = table[event]
-                        gap_cursor = bisect_right(occurrences, start)
-                        if gap_cursor < len(occurrences) and occurrences[gap_cursor] < end:
-                            continue
-                    entry = entries.get(event)
-                    if entry is None:
-                        entry = entries[event] = _new_entry()
-                    if entry[4] != sid:
-                        entry[2](sid)
-                        entry[3](len(entry[5]))
-                        entry[4] = sid
-                    entry[0](start)
-                    entry[1](position)
+            for position in range(after, window_end):
+                # The window holds no alphabet event, so ``start`` and
+                # ``end`` never hold this event: one comparison rejects
+                # both a repeat inside the window (previous in (end,
+                # position)) and a gap occurrence (previous in (start,
+                # end)).
+                if previous[position] > start:
+                    continue
+                event = sequence[position]
+                entry = entries.get(event)
+                if entry is None:
+                    entry = entries[event] = _new_entry()
+                if entry[4] != sid:
+                    entry[2](sid)
+                    entry[3](len(entry[5]))
+                    entry[4] = sid
+                entry[0](start)
+                entry[1](position)
             if boundary >= 0:
                 # The next alphabet event itself is a valid extension target:
                 # the extended pattern then repeats an event it already has.
@@ -271,7 +269,7 @@ def project_extension_block(
         lo = offsets[group]
         hi = offsets[group + 1]
         group_starts, group_ends = project_rows_in_sequence(
-            encoded_db[sid], index[sid].table(), sid, steps, starts[lo:hi], ends[lo:hi]
+            encoded_db[sid], index[sid], sid, steps, starts[lo:hi], ends[lo:hi]
         )
         if group_starts:
             out_seq_ids.append(sid)
@@ -284,7 +282,7 @@ def project_extension_block(
 
 def project_rows_in_sequence(
     sequence: TypingSequence[EventId],
-    table: Dict[EventId, List[int]],
+    positions: SequencePositions,
     sequence_index: int,
     steps: TypingSequence[Tuple[AlphabetIndex, EventId]],
     starts: TypingSequence[int],
@@ -302,13 +300,16 @@ def project_rows_in_sequence(
     The one per-row extension rule of the columnar path: an in-alphabet
     event can only extend to the first alphabet occurrence after the end;
     an outside event extends to its next occurrence when no alphabet event
-    comes first and it does not occur in the instance's gaps.  The
+    comes first and it does not occur in the instance's gaps — one
+    comparison against ``positions.previous`` at the target.  The
     work-stealing replay (:func:`project_extension_block`) runs one step
     per sequence group; the closed miner's infix check runs whole chains
     sequence by sequence so a failing candidate aborts at its first
     mismatching sequence.
     """
     sequence_len = len(sequence)
+    table = positions.table()
+    previous = positions.previous
     for node, event in steps:
         if not starts:
             break
@@ -343,11 +344,10 @@ def project_rows_in_sequence(
                 cursor = bisect_right(merged, end)
                 if cursor < merged_len and merged[cursor] < target:
                     continue
-                # Gap check: the event must not occur inside (start, end).
-                if end - start > 1:
-                    gap_cursor = bisect_right(occurrences, start)
-                    if gap_cursor < len(occurrences) and occurrences[gap_cursor] < end:
-                        continue
+                # Gap check: the event must not occur inside (start, end);
+                # its previous occurrence is at most ``end`` and never on it.
+                if previous[target] > start:
+                    continue
             new_starts.append(start)
             new_ends.append(target)
         starts, ends = new_starts, new_ends
@@ -379,25 +379,22 @@ def backward_extension_events_block(
     for group in range(len(seq_ids)):
         sid = seq_ids[group]
         sequence = encoded_db[sid]
-        table = index[sid].table()
+        following = index[sid].following
         merged = node.merged(sid)
         lo = offsets[group]
         hi = offsets[group + 1]
         for start, end in zip(starts[lo:hi], ends[lo:hi]):
             cursor = bisect_left(merged, start) - 1
             previous_alphabet = merged[cursor] if cursor >= 0 else -1
-            has_gap = end - start > 1
-            local: Set[EventId] = set()
-            for position in range(previous_alphabet + 1, start):
-                event = sequence[position]
-                if event in local:
-                    continue
-                if has_gap:
-                    occurrences = table[event]
-                    gap_cursor = bisect_right(occurrences, start)
-                    if gap_cursor < len(occurrences) and occurrences[gap_cursor] < end:
-                        continue
-                local.add(event)
+            # An event extends backward iff it occurs in the window and not
+            # inside (start, end).  Its last window occurrence is the only
+            # one whose next occurrence lies past ``start``, and that next
+            # occurrence is never ``start`` or ``end`` (pattern events).
+            local = {
+                sequence[position]
+                for position in range(previous_alphabet + 1, start)
+                if following[position] > end
+            }
             if previous_alphabet >= 0:
                 # A pattern-alphabet event immediately "reachable" to the
                 # left is also a valid backward extension (the pattern

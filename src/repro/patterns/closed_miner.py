@@ -66,16 +66,6 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
         pattern is emitted pending that unit's verdict.
         """
         pattern = node.pattern
-        max_length = self.config.max_pattern_length
-        if max_length is not None and len(pattern) >= max_length:
-            # Closedness is judged relative to the explored pattern space:
-            # every single-event extension of a cap-length pattern lies
-            # outside it, so cap-length frequent patterns are emitted.
-            stats.emitted += 1
-            records.append(
-                PatternRecord(pattern, len(block), self._keep_instances(block))
-            )
-            return
         if forward_closure_violation(extensions, len(block)) is not None:
             stats.pruned_closure += 1
             return

@@ -24,9 +24,11 @@ the projection kernel
 All three checks run over instance blocks
 (:class:`~repro.core.blocks.InstanceBlock`) and share the search node's
 :class:`~repro.core.projection.AlphabetIndex`, so the per-instance boundary
-queries collapse into binary searches on one merged occurrence list.  The
-list-based reference checks live in the test oracles
-(``tests/oracles/closure.py``), which the property tests compare against.
+queries collapse into binary searches on one merged occurrence list, and
+every gap check is one comparison against the sequence's occurrence links
+(:class:`~repro.core.positions.SequencePositions`).  The list-based
+reference checks live in the test oracles (``tests/oracles/closure.py``),
+which the property tests compare against.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ def forward_closure_violation(
 
 def _gap_candidates_block(
     encoded_db: EncodedDatabase,
-    index: PositionIndex,
     node: AlphabetIndex,
     block: InstanceBlock,
 ) -> Dict[EventId, List[int]]:
@@ -74,8 +75,9 @@ def _gap_candidates_block(
     positions it occupies *in the first instance* — a sound restriction of
     the insertion positions worth verifying, because an insertion that
     preserves every instance must in particular appear in that gap of the
-    first instance.  The candidate set almost always empties after a
-    handful of rows, so the scan walks the block's flat columns directly.
+    first instance.  Each later row narrows the candidates to the events
+    of its open span ``(start, end)`` with one set intersection; the set
+    almost always empties after a handful of rows.
     """
     if not block:
         return {}
@@ -94,13 +96,11 @@ def _gap_candidates_block(
     for sid, lo, hi in block.groups():
         if not candidates:
             return {}
-        positions = index[sid]
+        sequence = encoded_db[sid]
         for row in range(lo if sid != first_instance.sequence_index else lo + 1, hi):
-            start = starts[row]
-            end = ends[row]
-            candidates = {
-                event for event in candidates if positions.occurs_between(event, start, end)
-            }
+            # The events strictly inside (start, end), narrowed in one
+            # C-level set operation per row.
+            candidates = candidates.intersection(sequence[starts[row] + 1 : ends[row]])
             if not candidates:
                 return {}
     return {event: gaps_by_event[event] for event in candidates}
@@ -156,7 +156,7 @@ def infix_closure_violation_block(
     candidate at its first mismatching sequence instead of materialising
     the extension across the whole database first.
     """
-    candidates = _gap_candidates_block(encoded_db, index, node, block)
+    candidates = _gap_candidates_block(encoded_db, node, block)
     if not candidates:
         return None
     pattern = node.pattern
@@ -193,7 +193,7 @@ def infix_closure_violation_block(
                     continue
                 super_starts, super_ends = project_rows_in_sequence(
                     encoded_db[sequence_index],
-                    positions.table(),
+                    positions,
                     sequence_index,
                     steps,
                     first_positions,

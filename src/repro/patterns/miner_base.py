@@ -351,7 +351,7 @@ class IterativePatternMinerBase:
         splitter: Any,
         records: List[object],
     ) -> None:
-        """Emit (or prune) the current node's pattern.
+        """Emit (or prune) the current node's pattern (below the length cap).
 
         The closed miner overrides this to split its closure check into a
         free inline part and an offloadable verify unit; the default keeps
@@ -420,25 +420,33 @@ class IterativePatternMinerBase:
     ) -> Optional[FrontierFrame]:
         """Visit one search node: project, emit, and open its frame.
 
+        Nodes at ``max_pattern_length`` are emitted as they are, with no
+        projection and no frame.
+
         ``node`` is this search node's shared boundary cache: every
         projection and closure query reuses the same frozenset(pattern)
         and merged alphabet-occurrence lists, derived incrementally from
         the parent node's cache.
         """
         encoded = context.encoded
+        pattern = node.pattern
         stats.visited += 1
+        max_length = self.config.max_pattern_length
+        if max_length is not None and len(pattern) >= max_length:
+            # A cap-length node opens no frame, and it is emitted without
+            # a closure check: closedness is judged relative to the explored
+            # pattern space, and every single-event extension of a
+            # cap-length pattern lies outside it.  So its extensions are
+            # never projected.
+            stats.emitted += 1
+            records.append(PatternRecord(pattern, len(block), self._keep_instances(block)))
+            return None
+
         extensions = forward_extensions_block(encoded, context.index, node, block)
         for extension_block in extensions.values():
             stats.instances_materialized += len(extension_block)
 
         self._emit(context, node, block, extensions, stats, splitter, records)
-
-        pattern = node.pattern
-        if (
-            self.config.max_pattern_length is not None
-            and len(pattern) >= self.config.max_pattern_length
-        ):
-            return None
 
         explore = sorted(extensions)
         if self.config.adjacent_absorption_pruning:

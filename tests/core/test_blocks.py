@@ -151,9 +151,7 @@ def test_project_rows_in_sequence_matches_block_projection_chain(sequences, patt
     for sid, sequence in enumerate(encoded):
         positions = index[sid]
         first = positions.positions_of(pattern[0])
-        starts, ends = project_rows_in_sequence(
-            sequence, positions.table(), sid, steps, first, first
-        )
+        starts, ends = project_rows_in_sequence(sequence, positions, sid, steps, first, first)
         assert (list(starts), list(ends)) == by_sequence[sid]
 
 

@@ -1,6 +1,26 @@
-"""Tests for the per-event position indexes."""
+"""Tests for the per-event position indexes and occurrence links."""
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core.positions import PositionIndex, SequencePositions
+
+# Small alphabets make repeated events (the interesting case) likely.
+sequences_strategy = st.lists(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=16), max_size=4
+)
+
+
+def _brute_force_links(sequence):
+    """``(previous, following)`` by scanning each position's neighbourhood."""
+    length = len(sequence)
+    previous = []
+    following = []
+    for position, event in enumerate(sequence):
+        earlier = [p for p in range(position) if sequence[p] == event]
+        later = [p for p in range(position + 1, length) if sequence[p] == event]
+        previous.append(earlier[-1] if earlier else -1)
+        following.append(later[0] if later else length)
+    return previous, following
 
 
 def test_positions_of_and_count():
@@ -21,30 +41,6 @@ def test_first_after_and_at_or_after():
     assert positions.first_at_or_after(6, 2) is None
 
 
-def test_last_before():
-    positions = SequencePositions([5, 6, 5, 7])
-    assert positions.last_before(5, 2) == 0
-    assert positions.last_before(5, 3) == 2
-    assert positions.last_before(5, 0) is None
-    assert positions.last_before(9, 3) is None
-
-
-def test_occurs_between_open_interval():
-    positions = SequencePositions([1, 2, 3, 2, 1])
-    assert positions.occurs_between(2, 0, 2)  # position 1
-    assert not positions.occurs_between(2, 1, 3)  # strictly between 1 and 3 there is nothing = position 2 only -> 3 is event id... check
-    assert positions.occurs_between(3, 1, 3)
-    assert not positions.occurs_between(1, 0, 4)
-    assert not positions.occurs_between(2, 2, 3)  # empty open interval
-
-
-def test_count_between():
-    positions = SequencePositions([1, 2, 2, 2, 1])
-    assert positions.count_between(2, 0, 4) == 3
-    assert positions.count_between(2, 1, 3) == 1
-    assert positions.count_between(1, 0, 4) == 0
-
-
 def test_distinct_events():
     positions = SequencePositions([4, 4, 5])
     assert set(positions.distinct_events()) == {4, 5}
@@ -60,3 +56,22 @@ def test_position_index_supports():
     assert index.instance_support(2) == 2
     assert index.distinct_events() == (0, 1, 2)
     assert index[0].count(0) == 2
+
+
+@given(first=sequences_strategy, appended=sequences_strategy)
+@settings(max_examples=80, deadline=None)
+def test_occurrence_links_match_brute_force_after_extend(first, appended):
+    """The links equal a brute-force scan, for the sequences indexed at
+    construction and for those added by the in-place ``extend`` the
+    incremental miners use."""
+    index = PositionIndex(first)
+    for sequence_index, sequence in enumerate(first):
+        assert (index[sequence_index].previous, index[sequence_index].following) == (
+            _brute_force_links(sequence)
+        )
+    index.extend(appended)
+    assert len(index) == len(first) + len(appended)
+    for sequence_index, sequence in enumerate(first + appended):
+        assert (index[sequence_index].previous, index[sequence_index].following) == (
+            _brute_force_links(sequence)
+        )

@@ -19,6 +19,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.sequence import SequenceDatabase
 from repro.engine import WorkStealingBackend, resolve_backend
 from repro.patterns.closed_miner import mine_closed_patterns
+from repro.patterns import miner_base
 from repro.patterns.full_miner import mine_frequent_patterns
 from repro.rules.full_miner import mine_all_rules
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
@@ -91,6 +92,53 @@ def test_stealing_search_counters_match_serial(sequences):
     db = SequenceDatabase.from_sequences(sequences)
     serial = mine_closed_patterns(db, min_support=2)
     stolen = mine_closed_patterns(db, min_support=2, backend=_eager())
+    for counter in CORE_COUNTERS:
+        assert getattr(serial.stats, counter) == getattr(stolen.stats, counter)
+
+
+@given(
+    sequences=sequences_strategy,
+    max_length=st.integers(min_value=1, max_value=4),
+    absorption=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_capped_stealing_matches_serial(sequences, max_length, absorption):
+    """Cap-length nodes skip projection on every path, so a capped search
+    carved up by stealing still matches the serial one, counters included."""
+    db = SequenceDatabase.from_sequences(sequences)
+    kwargs = dict(
+        min_support=2,
+        max_pattern_length=max_length,
+        adjacent_absorption_pruning=absorption,
+        collect_instances=True,
+    )
+    for miner in (mine_closed_patterns, mine_frequent_patterns):
+        serial = miner(db, **kwargs)
+        stolen = miner(db, backend=_eager(), **kwargs)
+        assert serial.patterns == stolen.patterns
+        assert all(len(pattern.events) <= max_length for pattern in serial.patterns)
+        for counter in CORE_COUNTERS:
+            assert getattr(serial.stats, counter) == getattr(stolen.stats, counter)
+
+
+@pytest.mark.parametrize("absorption", [False, True])
+def test_cap_length_nodes_are_never_projected(skewed_database, monkeypatch, absorption):
+    """No forward projection runs for a node at ``max_pattern_length``,
+    serial or stolen, and cap-length patterns are still emitted."""
+    projected_lengths = []
+    original = miner_base.forward_extensions_block
+
+    def counting(encoded, index, node, block):
+        projected_lengths.append(len(node.pattern))
+        return original(encoded, index, node, block)
+
+    monkeypatch.setattr(miner_base, "forward_extensions_block", counting)
+    kwargs = dict(min_support=4, max_pattern_length=3, adjacent_absorption_pruning=absorption)
+    serial = mine_closed_patterns(skewed_database, **kwargs)
+    stolen = mine_closed_patterns(skewed_database, backend=_eager(), **kwargs)
+    assert projected_lengths and max(projected_lengths) < 3
+    assert serial.patterns == stolen.patterns
+    assert any(len(pattern.events) == 3 for pattern in serial.patterns)
     for counter in CORE_COUNTERS:
         assert getattr(serial.stats, counter) == getattr(stolen.stats, counter)
 

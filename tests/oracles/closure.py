@@ -21,7 +21,7 @@ from repro.core.instances import (
 from repro.core.positions import PositionIndex
 from repro.patterns.closure import forward_closure_violation
 
-from .projection import backward_extension_events
+from .projection import backward_extension_events, occurs_between
 
 
 def backward_closure_violation(
@@ -72,7 +72,7 @@ def _gap_candidates(
         candidates = {
             event
             for event in candidates
-            if positions.occurs_between(event, instance.start, instance.end)
+            if occurs_between(positions, event, instance.start, instance.end)
         }
     return {event: gaps_by_event[event] for event in candidates}
 

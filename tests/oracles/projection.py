@@ -2,17 +2,34 @@
 
 A direct, readable translation of the incremental projection rules in
 :mod:`repro.core.projection`, over ``List[PatternInstance]`` and per-event
-``bisect`` queries.  The miners run the columnar block path; the property
-tests and the hot-path benchmark compare it against these functions.
+``bisect`` queries (:func:`last_before`, :func:`occurs_between`) instead
+of occurrence links.  The miners run the columnar block path; the
+property tests and the hot-path benchmark compare it against these
+functions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Sequence as TypingSequence, Set, Tuple
 
 from repro.core.events import EncodedDatabase, EventId
 from repro.core.instances import PatternInstance
 from repro.core.positions import PositionIndex, SequencePositions
+
+
+def last_before(positions: SequencePositions, event: EventId, position: int) -> Optional[int]:
+    """Last occurrence of ``event`` strictly before ``position``."""
+    occurrences = positions.positions_of(event)
+    index = bisect_left(occurrences, position)
+    return occurrences[index - 1] if index else None
+
+
+def occurs_between(positions: SequencePositions, event: EventId, lo: int, hi: int) -> bool:
+    """Whether ``event`` occurs at any position in the open interval ``(lo, hi)``."""
+    occurrences = positions.positions_of(event)
+    index = bisect_right(occurrences, lo)
+    return index < len(occurrences) and occurrences[index] < hi
 
 
 def singleton_instances(encoded_db: EncodedDatabase) -> Dict[EventId, List[PatternInstance]]:
@@ -44,7 +61,7 @@ def _last_alphabet_event_before(
     """Position of the last occurrence of any alphabet event strictly before ``position``."""
     best: Optional[int] = None
     for event in alphabet:
-        candidate = positions.last_before(event, position)
+        candidate = last_before(positions, event, position)
         if candidate is not None and (best is None or candidate > best):
             best = candidate
     return best
@@ -79,7 +96,7 @@ def forward_extensions(
             if event in seen_outside:
                 continue
             seen_outside.add(event)
-            if positions.occurs_between(event, instance.start, instance.end):
+            if occurs_between(positions, event, instance.start, instance.end):
                 # ``event`` appears in a gap of the current instance, so the
                 # extended pattern's QRE (which excludes ``event`` from every
                 # gap) is violated for this instance.
@@ -113,10 +130,10 @@ def backward_extension_instance(
     """
     alphabet = frozenset(pattern)
     positions = index[instance.sequence_index]
-    if event not in alphabet and positions.occurs_between(event, instance.start, instance.end):
+    if event not in alphabet and occurs_between(positions, event, instance.start, instance.end):
         return None
     previous_alphabet = _last_alphabet_event_before(positions, alphabet, instance.start)
-    previous_event = positions.last_before(event, instance.start)
+    previous_event = last_before(positions, event, instance.start)
     if previous_event is None:
         return None
     if previous_alphabet is not None and previous_alphabet > previous_event:
@@ -152,7 +169,7 @@ def backward_extension_events(
             event = sequence[position]
             if event in alphabet:
                 continue
-            if positions.occurs_between(event, instance.start, instance.end):
+            if occurs_between(positions, event, instance.start, instance.end):
                 continue
             local.add(event)
         if previous_alphabet is not None:
