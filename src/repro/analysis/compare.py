@@ -14,11 +14,13 @@ Two kinds of comparison back the paper's claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence as TypingSequence
+from typing import Dict, List, Sequence as TypingSequence
 
 from ..core.pattern import is_subsequence
 from ..patterns.result import PatternMiningResult
+from ..rules.redundancy import StatisticsKey, statistics_key
 from ..rules.result import RuleMiningResult
+from ..rules.rule import RecurrentRule
 from .experiment import SweepRow
 
 
@@ -93,11 +95,18 @@ def nonredundant_result_is_consistent(
     for rule in non_redundant.rules:
         if rule.signature() not in full_signatures:
             problems.append(f"non-redundant rule {rule.signature()} missing from the full set")
-    kept = list(non_redundant.rules)
+    kept_signatures = {rule.signature() for rule in non_redundant.rules}
+    # Only a rule with the same statistics can make another redundant.
+    kept_by_class: Dict[StatisticsKey, List[RecurrentRule]] = {}
+    for kept_rule in non_redundant.rules:
+        kept_by_class.setdefault(statistics_key(kept_rule), []).append(kept_rule)
     for rule in full.rules:
-        if rule.signature() in {kept_rule.signature() for kept_rule in kept}:
+        if rule.signature() in kept_signatures:
             continue
-        covered = any(rule.is_redundant_with_respect_to(kept_rule) for kept_rule in kept)
+        covered = any(
+            rule.is_redundant_with_respect_to(kept_rule)
+            for kept_rule in kept_by_class.get(statistics_key(rule), ())
+        )
         if not covered:
             problems.append(
                 f"significant rule {rule.signature()} is neither kept nor covered by a kept rule"

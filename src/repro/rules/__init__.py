@@ -15,7 +15,7 @@ from .consequent_miner import ConsequentGrower, GrownRule
 from .full_miner import FullRecurrentRuleMiner, mine_all_rules
 from .nonredundant_miner import NonRedundantRecurrentRuleMiner, mine_non_redundant_rules
 from .premise_miner import MinedPremise
-from .redundancy import filter_redundant, find_redundant
+from .redundancy import filter_redundant
 from .result import RuleMiningResult
 from .rule import RecurrentRule
 from .temporal_points import (
@@ -37,7 +37,6 @@ __all__ = [
     "mine_non_redundant_rules",
     "MinedPremise",
     "filter_redundant",
-    "find_redundant",
     "RuleMiningResult",
     "RecurrentRule",
     "TemporalPoint",

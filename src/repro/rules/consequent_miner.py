@@ -7,10 +7,15 @@ the space of consequents depth-first.  Two facts drive the search:
   premise satisfied by ``post ++ <e>`` are a subset of those satisfied by
   ``post``, so confidence can only drop along an extension; branches below
   ``min_confidence`` are pruned.
-* **Incremental i-support.**  The occurrences of ``pre ++ post ++ <e>`` in a
-  sequence are exactly the occurrences of ``e`` after the earliest embedding
-  end of ``pre ++ post``; maintaining that end per sequence turns i-support
-  into a couple of binary searches per extension.
+* **Incremental, deferred i-support.**  The occurrences of
+  ``pre ++ post ++ <e>`` in a sequence are exactly the occurrences of ``e``
+  after the earliest embedding end of ``pre ++ post``; maintaining that end
+  per sequence turns i-support into a couple of binary searches per
+  extension.  Expanding a node builds only the children's alive points; a
+  child's i-support is measured only when the search needs it — when the
+  child passes the confidence bound and is grown, or when it is a
+  dominance candidate (same alive count as its parent, so it passes the
+  bound anyway).  Most children fail the bound and never pay for it.
 
 The alive temporal points of each search node are held as three parallel
 ``array('i')`` columns (sequence, point position, current greedy match
@@ -55,7 +60,10 @@ class _SearchNode:
     ``point_seqs`` / ``point_positions`` / ``match_positions`` are parallel
     columns over the alive temporal points: the point's sequence, the
     temporal point position itself, and the current greedy match position of
-    the consequent after that point.
+    the consequent after that point.  ``full_pattern_end`` (earliest
+    embedding end of ``premise ++ consequent`` per sequence) and
+    ``i_support`` stay unset (``None`` / 0) until
+    :meth:`ConsequentGrower._measure_i_support` fills them in.
     """
 
     __slots__ = ("consequent", "point_seqs", "point_positions", "match_positions",
@@ -67,7 +75,7 @@ class _SearchNode:
         point_seqs: array,
         point_positions: array,
         match_positions: array,
-        full_pattern_end: Dict[int, int],
+        full_pattern_end: Optional[Dict[int, int]],
         i_support: int,
     ) -> None:
         self.consequent = consequent
@@ -155,8 +163,12 @@ class ConsequentGrower:
         if node.consequent:
             alive = node.alive_count()
             confidence = alive / self.total_points
+            # A dominance candidate keeps every alive point of ``node``, so
+            # it passes the confidence bound below and its i-support is
+            # measured once either way.
             dominated = skip_dominated and any(
-                child.i_support == node.i_support and child.alive_count() == alive
+                child.alive_count() == alive
+                and self._measure_i_support(node, child) == node.i_support
                 for child in children.values()
             )
             if dominated:
@@ -180,37 +192,41 @@ class ConsequentGrower:
             if child.alive_count() + 1e-9 < min_alive:
                 self.stats.pruned_confidence += 1
                 continue
+            self._measure_i_support(node, child)
             yield from self._grow(child, skip_dominated)
 
     def _expand(self, node: _SearchNode) -> Dict[EventId, _SearchNode]:
         """Build the single-event extensions of ``node`` in one pass."""
         children: Dict[EventId, _SearchNode] = {}
 
-        # Confidence side: advance the greedy match of each alive temporal
-        # point past every event occurring in its remaining suffix.  The
-        # first occurrence of each event after the match position is a
-        # bisect into the index's per-event occurrence lists — no suffix
-        # scan, no per-point first-occurrence dict.  A child's per-point
-        # columns receive at most one row per alive point, so the event
-        # iteration order within a point never shows in the output.
+        # Advance the greedy match of each alive temporal point past every
+        # event occurring in its remaining suffix.  A suffix position holds
+        # the first occurrence of its event after the match position exactly
+        # when the event's previous occurrence is at or before the match
+        # (the index's ``previous`` links) — one comparison, no bisect and
+        # no per-point first-occurrence dict.  A child's per-point columns
+        # receive at most one row per alive point, so the event iteration
+        # order within a point never shows in the output.
         point_seqs = node.point_seqs
         point_positions = node.point_positions
         match_positions = node.match_positions
         index = self.index
+        encoded_db = self.encoded_db
         last_sequence_index = -1
-        table: Dict[EventId, List[int]] = {}
+        sequence: List[EventId] = []
+        previous: List[int] = []
         for row in range(len(point_seqs)):
             sequence_index = point_seqs[row]
             if sequence_index != last_sequence_index:
-                table = index[sequence_index].table()
+                sequence = encoded_db[sequence_index]
+                previous = index[sequence_index].previous
                 last_sequence_index = sequence_index
             point = point_positions[row]
             match_position = match_positions[row]
-            for event, occurrences in table.items():
-                cut = bisect_right(occurrences, match_position)
-                if cut == len(occurrences):
+            for position in range(match_position + 1, len(sequence)):
+                if previous[position] > match_position:
                     continue
-                position = occurrences[cut]
+                event = sequence[position]
                 child = children.get(event)
                 if child is None:
                     child = _SearchNode(
@@ -218,22 +234,30 @@ class ConsequentGrower:
                         point_seqs=array(BLOCK_TYPECODE),
                         point_positions=array(BLOCK_TYPECODE),
                         match_positions=array(BLOCK_TYPECODE),
-                        full_pattern_end={},
+                        full_pattern_end=None,
                         i_support=0,
                     )
                     children[event] = child
                 child.point_seqs.append(sequence_index)
                 child.point_positions.append(point)
                 child.match_positions.append(position)
+        return children
 
-        # i-support side: occurrences of premise ++ consequent ++ <e> are the
-        # occurrences of ``e`` after the earliest embedding end of the
-        # current full pattern, in every sequence where that pattern embeds.
-        for event, child in children.items():
+    def _measure_i_support(self, node: _SearchNode, child: _SearchNode) -> int:
+        """Fill in ``child``'s i-support and full-pattern ends (once).
+
+        Occurrences of ``premise ++ consequent ++ <e>`` are the occurrences
+        of ``e`` after the earliest embedding end of the current full
+        pattern, in every sequence where that pattern embeds.  Only children
+        that pass the confidence bound ever reach this step.
+        """
+        if child.full_pattern_end is None:
+            event = child.consequent[-1]
             i_support = 0
             full_end: Dict[int, int] = {}
+            index = self.index
             for sequence_index, end_position in node.full_pattern_end.items():
-                positions = self.index[sequence_index].positions_of(event)
+                positions = index[sequence_index].positions_of(event)
                 cut = bisect_right(positions, end_position)
                 remaining = len(positions) - cut
                 if remaining:
@@ -241,4 +265,4 @@ class ConsequentGrower:
                     full_end[sequence_index] = positions[cut]
             child.i_support = i_support
             child.full_pattern_end = full_end
-        return children
+        return child.i_support

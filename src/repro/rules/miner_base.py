@@ -20,7 +20,8 @@ implement the engine's protocol (``build_context`` / ``plan_roots`` /
 bit-identical on every backend because the serial emission order equals the
 ascending lexicographic order of ``(premise, consequent)`` keys.  The
 Definition 5.2 sweep is global, so it always runs in the coordinating
-process after the deterministic merge.
+process after the deterministic merge, on the encoded records and before
+decode: only the rules that survive it are turned back into labels.
 """
 
 from __future__ import annotations
@@ -166,10 +167,15 @@ class RecurrentRuleMinerBase:
 
         The global Definition 5.2 redundancy sweep belongs here — it
         compares rules across premises, so it must always run over the
-        *complete* merged record set.  Factored out of :meth:`mine` so the
+        *complete* merged record set.  It runs on the encoded records
+        (subsequence tests do not depend on the labels), so only the
+        surviving rules are decoded.  Factored out of :meth:`mine` so the
         incremental miner can rebuild a result from cached-plus-fresh
         records through the exact same path a from-scratch mine uses.
         """
+        if self.apply_final_redundancy_filter:
+            records, dropped = filter_redundant(records)
+            stats.pruned_redundancy += len(dropped)
         result = RuleMiningResult(
             stats=stats,
             min_s_support=self.resolved_support_threshold(database),
@@ -188,10 +194,6 @@ class RecurrentRuleMinerBase:
                     confidence=record.confidence,
                 )
             )
-        if self.apply_final_redundancy_filter:
-            kept, dropped = filter_redundant(result.rules)
-            result.rules = kept
-            stats.pruned_redundancy += len(dropped)
         return result
 
     # ------------------------------------------------------------------ #

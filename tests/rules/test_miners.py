@@ -1,11 +1,14 @@
 """Tests for the full and non-redundant recurrent-rule miners."""
 
+import random
+
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.positions import PositionIndex
 from repro.core.sequence import SequenceDatabase
 from repro.rules.config import RuleMiningConfig
+from repro.rules.consequent_miner import ConsequentGrower
 from repro.rules.full_miner import FullRecurrentRuleMiner, mine_all_rules
 from repro.rules.nonredundant_miner import (
     NonRedundantRecurrentRuleMiner,
@@ -162,3 +165,26 @@ def test_invalid_configurations_rejected():
 def test_empty_database_yields_no_rules():
     result = mine_all_rules(SequenceDatabase(), min_s_support=1, min_confidence=0.5)
     assert len(result) == 0
+
+
+@pytest.mark.parametrize("miner_class", [FullRecurrentRuleMiner, NonRedundantRecurrentRuleMiner])
+def test_confidence_pruned_children_never_measure_i_support(monkeypatch, miner_class):
+    """Theorem 3 discards most children; none of them pays for its i-support."""
+    rng = random.Random(5)
+    database = SequenceDatabase.from_sequences(
+        [[rng.choice("abcdefgh") for _ in range(rng.randint(5, 15))] for _ in range(30)]
+    )
+    config = RuleMiningConfig(min_s_support=5, min_confidence=0.6)
+    measured = []
+    original = ConsequentGrower._measure_i_support
+
+    def recording(grower, node, child):
+        if child.full_pattern_end is None:
+            measured.append((child.alive_count(), grower.total_points))
+        return original(grower, node, child)
+
+    monkeypatch.setattr(ConsequentGrower, "_measure_i_support", recording)
+    result = miner_class(config).mine(database)
+    assert result.stats.pruned_confidence > len(measured) > 0
+    for alive, total_points in measured:
+        assert alive + 1e-9 >= config.min_confidence * total_points
