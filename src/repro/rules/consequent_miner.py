@@ -1,28 +1,34 @@
 """Consequent growth for recurrent-rule mining (Steps 2–4 of Section 5).
 
 Given a premise and its temporal points, :class:`ConsequentGrower` explores
-the space of consequents depth-first.  Two facts drive the search:
+the space of consequents depth-first.  Three ideas drive the search:
 
 * **Confidence anti-monotonicity (Theorem 3).**  The temporal points of the
   premise satisfied by ``post ++ <e>`` are a subset of those satisfied by
   ``post``, so confidence can only drop along an extension; branches below
   ``min_confidence`` are pruned.
+* **Count first, build survivors only.**  Expanding a node first counts,
+  for every event, the alive points whose suffix contains it — one C-level
+  ``compress`` over the suffix per point, read off the index's ``previous``
+  links, then one ``Counter``.  Only the events that pass the confidence
+  bound get a child; most extensions fail it and never cost a per-point
+  row.
 * **Incremental, deferred i-support.**  The occurrences of
   ``pre ++ post ++ <e>`` in a sequence are exactly the occurrences of ``e``
   after the earliest embedding end of ``pre ++ post``; maintaining that end
   per sequence turns i-support into a couple of binary searches per
-  extension.  Expanding a node builds only the children's alive points; a
-  child's i-support is measured only when the search needs it — when the
-  child passes the confidence bound and is grown, or when it is a
-  dominance candidate (same alive count as its parent, so it passes the
-  bound anyway).  Most children fail the bound and never pay for it.
+  extension.  A child's i-support is measured only when the search needs
+  it — when the child is grown, or when it is a dominance candidate (same
+  alive count as its parent, so it passes the bound anyway).
 
-The alive temporal points of each search node are held as three parallel
-``array('i')`` columns (sequence, point position, current greedy match
-position) rather than a list of triples: expanding a node appends machine
-ints to its children's columns, so the hottest rule-mining loop allocates
-no per-point tuples while preserving the exact iteration order (and hence
-bit-identical output) of the tuple-based implementation.
+The alive temporal points of each search node are held as two parallel
+``array('i')`` columns (sequence, current greedy match position of the
+consequent after the point) rather than a list of pairs, so the hottest
+rule-mining loop allocates no per-point tuples.  The rows of one sequence
+are contiguous and ascend in match position: the root's temporal points
+ascend, and the first occurrence of an event after a match is monotone in
+the match.  Children inherit that order from their parent, which lets a
+child's build stop at the first row past the event's last occurrence.
 
 The grower serves both miners: the non-redundant miner additionally asks it
 to suppress rules *dominated* by one of their own single-event consequent
@@ -32,8 +38,10 @@ extensions (same i-support and confidence — redundant by Definition 5.2).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.blocks import BLOCK_TYPECODE, PositionBlock
@@ -41,7 +49,6 @@ from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
 from ..core.stats import MiningStats
 from .config import RuleMiningConfig
-from .temporal_points import temporal_points_in_sequence
 
 
 @dataclass(frozen=True)
@@ -57,30 +64,27 @@ class GrownRule:
 class _SearchNode:
     """Mutable state for one consequent in the depth-first search.
 
-    ``point_seqs`` / ``point_positions`` / ``match_positions`` are parallel
-    columns over the alive temporal points: the point's sequence, the
-    temporal point position itself, and the current greedy match position of
-    the consequent after that point.  ``full_pattern_end`` (earliest
-    embedding end of ``premise ++ consequent`` per sequence) and
+    ``point_seqs`` / ``match_positions`` are parallel columns over the alive
+    temporal points: the point's sequence and the current greedy match
+    position of the consequent after that point.  ``full_pattern_end``
+    (earliest embedding end of ``premise ++ consequent`` per sequence) and
     ``i_support`` stay unset (``None`` / 0) until
     :meth:`ConsequentGrower._measure_i_support` fills them in.
     """
 
-    __slots__ = ("consequent", "point_seqs", "point_positions", "match_positions",
-                 "full_pattern_end", "i_support")
+    __slots__ = ("consequent", "point_seqs", "match_positions", "full_pattern_end",
+                 "i_support")
 
     def __init__(
         self,
         consequent: Tuple[EventId, ...],
         point_seqs: array,
-        point_positions: array,
         match_positions: array,
         full_pattern_end: Optional[Dict[int, int]],
         i_support: int,
     ) -> None:
         self.consequent = consequent
         self.point_seqs = point_seqs
-        self.point_positions = point_positions
         self.match_positions = match_positions
         self.full_pattern_end = full_pattern_end
         self.i_support = i_support
@@ -108,19 +112,21 @@ class ConsequentGrower:
         self.stats = stats if stats is not None else MiningStats()
 
         self.s_support = len(premise_projections)
+        # A premise's temporal points in a sequence are the occurrences of
+        # its last event at or after its earliest embedding end, which is
+        # exactly the projection's position.
+        last_event = premise[-1]
         point_seqs = array(BLOCK_TYPECODE)
-        point_positions = array(BLOCK_TYPECODE)
-        for sequence_index, _ in premise_projections:
-            sequence = encoded_db[sequence_index]
-            for position in temporal_points_in_sequence(sequence, premise):
-                point_seqs.append(sequence_index)
-                point_positions.append(position)
+        points = array(BLOCK_TYPECODE)
+        for sequence_index, end_position in premise_projections:
+            positions = index[sequence_index].positions_of(last_event)
+            cut = bisect_left(positions, end_position)
+            point_seqs.extend(repeat(sequence_index, len(positions) - cut))
+            points.extend(islice(positions, cut, None))
         self._point_seqs = point_seqs
-        self._point_positions = point_positions
+        self._points = points
         self.total_points = len(point_seqs)
-        self._root_full_end: Dict[int, int] = {
-            sequence_index: position for sequence_index, position in premise_projections
-        }
+        self._root_full_end: Dict[int, int] = dict(premise_projections)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -139,11 +145,10 @@ class ConsequentGrower:
         root = _SearchNode(
             consequent=(),
             point_seqs=self._point_seqs,
-            point_positions=self._point_positions,
             # At the root the greedy match of the empty consequent sits on
             # the temporal point itself.
-            match_positions=array(BLOCK_TYPECODE, self._point_positions),
-            full_pattern_end=dict(self._root_full_end),
+            match_positions=self._points,
+            full_pattern_end=self._root_full_end,
             i_support=0,
         )
         yield from self._grow(root, skip_dominated)
@@ -158,14 +163,13 @@ class ConsequentGrower:
         # Children beyond the length cap can never be emitted, so they must
         # not participate in the dominance check either (a rule may only be
         # suppressed in favour of a rule that stays in the explored space).
-        children = {} if at_length_cap else self._expand(node)
+        children, pruned = ({}, 0) if at_length_cap else self._expand(node)
 
         if node.consequent:
             alive = node.alive_count()
             confidence = alive / self.total_points
             # A dominance candidate keeps every alive point of ``node``, so
-            # it passes the confidence bound below and its i-support is
-            # measured once either way.
+            # it passes the confidence bound and was built by ``_expand``.
             dominated = skip_dominated and any(
                 child.alive_count() == alive
                 and self._measure_i_support(node, child) == node.i_support
@@ -182,66 +186,86 @@ class ConsequentGrower:
                     confidence=confidence,
                 )
 
-        if at_length_cap:
-            return
-
-        min_alive = self.config.min_confidence * self.total_points
+        self.stats.pruned_confidence += pruned
         for event in sorted(children):
             child = children[event]
-            # Theorem 3: confidence only drops along consequent extensions.
-            if child.alive_count() + 1e-9 < min_alive:
-                self.stats.pruned_confidence += 1
-                continue
             self._measure_i_support(node, child)
             yield from self._grow(child, skip_dominated)
 
-    def _expand(self, node: _SearchNode) -> Dict[EventId, _SearchNode]:
-        """Build the single-event extensions of ``node`` in one pass."""
-        children: Dict[EventId, _SearchNode] = {}
+    def _expand(self, node: _SearchNode) -> Tuple[Dict[EventId, _SearchNode], int]:
+        """Build the single-event extensions of ``node`` that pass Theorem 3.
 
-        # Advance the greedy match of each alive temporal point past every
-        # event occurring in its remaining suffix.  A suffix position holds
-        # the first occurrence of its event after the match position exactly
-        # when the event's previous occurrence is at or before the match
-        # (the index's ``previous`` links) — one comparison, no bisect and
-        # no per-point first-occurrence dict.  A child's per-point columns
-        # receive at most one row per alive point, so the event iteration
-        # order within a point never shows in the output.
+        Returns the surviving children and the number of extensions pruned
+        on the confidence bound.  Counting comes first: a suffix position
+        ``p`` after match ``m`` holds the first occurrence of its event
+        exactly when ``previous[p] <= m`` (the index's occurrence links), so
+        one ``compress`` per alive row lists the events the row stays alive
+        for, and one ``Counter`` tallies every event's alive points.  Only
+        the events reaching ``min_confidence * total_points`` are built.
+
+        A survivor's child walks the node's rows sequence by sequence; its
+        match is the event's first occurrence after ``m``.  The rows of a
+        sequence ascend in ``m``, so the walk stops at the first row at or
+        past the event's last occurrence.  Every survivor keeps at least a
+        ``min_confidence`` share of the rows, so building costs a bounded
+        multiple of the rows it keeps.
+        """
         point_seqs = node.point_seqs
-        point_positions = node.point_positions
         match_positions = node.match_positions
         index = self.index
         encoded_db = self.encoded_db
+
+        firsts: List[EventId] = []
+        # One ``(sequence, occurrence table, first row)`` per sequence run.
+        segments: List[Tuple[int, Dict[EventId, List[int]], int]] = []
         last_sequence_index = -1
         sequence: List[EventId] = []
         previous: List[int] = []
-        for row in range(len(point_seqs)):
-            sequence_index = point_seqs[row]
+        for row, (sequence_index, match) in enumerate(zip(point_seqs, match_positions)):
             if sequence_index != last_sequence_index:
                 sequence = encoded_db[sequence_index]
-                previous = index[sequence_index].previous
+                positions_in_sequence = index[sequence_index]
+                previous = positions_in_sequence.previous
+                segments.append((sequence_index, positions_in_sequence.table(), row))
                 last_sequence_index = sequence_index
-            point = point_positions[row]
-            match_position = match_positions[row]
-            for position in range(match_position + 1, len(sequence)):
-                if previous[position] > match_position:
+            firsts.extend(
+                compress(
+                    islice(sequence, match + 1, None),
+                    map(match.__ge__, islice(previous, match + 1, None)),
+                )
+            )
+        stops = [start for _, _, start in segments[1:]]
+        stops.append(len(point_seqs))
+
+        children: Dict[EventId, _SearchNode] = {}
+        pruned = 0
+        min_alive = self.config.min_confidence * self.total_points
+        for event, count in Counter(firsts).items():
+            # Theorem 3: confidence only drops along consequent extensions.
+            if count + 1e-9 < min_alive:
+                pruned += 1
+                continue
+            child_seqs = array(BLOCK_TYPECODE)
+            child_matches = array(BLOCK_TYPECODE)
+            for (sequence_index, table, start), stop in zip(segments, stops):
+                positions = table.get(event)
+                if positions is None:
                     continue
-                event = sequence[position]
-                child = children.get(event)
-                if child is None:
-                    child = _SearchNode(
-                        consequent=node.consequent + (event,),
-                        point_seqs=array(BLOCK_TYPECODE),
-                        point_positions=array(BLOCK_TYPECODE),
-                        match_positions=array(BLOCK_TYPECODE),
-                        full_pattern_end=None,
-                        i_support=0,
-                    )
-                    children[event] = child
-                child.point_seqs.append(sequence_index)
-                child.point_positions.append(point)
-                child.match_positions.append(position)
-        return children
+                last = positions[-1]
+                for row in range(start, stop):
+                    match = match_positions[row]
+                    if match >= last:
+                        break
+                    child_seqs.append(sequence_index)
+                    child_matches.append(positions[bisect_right(positions, match)])
+            children[event] = _SearchNode(
+                consequent=node.consequent + (event,),
+                point_seqs=child_seqs,
+                match_positions=child_matches,
+                full_pattern_end=None,
+                i_support=0,
+            )
+        return children, pruned
 
     def _measure_i_support(self, node: _SearchNode, child: _SearchNode) -> int:
         """Fill in ``child``'s i-support and full-pattern ends (once).

@@ -8,7 +8,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.positions import PositionIndex
 from repro.core.sequence import SequenceDatabase
 from repro.rules.config import RuleMiningConfig
-from repro.rules.consequent_miner import ConsequentGrower
+from repro.rules.consequent_miner import ConsequentGrower, _SearchNode
 from repro.rules.full_miner import FullRecurrentRuleMiner, mine_all_rules
 from repro.rules.nonredundant_miner import (
     NonRedundantRecurrentRuleMiner,
@@ -188,3 +188,56 @@ def test_confidence_pruned_children_never_measure_i_support(monkeypatch, miner_c
     assert result.stats.pruned_confidence > len(measured) > 0
     for alive, total_points in measured:
         assert alive + 1e-9 >= config.min_confidence * total_points
+
+
+@pytest.mark.parametrize("miner_class", [FullRecurrentRuleMiner, NonRedundantRecurrentRuleMiner])
+def test_expansion_builds_only_children_that_pass_the_bound(monkeypatch, miner_class):
+    """Count-first growth builds a search node for the roots and survivors only.
+
+    The reference counts every single-event extension of every expanded
+    node with the rule-statistics oracle: the built nodes must be exactly
+    the roots plus the extensions that pass Theorem 3, and
+    ``pruned_confidence`` must count the rest.
+    """
+    rng = random.Random(11)
+    database = SequenceDatabase.from_sequences(
+        [[rng.choice("abcdefgh") for _ in range(rng.randint(5, 15))] for _ in range(30)]
+    )
+    config = RuleMiningConfig(min_s_support=5, min_confidence=0.6, max_consequent_length=3)
+    built = []
+    grown = []
+    original_init = _SearchNode.__init__
+    original_grow = ConsequentGrower._grow
+
+    def counting_init(node, *args, **kwargs):
+        original_init(node, *args, **kwargs)
+        built.append(node)
+
+    def recording_grow(grower, node, skip_dominated):
+        grown.append((grower.premise, grower.total_points, node.consequent))
+        yield from original_grow(grower, node, skip_dominated)
+
+    monkeypatch.setattr(_SearchNode, "__init__", counting_init)
+    monkeypatch.setattr(ConsequentGrower, "_grow", recording_grow)
+    result = miner_class(config).mine(database)
+
+    encoded = database.encoded
+    index = PositionIndex(encoded)
+    alphabet = index.distinct_events()
+    roots = passing = pruned = 0
+    for premise, total_points, consequent in grown:
+        roots += not consequent
+        if len(consequent) == config.max_consequent_length:
+            continue
+        for event in alphabet:
+            _, _, confidence = rule_statistics(encoded, index, premise, consequent + (event,))
+            alive = round(confidence * total_points)
+            if alive == 0:
+                continue
+            if alive + 1e-9 < config.min_confidence * total_points:
+                pruned += 1
+            else:
+                passing += 1
+    assert len(built) == roots + passing < roots + passing + pruned
+    assert len(grown) == len(built)
+    assert result.stats.pruned_confidence == pruned

@@ -1,5 +1,7 @@
 """Property-based tests for recurrent-rule mining (hypothesis)."""
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.positions import PositionIndex
@@ -88,6 +90,46 @@ def test_miner_statistics_match_the_oracle(sequences):
         )
         assert (s_support, i_support) == (rule.s_support, rule.i_support)
         assert abs(confidence - rule.confidence) < 1e-9
+
+
+@given(
+    sequences=sequences_strategy,
+    min_s_support=st.sampled_from([0.25, 0.5, 2, 3]),
+    min_i_support=st.integers(min_value=1, max_value=3),
+    min_confidence=st.sampled_from([0.3, 0.5, 0.75, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_full_miner_finds_every_significant_rule(
+    sequences, min_s_support, min_i_support, min_confidence
+):
+    """Completeness: brute force over the alphabet finds no rule the miner missed."""
+    db = SequenceDatabase.from_sequences(sequences)
+    config = RuleMiningConfig(
+        min_s_support=min_s_support,
+        min_i_support=min_i_support,
+        min_confidence=min_confidence,
+        max_premise_length=2,
+        max_consequent_length=2,
+    )
+    result = FullRecurrentRuleMiner(config).mine(db)
+    encoded = db.encoded
+    index = PositionIndex(encoded)
+    alphabet = index.distinct_events()
+    patterns = [pattern for length in (1, 2) for pattern in product(alphabet, repeat=length)]
+    expected = set()
+    for premise, consequent in product(patterns, repeat=2):
+        s_support, i_support, confidence = rule_statistics(encoded, index, premise, consequent)
+        if (
+            s_support >= result.min_s_support
+            and i_support >= min_i_support
+            and confidence >= min_confidence - 1e-9
+        ):
+            expected.add((premise, consequent))
+    mined = {
+        (tuple(db.vocabulary.encode(rule.premise)), tuple(db.vocabulary.encode(rule.consequent)))
+        for rule in result
+    }
+    assert mined == expected
 
 
 @given(sequences=sequences_strategy)
