@@ -2,8 +2,8 @@
 
 The observability layer (:mod:`repro.obs`) promises to be cheap enough to
 leave on: every record call starts with one module-flag check, mining
-workers buffer their measurements in throwaway delta registries, and the
-serving counters sit outside the per-event automaton step.  This benchmark
+workers ship one duration per work unit for the coordinator to record, and
+the serving counters sit outside the per-event automaton step.  This benchmark
 holds the layer to that promise on the two hot paths it touches:
 
 * **mining** — a non-redundant rule mine over the scaled canonical

@@ -19,7 +19,10 @@ A :class:`MiningCheckpoint` is a directory holding two files:
   ==========  =======================================  ==================
 
 Frames of any other kind (such as the ``shard`` entries older versions
-wrote) are skipped on replay; their work is simply mined again.
+wrote) are skipped on replay; their work is simply mined again.  A
+manifest of another ``CHECKPOINT_VERSION`` discards the whole journal:
+version 2 changed the :class:`~repro.engine.sharding.UnitOutcome` fields,
+which older pickles would fill positionally with the wrong values.
 
 The journal is sound because work outcomes are *plan-independent*: a
 ``(kind, split-path)`` unit is a pure function of the database and the
@@ -50,7 +53,7 @@ from .journal import JournalWriter, atomic_write_text, read_frames
 
 PathLike = Union[str, Path]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MANIFEST_NAME = "checkpoint.json"
 JOURNAL_NAME = "checkpoint.bin"
 

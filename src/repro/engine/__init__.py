@@ -28,8 +28,8 @@ from .backend import (
     plan_shards,
     resolve_backend,
 )
-from .runner import LazyIndexContext, ShardRunner, plan_weighted_roots
-from .sharding import PlanResult, UnitOutcome, WorkUnit
+from .runner import SearchContext, SearchMinerBase, ShardRunner, plan_weighted_roots
+from .sharding import UnitOutcome, WorkUnit
 from .stealing import DEFAULT_SPLIT_DEPTH, StealSplitter
 
 __all__ = [
@@ -40,10 +40,10 @@ __all__ = [
     "WorkStealingBackend",
     "plan_shards",
     "resolve_backend",
-    "LazyIndexContext",
+    "SearchContext",
+    "SearchMinerBase",
     "ShardRunner",
     "plan_weighted_roots",
-    "PlanResult",
     "UnitOutcome",
     "WorkUnit",
     "DEFAULT_SPLIT_DEPTH",

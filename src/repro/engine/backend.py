@@ -22,22 +22,22 @@ The backend classes differ only in their name (the ``backend`` label of
 from __future__ import annotations
 
 import os
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.stats import MiningStats
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .runner import ShardRunner
 from .sharding import WorkUnit
 from .stealing import (
-    DEFAULT_CHECK_INTERVAL,
-    DEFAULT_OFFLOAD_MIN_COST,
     DEFAULT_SPLIT_DEPTH,
     DEFAULT_UNIT_RETRIES,
     _run_units_in_process,
     _run_units_with_processes,
 )
+
+if TYPE_CHECKING:
+    from .runner import ShardRunner
 
 
 # Named for the benchmark tracer (perfbench/tracer.py), which patches it.
@@ -58,8 +58,7 @@ class ExecutionBackend:
     nothing splits unless ``eager_split`` forces it (the deterministic
     stress mode the parity tests drive).  With more workers a coordinator
     hands units to worker processes one at a time; hungry workers split
-    their frontier nodes at most ``split_depth`` deep into new units and
-    look at the queue every ``check_interval`` visits.
+    their frontier nodes at most ``split_depth`` deep into new units.
 
     ``unit_retries`` is the crash-recovery budget: how many times a unit
     whose worker died is replayed before the run fails with a poison-unit
@@ -86,8 +85,6 @@ class ExecutionBackend:
         self,
         workers: Optional[int] = None,
         split_depth: int = DEFAULT_SPLIT_DEPTH,
-        check_interval: int = DEFAULT_CHECK_INTERVAL,
-        offload_min_cost: int = DEFAULT_OFFLOAD_MIN_COST,
         eager_split: bool = False,
         unit_retries: int = DEFAULT_UNIT_RETRIES,
         unit_deadline: Optional[float] = None,
@@ -96,10 +93,6 @@ class ExecutionBackend:
             raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
         if split_depth < 1:
             raise ConfigurationError(f"split_depth must be >= 1, got {split_depth!r}")
-        if check_interval < 1:
-            raise ConfigurationError(
-                f"check_interval must be >= 1, got {check_interval!r}"
-            )
         if unit_retries < 0:
             raise ConfigurationError(f"unit_retries must be >= 0, got {unit_retries!r}")
         if unit_deadline is not None and unit_deadline <= 0:
@@ -110,8 +103,6 @@ class ExecutionBackend:
             workers = self.default_workers or os.cpu_count() or 1
         self.workers = workers
         self.split_depth = split_depth
-        self.check_interval = check_interval
-        self.offload_min_cost = offload_min_cost
         self.eager_split = eager_split
         self.unit_retries = unit_retries
         self.unit_deadline = unit_deadline
@@ -153,13 +144,16 @@ class ExecutionBackend:
             outcomes = _run_units_in_process(runner, units, self)
         else:
             outcomes = _run_units_with_processes(runner, units, self, stats)
-        # Only freshly executed outcomes donate spans: journal-resumed ones
-        # were recorded by the run that journaled them.
+        # Only freshly executed outcomes donate spans and unit timings:
+        # journal-resumed ones were recorded by the run that journaled them.
         tracing.absorb_outcome_spans(outcomes)
+        if obs_metrics.ENABLED:
+            for outcome in outcomes:
+                obs_metrics.ENGINE_UNIT_SECONDS.observe(outcome.seconds, kind=outcome.unit.kind)
+                obs_metrics.ENGINE_UNITS_TOTAL.inc(kind=outcome.unit.kind)
         outcomes = cached + outcomes
         for outcome in outcomes:
             stats.merge_counters(outcome.stats)
-        obs_metrics.merge_outcome_metrics(outcomes)
         return runner.resolve_units(outcomes), stats
 
     def describe(self) -> str:

@@ -3,26 +3,29 @@
 A :class:`ShardRunner` wraps a miner and an encoded database and knows how
 to (a) plan the root-level seed units, (b) build the expensive per-run
 search context — the :class:`~repro.core.positions.PositionIndex` and the
-root projections — exactly once per process, and (c) execute one work
-unit.
+root payloads — exactly once per process, and (c) execute one work unit.
 
-Miners plug in through a duck-typed protocol (no imports from the miner
-packages so the engine stays dependency-free):
+Miners plug in through a duck-typed protocol (the engine imports nothing
+from the miner packages):
 
 ``build_context(encoded, extras)``
-    Build the immutable per-run search context (index, root projections,
-    resolved thresholds).  Called once in the coordinating process for
-    planning, and once per worker process for mining.
-``plan_roots(context)``
-    Return a :class:`~repro.engine.sharding.PlanResult` of frequent roots.
-``initial_units(context, plan)``
-    The root-level :class:`~repro.engine.sharding.WorkUnit` seeds.
+    Build the per-run search context.  Called once in the coordinating
+    process for planning, and once per worker process for mining.
+``plan_units(context)``
+    Return ``(seed units, pruned_support)``: one root-level
+    :class:`~repro.engine.sharding.WorkUnit` per frequent root, and the
+    number of roots the support threshold discarded.
 ``mine_unit(context, unit, stats, splitter)``
     Execute one work unit, consulting ``splitter`` for dynamic subtree
     splitting and heavy-phase offload.
 ``resolve_units(outcomes)``
     Deterministically reassemble unit outcomes into the canonical serial
     record order (coordinating process only).
+
+Both miner families implement the first two — and ``mine()`` — through
+:class:`SearchMinerBase`, whose :class:`SearchContext` carries what their
+searches share; each family supplies its root weights and payloads, its
+node visit, ``mine_unit``, ``resolve_units`` and ``collect_result``.
 
 The runner crosses into each worker process once; the context is *never*
 pickled — ``__getstate__`` drops it so every worker rebuilds its
@@ -35,34 +38,45 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence as TypingSequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence as TypingSequence,
+    Tuple,
+)
 
 from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
+from ..core.sequence import absolute_support
 from ..core.stats import MiningStats
-from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .sharding import PlanResult, UnitOutcome, WorkUnit
+from .backend import ExecutionBackend, SerialBackend
+from .sharding import UnitOutcome, WorkUnit
 
 
 def plan_weighted_roots(
-    root_weights: Mapping[EventId, int], threshold: int
-) -> PlanResult:
-    """Shared planning step: keep roots meeting ``threshold``, count the rest.
+    root_weights: Mapping[EventId, int], threshold: int, kind: str
+) -> Tuple[List[WorkUnit], int]:
+    """Shared planning step: one seed unit per root meeting ``threshold``.
 
     Both miner families plan identically — iterate the roots in sorted
     order, prune those whose weight (instance or sequence count) is below
-    the support threshold, and weight the survivors for dispatch order.
+    the support threshold, and seed a ``kind`` unit for each survivor with
+    its weight as the cost hint.  Returns the seeds and the pruned count.
     """
-    roots: List[Tuple[EventId, int]] = []
+    units: List[WorkUnit] = []
     pruned = 0
     for event in sorted(root_weights):
         weight = root_weights[event]
         if weight < threshold:
             pruned += 1
             continue
-        roots.append((event, weight))
-    return PlanResult(tuple(roots), pruned)
+        units.append(WorkUnit(kind, event, (event,), weight))
+    return units, pruned
 
 
 def _record_payload_bytes(record: Any) -> int:
@@ -78,20 +92,32 @@ def _record_payload_bytes(record: Any) -> int:
     return nbytes() if callable(nbytes) else 0
 
 
-class LazyIndexContext:
-    """Base class for per-run search contexts: encoded db + lazy index.
+class SearchContext:
+    """Per-run search state, built once per process by the engine.
 
-    The :class:`PositionIndex` is materialised on first use: the
-    coordinating process only plans, so only the processes that actually
-    mine pay for index construction — and each pays exactly once, reusing
-    it across all the units it executes.
+    Holds the encoded database, the miner's extras and its absolute
+    support threshold.  The :class:`PositionIndex` and the root payloads
+    (a family's per-root starting state, keyed by root event) are
+    materialised on first use: the coordinating process only plans (a
+    counts-only pass), so only the processes that actually mine pay for
+    them — each exactly once, reused across all the units it executes.
     """
 
-    __slots__ = ("encoded", "_index")
+    __slots__ = ("encoded", "extras", "min_support", "_root_payloads", "_index", "_roots")
 
-    def __init__(self, encoded: EncodedDatabase) -> None:
+    def __init__(
+        self,
+        encoded: EncodedDatabase,
+        extras: Dict[str, Any],
+        min_support: int,
+        root_payloads: Callable[["SearchContext"], Dict[EventId, Any]],
+    ) -> None:
         self.encoded = encoded
+        self.extras = extras
+        self.min_support = min_support
+        self._root_payloads = root_payloads
         self._index: Optional[PositionIndex] = None
+        self._roots: Optional[Dict[EventId, Any]] = None
 
     @property
     def index(self) -> PositionIndex:
@@ -99,19 +125,27 @@ class LazyIndexContext:
             self._index = PositionIndex(self.encoded)
         return self._index
 
+    @property
+    def roots(self) -> Dict[EventId, Any]:
+        if self._roots is None:
+            self._roots = self._root_payloads(self)
+        return self._roots
+
     def absorb_appended(
         self, new_sequences: "TypingSequence[TypingSequence[int]]"
     ) -> None:
         """Absorb sequences appended (in place) to ``self.encoded``.
 
-        The live index is extended with just the new sequences instead of
-        being rebuilt; subclasses additionally invalidate whatever derived
-        caches they keep.  Callers must have appended the same sequences to
-        the ``encoded`` list this context was built over — the incremental
-        miner shares that list with its growing database.
+        The live index — the expensive part — is extended with just the
+        new sequences instead of being rebuilt; the root payloads are
+        dropped and rebuilt lazily from the grown database on next use.
+        Callers must have appended the same sequences to the ``encoded``
+        list this context was built over — the incremental miner shares
+        that list with its growing database.
         """
         if self._index is not None:
             self._index.extend(new_sequences)
+        self._roots = None
 
 
 class ShardRunner:
@@ -177,9 +211,7 @@ class ShardRunner:
     # ------------------------------------------------------------------ #
     def plan_units(self) -> Tuple[List[WorkUnit], int]:
         """Plan the root-level seed units (coordinating process only)."""
-        context = self._ensure_context()
-        plan = self.miner.plan_roots(context)
-        return list(self.miner.initial_units(context, plan)), plan.pruned_support
+        return self.miner.plan_units(self._ensure_context())
 
     def run_unit(self, unit: WorkUnit, splitter: Any) -> UnitOutcome:
         """Execute one work unit, packaging records and counters.
@@ -203,12 +235,9 @@ class ShardRunner:
             records = tuple(self.miner.mine_unit(context, unit, stats, splitter))
         for record in records:
             stats.shipped_bytes += _record_payload_bytes(record)
-        delta = (
-            obs_metrics.unit_observation(unit.kind, time.perf_counter() - started)
-            if obs_metrics.ENABLED
-            else None
+        return UnitOutcome(
+            unit, records, stats, time.perf_counter() - started, tracing.drain_shipped()
         )
-        return UnitOutcome(unit, records, stats, delta, tracing.drain_shipped())
 
     def resolve_units(self, outcomes: List[UnitOutcome]) -> List[Any]:
         """Reassemble unit outcomes into canonical serial record order."""
@@ -235,3 +264,90 @@ class ShardRunner:
             state["_ship_spans"] = True
             state["_trace_ctx"] = tracing.current_ids()
         return state
+
+
+class SearchMinerBase:
+    """The engine adapter both miner families share.
+
+    Owns the configuration, :meth:`mine`, context building and planning.
+    A family supplies ``subtree_kind`` (the kind of its seed units),
+    :meth:`_min_support` (its configured threshold), :meth:`_root_weights`
+    and :meth:`_root_payloads`, plus ``mine_unit``, ``resolve_units`` and
+    ``collect_result``.
+    """
+
+    #: Work-unit kind that mines a whole subtree (the seed units' kind).
+    subtree_kind = ""
+
+    def __init__(self, config: Any) -> None:
+        self.config = config
+
+    def mine(self, database: Any, backend: Optional[ExecutionBackend] = None) -> Any:
+        """Mine the database and return the family's result object.
+
+        ``backend`` selects where the search runs (serial by default); the
+        result does not depend on the choice.
+        """
+        stats = MiningStats()
+        stats.start()
+        runner = ShardRunner(self, database.encoded, self.runner_extras(database))
+        records, search_stats = (backend or SerialBackend()).execute(runner)
+        stats.merge_counters(search_stats)
+        result = self.collect_result(database, records, stats)
+        stats.stop()
+        return result
+
+    # ------------------------------------------------------------------ #
+    # Incremental mining protocol
+    # ------------------------------------------------------------------ #
+    def resolved_support_threshold(self, database: Any) -> int:
+        """The absolute support threshold against the current database size."""
+        return database.absolute_support(self._min_support())
+
+    def runner_extras(self, database: Any) -> Dict[str, Any]:
+        """Extra per-run state to ship to the engine workers (none by default)."""
+        return {}
+
+    @staticmethod
+    def record_root(record: Any) -> EventId:
+        """The first-level root that produced ``record``.
+
+        Every record's first field is its search key (pattern or premise),
+        which starts at its root.
+        """
+        return record[0][0]
+
+    # ------------------------------------------------------------------ #
+    # Engine miner protocol
+    # ------------------------------------------------------------------ #
+    def build_context(
+        self, encoded: EncodedDatabase, extras: Dict[str, Any]
+    ) -> SearchContext:
+        """Build the per-process search context (lazy index and root payloads)."""
+        return SearchContext(
+            encoded,
+            extras,
+            absolute_support(self._min_support(), len(encoded)),
+            self._root_payloads,
+        )
+
+    def plan_units(self, context: SearchContext) -> Tuple[List[WorkUnit], int]:
+        """One seed unit per frequent root, weighted for dispatch order."""
+        return plan_weighted_roots(
+            self._root_weights(context), context.min_support, self.subtree_kind
+        )
+
+    # ------------------------------------------------------------------ #
+    # Family hooks
+    # ------------------------------------------------------------------ #
+    def _min_support(self) -> float:
+        """The configured support threshold (relative or absolute)."""
+        raise NotImplementedError
+
+    def _root_weights(self, context: SearchContext) -> Mapping[EventId, int]:
+        """Per-root support weights from a counts-only database pass."""
+        raise NotImplementedError
+
+    def _root_payloads(self, context: SearchContext) -> Dict[EventId, Any]:
+        """Each root's starting search state (built lazily, once per process)."""
+        raise NotImplementedError

@@ -58,26 +58,12 @@ class UnitOutcome(NamedTuple):
     unit: WorkUnit
     records: Tuple[object, ...]
     stats: MiningStats
-    #: Metrics-registry delta recorded while executing the unit (wall-time
-    #: histogram + unit counter), shipped across the process boundary and
-    #: merged into the coordinator's registry; ``None`` when muted.
-    metrics: Optional[Dict[str, object]] = None
+    #: Wall-clock seconds the unit took where it ran; the coordinator
+    #: observes it into ``repro_engine_unit_seconds``.
+    seconds: float = 0.0
     #: Finished trace spans buffered worker-side while executing the unit,
     #: shipped back for the coordinator's collector to absorb; ``None``
     #: when tracing is disarmed (or coordinator-side, where spans land in
     #: the armed collector directly).
     spans: Optional[Tuple[Dict[str, object], ...]] = None
 
-
-class PlanResult(NamedTuple):
-    """The frequent roots of a search (with weights) plus root-level pruning.
-
-    ``roots`` holds ``(root_event, weight)`` pairs where the weight is a
-    cheap proxy for subtree cost (instance or projection count) that
-    becomes the seed unit's ``cost_hint``;
-    ``pruned_support`` counts roots discarded by the support threshold,
-    mirroring the serial miners' root-level ``pruned_support`` accounting.
-    """
-
-    roots: Tuple[Tuple[EventId, int], ...]
-    pruned_support: int

@@ -82,7 +82,8 @@ class StealSplitter:
     below its low watermark); ``should_offload`` additionally weighs a
     node's cost hint against the replay cost of a stolen unit.  ``submit``
     hands split-off units to the executor.  ``eager`` forces both answers
-    to yes with no cost floor *and* drops the check interval to every
+    to yes with no cost floor (instead of ``DEFAULT_OFFLOAD_MIN_COST``)
+    *and* drops the check interval from ``DEFAULT_CHECK_INTERVAL`` to every
     visit — the deterministic in-process stress mode the parity tests use
     to exercise every split and offload path on every example, however
     small.
@@ -95,15 +96,13 @@ class StealSplitter:
         submit: Callable[[List[WorkUnit]], None],
         hungry: Callable[[], bool],
         split_depth: int,
-        check_interval: int,
-        offload_min_cost: int,
         eager: bool,
     ) -> None:
         self.split_depth = split_depth
-        self.check_interval = 1 if eager else check_interval
+        self.check_interval = 1 if eager else DEFAULT_CHECK_INTERVAL
         self._submit = submit
         self._hungry = hungry
-        self._offload_min_cost = 0 if eager else offload_min_cost
+        self._offload_min_cost = 0 if eager else DEFAULT_OFFLOAD_MIN_COST
         self._eager = eager
 
     def should_split(self) -> bool:
@@ -269,8 +268,6 @@ def _worker_main(
     worker_index: int,
     low_watermark: int,
     split_depth: int,
-    check_interval: int,
-    offload_min_cost: int,
     eager: bool,
 ) -> None:
     """Worker process loop: receive one unit at a time, mine, report.
@@ -304,14 +301,7 @@ def _worker_main(
         if assignment is None:
             return
         unit, force_eager = assignment
-        splitter = StealSplitter(
-            submit,
-            hungry,
-            split_depth,
-            check_interval,
-            offload_min_cost,
-            eager or force_eager,
-        )
+        splitter = StealSplitter(submit, hungry, split_depth, eager or force_eager)
         try:
             if faults.ACTIVE is not None:
                 # Inside the try: an injected ``raise`` must take the same
@@ -394,8 +384,6 @@ class _Coordinator:
                 worker_index,
                 self.backend.workers,
                 self.backend.split_depth,
-                self.backend.check_interval,
-                self.backend.offload_min_cost,
                 self.backend.eager_split,
             ),
             daemon=True,
@@ -637,14 +625,7 @@ def _run_units_in_process(
             if checkpoint is not None:
                 checkpoint.record_spawn(parent, spawned)
 
-        splitter = StealSplitter(
-            submit,
-            lambda: False,
-            backend.split_depth,
-            backend.check_interval,
-            backend.offload_min_cost,
-            eager,
-        )
+        splitter = StealSplitter(submit, lambda: False, backend.split_depth, eager)
         outcome = runner.run_unit(unit, splitter)
         if checkpoint is not None:
             checkpoint.record_unit(unit, outcome)

@@ -11,9 +11,9 @@ that contain ``e`` (every instance of a pattern or premise starting with
 append-only store supports only ever grow, so a root absent from the
 appended batches' alphabets keeps its cached records verbatim.
 
-:class:`IncrementalMiner` exploits this through the existing engine: it
-wraps the real miner in a plan filter that keeps only the *touched* roots
-(events appearing in the newly appended batches), runs the filtered plan on
+:class:`IncrementalMiner` exploits this through the existing engine: its
+runner filters the miner's plan down to the seed units of *touched* roots
+(events appearing in the newly appended batches) and runs them on
 any :class:`~repro.engine.backend.ExecutionBackend` — serial, process
 or stealing — and merges the fresh records with the cached records of
 untouched roots by the miner's canonical record key.  Because every backend
@@ -44,7 +44,13 @@ from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
 from ..durability.checkpoint import miner_config_token
 from ..durability.journal import atomic_write_bytes
-from ..engine import ExecutionBackend, PlanResult, SerialBackend, ShardRunner
+from ..engine import (
+    ExecutionBackend,
+    SearchMinerBase,
+    SerialBackend,
+    ShardRunner,
+    WorkUnit,
+)
 from .store import TraceStore
 
 #: On-disk record-cache format version; unknown versions are ignored.
@@ -64,54 +70,45 @@ class RefreshReport:
     elapsed_seconds: float
 
 
-class _DeltaPlanMiner:
-    """Engine-protocol wrapper restricting a miner's plan to touched roots.
+class _DeltaRunner(ShardRunner):
+    """A runner whose plan keeps only the seed units of touched roots.
 
-    Everything except planning delegates to the wrapped miner, so the
-    search below each kept root — and therefore each root's records — is
-    byte-for-byte the search a full mine would run.  ``changed=None``
-    keeps the whole plan (a full re-mine through the same code path).
+    Execution is untouched, so the search below each kept root — and
+    therefore each root's records — is byte-for-byte the search a full
+    mine would run.  ``changed=None`` keeps the whole plan (a full re-mine
+    through the same code path).
     """
 
-    def __init__(self, inner: Any, changed: Optional[FrozenSet[EventId]]) -> None:
-        self.inner = inner
+    def __init__(
+        self,
+        miner: SearchMinerBase,
+        encoded: Any,
+        extras: Dict[str, Any],
+        context: Any,
+        changed: Optional[FrozenSet[EventId]],
+    ) -> None:
+        super().__init__(miner, encoded, extras, context)
         self.changed = changed
         self.planned_total = 0
         self.planned_kept = 0
 
-    def plan_roots(self, context: Any) -> PlanResult:
-        plan = self.inner.plan_roots(context)
-        self.planned_total = len(plan.roots)
-        if self.changed is None:
-            self.planned_kept = len(plan.roots)
-            return plan
-        kept = tuple(
-            (root, weight) for root, weight in plan.roots if root in self.changed
-        )
-        self.planned_kept = len(kept)
-        return PlanResult(kept, plan.pruned_support)
-
-    def build_context(self, encoded: Any, extras: Dict[str, Any]) -> Any:
-        return self.inner.build_context(encoded, extras)
-
-    def initial_units(self, context: Any, plan: PlanResult) -> Any:
-        return self.inner.initial_units(context, plan)
-
-    def mine_unit(self, context: Any, unit: Any, stats: MiningStats, splitter: Any) -> Any:
-        return self.inner.mine_unit(context, unit, stats, splitter)
-
-    def resolve_units(self, outcomes: Any) -> Any:
-        return self.inner.resolve_units(outcomes)
+    def plan_units(self) -> Tuple[List[WorkUnit], int]:
+        seeds, pruned_support = super().plan_units()
+        self.planned_total = len(seeds)
+        if self.changed is not None:
+            seeds = [unit for unit in seeds if unit.root in self.changed]
+        self.planned_kept = len(seeds)
+        return seeds, pruned_support
 
 
 class IncrementalMiner:
     """Keep a miner's output in sync with a growing :class:`TraceStore`.
 
-    Works with any miner implementing the engine protocol plus the
-    incremental hooks on the two miner base classes
-    (``resolved_support_threshold`` / ``runner_extras`` / ``record_root``
-    / ``record_sort_key`` / ``collect_result``): both iterative-pattern
-    miners and both recurrent-rule miners qualify.
+    Works with any :class:`~repro.engine.runner.SearchMinerBase` miner
+    (which adds ``resolved_support_threshold`` / ``runner_extras`` /
+    ``record_root`` / ``record_sort_key`` / ``collect_result`` to the
+    engine protocol): both iterative-pattern miners and both
+    recurrent-rule miners qualify.
 
     With ``persist=True`` (or an explicit ``cache_path``) the committed
     record cache is also written into the store directory after every
@@ -138,18 +135,11 @@ class IncrementalMiner:
         persist: bool = False,
         cache_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        for hook in (
-            "resolved_support_threshold",
-            "runner_extras",
-            "record_root",
-            "record_sort_key",
-            "collect_result",
-        ):
-            if not hasattr(miner, hook):
-                raise ConfigurationError(
-                    f"{type(miner).__name__} does not implement the incremental "
-                    f"mining protocol (missing {hook!r})"
-                )
+        if not isinstance(miner, SearchMinerBase):
+            raise ConfigurationError(
+                f"{type(miner).__name__} does not implement the incremental "
+                "mining protocol (not a SearchMinerBase)"
+            )
         self.miner = miner
         self.store = store
         self.backend = backend
@@ -331,8 +321,9 @@ class IncrementalMiner:
             cache = dict(self._cache or {})
         else:
             changed = None if full else self._dirty
-            delta = _DeltaPlanMiner(self.miner, changed)
-            runner = ShardRunner(delta, database.encoded, extras, context=self._context)
+            runner = _DeltaRunner(
+                self.miner, database.encoded, extras, self._context, changed
+            )
             records, search_stats = chosen.execute(runner)
             stats.merge_counters(search_stats)
 
@@ -345,7 +336,7 @@ class IncrementalMiner:
                 grouped.setdefault(self.miner.record_root(record), []).append(record)
             for root, root_records in grouped.items():
                 cache[root] = tuple(root_records)
-            roots_total, roots_remined = delta.planned_total, delta.planned_kept
+            roots_total, roots_remined = runner.planned_total, runner.planned_kept
         # The run succeeded: commit the cache state and clear the debt.
         self._cache = cache
         self._cache_threshold = threshold

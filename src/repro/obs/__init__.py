@@ -36,11 +36,9 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     enabled,
-    merge_outcome_metrics,
     record_mining_stats,
     record_rule_close,
     set_enabled,
-    unit_observation,
 )
 from .tracing import (
     TraceCollector,
@@ -62,12 +60,10 @@ __all__ = [
     "TraceCollector",
     "enabled",
     "install_tracing",
-    "merge_outcome_metrics",
     "record_mining_stats",
     "record_rule_close",
     "remote_span",
     "reset_tracing",
     "set_enabled",
     "span",
-    "unit_observation",
 ]

@@ -13,10 +13,9 @@ and no way to scrape a live server.  This module is the single funnel:
 * Registries are **mergeable**: :meth:`MetricsRegistry.snapshot` produces a
   plain picklable dict and :meth:`MetricsRegistry.merge` folds one in —
   counters and histogram buckets add, gauges keep their maximum — so
-  engine *worker processes* ship a delta registry back inside their
-  unit outcomes and the coordinator folds them in deterministically,
-  exactly like ``MiningStats.merge_counters``.  Merging is commutative and
-  associative, so completion order never changes the result.
+  state kept outside the registry (the serving pool's per-rule tallies)
+  can be folded in as one delta.  Merging is commutative and associative,
+  so fold order never changes the result.
 * :meth:`MetricsRegistry.render_text` renders the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` + samples, deterministically
   ordered), which is what the ``METRICS`` wire verb and ``repro metrics``
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -54,8 +53,6 @@ __all__ = [
     "record_mining_stats",
     "record_rule_close",
     "rule_tally_delta",
-    "unit_observation",
-    "merge_outcome_metrics",
 ]
 
 #: Fixed default histogram buckets (seconds).  Spanning 100µs..10s covers
@@ -340,8 +337,8 @@ class _HistogramTimer:
 class MetricsRegistry:
     """A set of metric families sharing one lock and one namespace.
 
-    The process-wide instance is :data:`REGISTRY`; worker processes build
-    throwaway instances to carry deltas (see :func:`unit_observation`).
+    The process-wide instance is :data:`REGISTRY`; deltas folded into it
+    are plain snapshot dicts (see :func:`rule_tally_delta`).
     Family constructors are idempotent: re-declaring the same name with the
     same type/labels returns the existing family, a conflicting
     re-declaration raises.
@@ -701,37 +698,8 @@ DURABILITY_RESUMED_TOTAL = REGISTRY.counter(
 
 
 # ------------------------------------------------------------------- #
-# Engine helpers: worker-side deltas and run-level stats mirroring
+# Helpers: rule-tally deltas and run-level stats mirroring
 # ------------------------------------------------------------------- #
-
-def unit_observation(kind: str, seconds: float) -> Dict[str, object]:
-    """A delta snapshot recording one executed work unit.
-
-    Built worker-side (a throwaway registry, not :data:`REGISTRY`) and
-    shipped inside the :class:`~repro.engine.sharding.UnitOutcome`; the
-    coordinator merges it so single-process and multi-process runs record
-    identical counters.
-    """
-    delta = MetricsRegistry()
-    delta.histogram(
-        ENGINE_UNIT_SECONDS.name,
-        ENGINE_UNIT_SECONDS.help,
-        ("kind",),
-        buckets=ENGINE_UNIT_SECONDS.buckets,
-    ).observe(seconds, kind=kind)
-    delta.counter(ENGINE_UNITS_TOTAL.name, ENGINE_UNITS_TOTAL.help, ("kind",)).inc(kind=kind)
-    return delta.snapshot()
-
-
-def merge_outcome_metrics(outcomes: Iterable[object]) -> None:
-    """Fold the ``metrics`` delta of every outcome into :data:`REGISTRY`."""
-    if not ENABLED:
-        return
-    for outcome in outcomes:
-        delta = getattr(outcome, "metrics", None)
-        if delta:
-            REGISTRY.merge(delta)
-
 
 def rule_tally_delta(deltas: Mapping[str, Sequence[float]]) -> Dict[str, object]:
     """A delta snapshot of the three ``repro_rule_*`` families.

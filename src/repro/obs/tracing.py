@@ -280,7 +280,7 @@ def absorb_outcome_spans(outcomes: Iterable[object]) -> None:
     """Fold the ``spans`` batches shipped inside outcomes into :data:`ACTIVE`.
 
     The coordinator-side companion of :func:`drain_shipped`; called by the
-    execution backends right next to ``merge_outcome_metrics``.  A no-op
+    execution backends for freshly executed outcomes only.  A no-op
     when tracing is disarmed (the batches are simply discarded with the
     outcomes).
     """

@@ -16,14 +16,13 @@ from ..core.blocks import InstanceBlock
 from ..core.events import EventId
 from ..core.sequence import SequenceDatabase
 from ..core.projection import AlphabetIndex, backward_extension_events_block
-from ..engine import ExecutionBackend, WorkUnit
+from ..engine import ExecutionBackend, SearchContext, WorkUnit
 from .closure import forward_closure_violation, infix_closure_violation_block
 from .config import IterativeMiningConfig
 from .miner_base import (
     VERIFY_UNIT,
     IterativePatternMinerBase,
     PatternRecord,
-    PatternSearchContext,
     PendingClosure,
 )
 from .result import PatternMiningResult
@@ -48,7 +47,7 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
 
     def _emit(
         self,
-        context: PatternSearchContext,
+        context: SearchContext,
         node: AlphabetIndex,
         block: InstanceBlock,
         extensions: Dict[EventId, InstanceBlock],
@@ -85,7 +84,7 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
             stats.pruned_closure += 1
 
     def _verify_deferred_closure(
-        self, context: PatternSearchContext, node: AlphabetIndex, block: InstanceBlock
+        self, context: SearchContext, node: AlphabetIndex, block: InstanceBlock
     ) -> bool:
         """The offloadable closure tail: backward scan plus infix oracle."""
         if backward_extension_events_block(context.encoded, context.index, node, block):

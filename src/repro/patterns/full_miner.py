@@ -7,12 +7,8 @@ number of mined patterns blow up relative to the closed miner.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..core.blocks import InstanceBlock
-from ..core.events import EncodedDatabase, EventId
-from ..core.positions import PositionIndex
-from ..core.projection import AlphabetIndex
 from ..core.sequence import SequenceDatabase
 from ..engine import ExecutionBackend
 from .config import IterativeMiningConfig
@@ -36,16 +32,6 @@ class FullIterativePatternMiner(IterativePatternMinerBase):
     """
 
     closed_only = False
-
-    def _should_emit(
-        self,
-        encoded: EncodedDatabase,
-        index: PositionIndex,
-        node: AlphabetIndex,
-        block: InstanceBlock,
-        extensions: Dict[EventId, InstanceBlock],
-    ) -> bool:
-        return True
 
 
 def mine_frequent_patterns(

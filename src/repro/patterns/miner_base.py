@@ -21,9 +21,13 @@ frequent singleton is independent of every other subtree, and any frontier
 node inside a subtree can itself be carved off as a
 :class:`~repro.engine.sharding.WorkUnit` keyed by its ``(root, split-path)``
 and re-derived elsewhere by replaying projections along the path.  The
-miners implement the engine's protocol (``build_context`` / ``plan_roots``
-/ ``initial_units`` / ``mine_unit`` / ``resolve_units``) and let an
-:class:`~repro.engine.backend.ExecutionBackend` decide where the search
+miners plug into the engine through
+:class:`~repro.engine.runner.SearchMinerBase`, which owns ``mine()``,
+context building and planning; this module adds the pattern family's root
+weights (occurrence counts) and payloads (singleton instance blocks), the
+node visit, the deferred closure phase, ``mine_unit``, ``resolve_units``
+and ``collect_result``, and an
+:class:`~repro.engine.backend.ExecutionBackend` decides where the search
 runs.  Wherever it runs the merged output is bit-identical: the serial
 depth-first emission order equals the ascending lexicographic order of the
 emitted patterns, so sorting records by pattern reassembles it exactly.
@@ -37,25 +41,15 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from ..core.blocks import InstanceBlock, WireInstanceBlock
 from ..core.errors import ConfigurationError
 from ..core.events import EncodedDatabase, EventId
-from ..core.positions import PositionIndex
 from ..core.projection import (
     AlphabetIndex,
     forward_extensions_block,
     project_extension_block,
     singleton_blocks,
 )
-from ..core.sequence import SequenceDatabase, absolute_support
+from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
-from ..engine import (
-    ExecutionBackend,
-    LazyIndexContext,
-    PlanResult,
-    SerialBackend,
-    ShardRunner,
-    UnitOutcome,
-    WorkUnit,
-    plan_weighted_roots,
-)
+from ..engine import SearchContext, SearchMinerBase, UnitOutcome, WorkUnit
 from ..engine.stealing import FrontierFrame, drive_split_subtree
 from .config import IterativeMiningConfig
 from .result import MinedPattern, PatternMiningResult
@@ -102,73 +96,12 @@ class ClosureVerdict(NamedTuple):
     closed: bool
 
 
-class PatternSearchContext(LazyIndexContext):
-    """Per-run search state, built once per process by the engine.
-
-    The index and the singleton instance blocks are materialised lazily:
-    the coordinating process only plans (a counts-only pass), so only the
-    processes that actually mine pay for them — each exactly once,
-    reused across all the units that process executes.
-    """
-
-    __slots__ = ("min_support", "_singletons")
-
-    def __init__(self, encoded: EncodedDatabase, min_support: int) -> None:
-        super().__init__(encoded)
-        self.min_support = min_support
-        self._singletons: Optional[Dict[EventId, InstanceBlock]] = None
-
-    @property
-    def singletons(self) -> Dict[EventId, InstanceBlock]:
-        if self._singletons is None:
-            self._singletons = singleton_blocks(self.encoded)
-        return self._singletons
-
-    def absorb_appended(self, new_sequences: Any) -> None:
-        """Extend the live index with appended sequences (incremental path).
-
-        The singleton block cache is invalidated rather than extended: it
-        is rebuilt lazily from the grown database on next use, while the
-        position index — the expensive part — grows in place.
-        """
-        super().absorb_appended(new_sequences)
-        self._singletons = None
-
-
-class IterativePatternMinerBase:
+class IterativePatternMinerBase(SearchMinerBase):
     """Template-method base class for the iterative-pattern miners."""
 
+    config: IterativeMiningConfig
     closed_only = False
-
-    def __init__(
-        self, config: IterativeMiningConfig, backend: Optional[ExecutionBackend] = None
-    ) -> None:
-        self.config = config
-        self.backend = backend
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def mine(
-        self, database: SequenceDatabase, backend: Optional[ExecutionBackend] = None
-    ) -> PatternMiningResult:
-        """Mine the database and return all emitted patterns.
-
-        ``backend`` (or the instance-level backend passed to the
-        constructor) selects where the search runs; the result does not
-        depend on the choice.
-        """
-        stats = MiningStats()
-        stats.start()
-
-        chosen = backend or self.backend or SerialBackend()
-        runner = ShardRunner(self, database.encoded, self.runner_extras(database))
-        records, search_stats = chosen.execute(runner)
-        stats.merge_counters(search_stats)
-
-        result = self.collect_result(database, records, stats)
-        stats.stop()
-        return result
+    subtree_kind = GROW_UNIT
 
     def collect_result(
         self,
@@ -205,19 +138,6 @@ class IterativePatternMinerBase:
     # ------------------------------------------------------------------ #
     # Incremental mining protocol
     # ------------------------------------------------------------------ #
-    def resolved_support_threshold(self, database: SequenceDatabase) -> int:
-        """The absolute support threshold against the current database size."""
-        return database.absolute_support(self.config.min_support)
-
-    def runner_extras(self, database: SequenceDatabase) -> Dict[str, Any]:
-        """Extra per-run state to ship to the engine workers (none here)."""
-        return {}
-
-    @staticmethod
-    def record_root(record: "PatternRecord") -> EventId:
-        """The first-level root that produced ``record`` (its first event)."""
-        return record.pattern[0]
-
     @staticmethod
     def record_sort_key(record: "PatternRecord") -> Tuple[EventId, ...]:
         """The canonical merge key: serial DFS order == pattern order."""
@@ -226,38 +146,28 @@ class IterativePatternMinerBase:
     # ------------------------------------------------------------------ #
     # Engine miner protocol
     # ------------------------------------------------------------------ #
-    def build_context(
-        self, encoded: EncodedDatabase, extras: Dict[str, Any]
-    ) -> PatternSearchContext:
-        """Build the per-process search context (lazy index + singleton cache)."""
-        return PatternSearchContext(
-            encoded=encoded,
-            min_support=absolute_support(self.config.min_support, len(encoded)),
-        )
+    def _min_support(self) -> float:
+        return self.config.min_support
 
-    def plan_roots(self, context: PatternSearchContext) -> PlanResult:
-        """Frequent singletons, weighted by instance count for dispatch order.
+    def _root_weights(self, context: SearchContext) -> Counter[EventId]:
+        """Event occurrence counts, which equal singleton instance counts.
 
-        A counts-only database pass: occurrence counts equal singleton
-        instance counts, so the coordinator never materialises the
-        per-event instance blocks the workers will build for themselves.
+        A counts-only database pass, so the coordinator never materialises
+        the per-event instance blocks the workers will build for
+        themselves.
         """
-        counts: Counter = Counter()
+        counts: Counter[EventId] = Counter()
         for sequence in context.encoded:
             counts.update(sequence)
-        return plan_weighted_roots(counts, context.min_support)
+        return counts
 
-    def initial_units(
-        self, context: PatternSearchContext, plan: PlanResult
-    ) -> List[WorkUnit]:
-        """One grow unit per frequent root, weighted by instance count."""
-        return [
-            WorkUnit(GROW_UNIT, root, (root,), weight) for root, weight in plan.roots
-        ]
+    def _root_payloads(self, context: SearchContext) -> Dict[EventId, InstanceBlock]:
+        """The singleton instance blocks every subtree starts from."""
+        return singleton_blocks(context.encoded)
 
     def mine_unit(
         self,
-        context: PatternSearchContext,
+        context: SearchContext,
         unit: WorkUnit,
         stats: MiningStats,
         splitter: Any,
@@ -320,30 +230,15 @@ class IterativePatternMinerBase:
                     )
             else:
                 resolved.append(record)
-        resolved.sort(key=lambda record: record.pattern)
+        resolved.sort(key=self.record_sort_key)
         return resolved
 
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
-    def _should_emit(
-        self,
-        encoded: EncodedDatabase,
-        index: PositionIndex,
-        node: AlphabetIndex,
-        block: InstanceBlock,
-        extensions: Dict[EventId, InstanceBlock],
-    ) -> bool:
-        """Decide whether the current frequent pattern is part of the output.
-
-        ``node`` is the search node's shared alphabet cache; its ``pattern``
-        attribute is the pattern under test.
-        """
-        raise NotImplementedError
-
     def _emit(
         self,
-        context: PatternSearchContext,
+        context: SearchContext,
         node: AlphabetIndex,
         block: InstanceBlock,
         extensions: Dict[EventId, InstanceBlock],
@@ -351,22 +246,19 @@ class IterativePatternMinerBase:
         splitter: Any,
         records: List[object],
     ) -> None:
-        """Emit (or prune) the current node's pattern (below the length cap).
+        """Emit the current node's pattern (below the length cap).
 
-        The closed miner overrides this to split its closure check into a
-        free inline part and an offloadable verify unit; the default keeps
-        the one-shot ``_should_emit`` decision.
+        The default emits every frequent pattern; the closed miner
+        overrides this to split its closure check into a free inline part
+        and an offloadable verify unit.
         """
-        if self._should_emit(context.encoded, context.index, node, block, extensions):
-            stats.emitted += 1
-            records.append(
-                PatternRecord(node.pattern, len(block), self._keep_instances(block))
-            )
-        else:
-            stats.pruned_closure += 1
+        stats.emitted += 1
+        records.append(
+            PatternRecord(node.pattern, len(block), self._keep_instances(block))
+        )
 
     def _verify_deferred_closure(
-        self, context: PatternSearchContext, node: AlphabetIndex, block: InstanceBlock
+        self, context: SearchContext, node: AlphabetIndex, block: InstanceBlock
     ) -> bool:
         """Run the deferred part of a closure check (verify units only)."""
         raise NotImplementedError(
@@ -387,7 +279,7 @@ class IterativePatternMinerBase:
 
     def _replay(
         self,
-        context: PatternSearchContext,
+        context: SearchContext,
         path: Tuple[EventId, ...],
         stats: MiningStats,
     ) -> Tuple[InstanceBlock, AlphabetIndex]:
@@ -399,7 +291,7 @@ class IterativePatternMinerBase:
         separately from ``instances_materialized`` so the search counters
         stay comparable with the serial run.
         """
-        block = context.singletons[path[0]]
+        block = context.roots[path[0]]
         node = AlphabetIndex(context.index, (path[0],))
         for event in path[1:]:
             block = project_extension_block(
@@ -411,7 +303,7 @@ class IterativePatternMinerBase:
 
     def _visit(
         self,
-        context: PatternSearchContext,
+        context: SearchContext,
         block: InstanceBlock,
         node: AlphabetIndex,
         records: List[object],

@@ -33,8 +33,6 @@ class FullRecurrentRuleMiner(RecurrentRuleMinerBase):
     True
     """
 
-    skip_dominated = False
-    apply_final_redundancy_filter = False
     non_redundant_only = False
 
 

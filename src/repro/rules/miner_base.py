@@ -3,9 +3,9 @@
 Both miners follow the five-step recipe of Section 5: enumerate s-frequent
 premises (Theorem 2 pruning), compute their temporal points, grow consequents
 with confidence pruning (Theorem 3), filter by i-support, and finally filter
-redundant rules.  The only differences between the two miners are whether the
-consequent grower suppresses dominated rules early and whether the final
-Definition 5.2 sweep is applied; both choices live in class attributes.
+redundant rules.  The only difference between the two miners is one class
+flag, ``non_redundant_only``: it makes the consequent grower suppress
+dominated rules early and applies the final Definition 5.2 sweep.
 
 Like the pattern miners, the premise search is *root-parallel* and
 *unit-shardable*: the subtree below each single-event premise is
@@ -14,9 +14,12 @@ as a :class:`~repro.engine.sharding.WorkUnit` keyed by its ``(root,
 split-path)`` — the thief re-derives the premise projections with one
 binary search per supporting sequence per path step.  A premise's
 consequent growth — the heavy phase of rule mining — can likewise leave as
-its own ``consequent`` unit when the pool runs hungry.  The miners
-implement the engine's protocol (``build_context`` / ``plan_roots`` /
-``initial_units`` / ``mine_unit`` / ``resolve_units``); merged output is
+its own ``consequent`` unit when the pool runs hungry.  The miners plug
+into the engine through :class:`~repro.engine.runner.SearchMinerBase`,
+which owns ``mine()``, context building and planning; this module adds the
+rule family's root weights (sequence counts) and payloads (single-event
+premise projections), the premise visit, the deferred consequent phase,
+``mine_unit``, ``resolve_units`` and ``collect_result``.  Merged output is
 bit-identical on every backend because the serial emission order equals the
 ascending lexicographic order of ``(premise, consequent)`` keys.  The
 Definition 5.2 sweep is global, so it always runs in the coordinating
@@ -27,31 +30,14 @@ decode: only the rules that survive it are turned back into labels.
 from __future__ import annotations
 
 from collections import Counter
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import PositionBlock
 from ..core.errors import ConfigurationError
-from ..core.events import EncodedDatabase, EventId
-from ..core.sequence import SequenceDatabase, absolute_support
+from ..core.events import EventId
+from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
-from ..engine import (
-    ExecutionBackend,
-    LazyIndexContext,
-    PlanResult,
-    SerialBackend,
-    ShardRunner,
-    UnitOutcome,
-    WorkUnit,
-    plan_weighted_roots,
-)
+from ..engine import SearchContext, SearchMinerBase, UnitOutcome, WorkUnit
 from ..engine.stealing import FrontierFrame, drive_split_subtree
 from .config import RuleMiningConfig
 from .consequent_miner import ConsequentGrower
@@ -81,81 +67,15 @@ class RuleRecord(NamedTuple):
     confidence: float
 
 
-class RuleSearchContext(LazyIndexContext):
-    """Per-run search state, built once per process by the engine.
-
-    The index and the root premise projections are materialised lazily:
-    the coordinating process only plans (a counts-only pass), so only the
-    processes that actually mine pay for them — each exactly once,
-    reused across all the units that process executes.
-    """
-
-    __slots__ = ("min_s_support", "allowed_events", "_initial")
-
-    def __init__(
-        self,
-        encoded: EncodedDatabase,
-        min_s_support: int,
-        allowed_events: Optional[FrozenSet[EventId]],
-    ) -> None:
-        super().__init__(encoded)
-        self.min_s_support = min_s_support
-        self.allowed_events = allowed_events
-        self._initial: Optional[Dict[EventId, PositionBlock]] = None
-
-    @property
-    def initial(self) -> Dict[EventId, PositionBlock]:
-        if self._initial is None:
-            self._initial = initial_premise_projections(self.encoded, self.allowed_events)
-        return self._initial
-
-    def absorb_appended(self, new_sequences: Any) -> None:
-        """Extend the live index with appended sequences (incremental path).
-
-        The root projection cache is invalidated rather than extended: it
-        is rebuilt lazily from the grown database on next use, while the
-        position index — the expensive part — grows in place.
-        """
-        super().absorb_appended(new_sequences)
-        self._initial = None
-
-
-class RecurrentRuleMinerBase:
+class RecurrentRuleMinerBase(SearchMinerBase):
     """Template-method base class for the recurrent-rule miners."""
 
-    #: suppress rules dominated by their own consequent extension during growth
-    skip_dominated = False
-    #: apply the final Definition 5.2 redundancy sweep
-    apply_final_redundancy_filter = False
-    #: marker copied to the result object
+    config: RuleMiningConfig
+    #: Mine only non-redundant rules: suppress rules dominated by their own
+    #: consequent extension during growth, then apply the final Definition
+    #: 5.2 sweep.  Also copied to the result object.
     non_redundant_only = False
-
-    def __init__(
-        self, config: RuleMiningConfig, backend: Optional[ExecutionBackend] = None
-    ) -> None:
-        self.config = config
-        self.backend = backend
-
-    def mine(
-        self, database: SequenceDatabase, backend: Optional[ExecutionBackend] = None
-    ) -> RuleMiningResult:
-        """Mine the database and return the (full or non-redundant) rule set.
-
-        ``backend`` (or the instance-level backend passed to the
-        constructor) selects where the search runs; the result does not
-        depend on the choice.
-        """
-        stats = MiningStats()
-        stats.start()
-
-        chosen = backend or self.backend or SerialBackend()
-        runner = ShardRunner(self, database.encoded, self.runner_extras(database))
-        records, search_stats = chosen.execute(runner)
-        stats.merge_counters(search_stats)
-
-        result = self.collect_result(database, records, stats)
-        stats.stop()
-        return result
+    subtree_kind = RULES_UNIT
 
     def collect_result(
         self,
@@ -173,7 +93,7 @@ class RecurrentRuleMinerBase:
         incremental miner can rebuild a result from cached-plus-fresh
         records through the exact same path a from-scratch mine uses.
         """
-        if self.apply_final_redundancy_filter:
+        if self.non_redundant_only:
             records, dropped = filter_redundant(records)
             stats.pruned_redundancy += len(dropped)
         result = RuleMiningResult(
@@ -199,10 +119,6 @@ class RecurrentRuleMinerBase:
     # ------------------------------------------------------------------ #
     # Incremental mining protocol
     # ------------------------------------------------------------------ #
-    def resolved_support_threshold(self, database: SequenceDatabase) -> int:
-        """The absolute sequence-support threshold against the current size."""
-        return database.absolute_support(self.config.min_s_support)
-
     def runner_extras(self, database: SequenceDatabase) -> Dict[str, Any]:
         """Resolve the configured premise label filter to current event ids."""
         extras: Dict[str, Any] = {}
@@ -216,11 +132,6 @@ class RecurrentRuleMinerBase:
         return extras
 
     @staticmethod
-    def record_root(record: "RuleRecord") -> EventId:
-        """The first-level root that produced ``record`` (premise head)."""
-        return record.premise[0]
-
-    @staticmethod
     def record_sort_key(record: "RuleRecord") -> Tuple[Tuple[EventId, ...], ...]:
         """The canonical merge key: serial order == (premise, consequent)."""
         return (record.premise, record.consequent)
@@ -228,45 +139,33 @@ class RecurrentRuleMinerBase:
     # ------------------------------------------------------------------ #
     # Engine miner protocol
     # ------------------------------------------------------------------ #
-    def build_context(
-        self, encoded: EncodedDatabase, extras: Dict[str, Any]
-    ) -> RuleSearchContext:
-        """Build the per-process search context (index + root projections)."""
-        allowed_events = extras.get("allowed_event_ids")
-        return RuleSearchContext(
-            encoded=encoded,
-            min_s_support=absolute_support(self.config.min_s_support, len(encoded)),
-            allowed_events=allowed_events,
-        )
+    def _min_support(self) -> float:
+        return self.config.min_s_support
 
-    def plan_roots(self, context: RuleSearchContext) -> PlanResult:
-        """Frequent single-event premises, weighted by sequence support.
+    def _root_weights(self, context: SearchContext) -> Counter[EventId]:
+        """Per-event sequence counts, which equal root projection counts.
 
-        A counts-only database pass: the number of sequences containing an
-        event equals its root projection count, so the coordinator never
-        materialises the projection lists the workers will build for
-        themselves.
+        A counts-only database pass, so the coordinator never materialises
+        the projection lists the workers will build for themselves.
         """
-        allowed = context.allowed_events
-        counts: Counter = Counter()
+        allowed = context.extras.get("allowed_event_ids")
+        counts: Counter[EventId] = Counter()
         for sequence in context.encoded:
             distinct = set(sequence)
             if allowed is not None:
                 distinct &= allowed
             counts.update(distinct)
-        return plan_weighted_roots(counts, context.min_s_support)
+        return counts
 
-    def initial_units(
-        self, context: RuleSearchContext, plan: PlanResult
-    ) -> List[WorkUnit]:
-        """One rules unit per frequent root premise, weighted by s-support."""
-        return [
-            WorkUnit(RULES_UNIT, root, (root,), weight) for root, weight in plan.roots
-        ]
+    def _root_payloads(self, context: SearchContext) -> Dict[EventId, PositionBlock]:
+        """The single-event premise projections every subtree starts from."""
+        return initial_premise_projections(
+            context.encoded, context.extras.get("allowed_event_ids")
+        )
 
     def mine_unit(
         self,
-        context: RuleSearchContext,
+        context: SearchContext,
         unit: WorkUnit,
         stats: MiningStats,
         splitter: Any,
@@ -274,12 +173,12 @@ class RecurrentRuleMinerBase:
         """Execute one work unit: a premise subtree or one deferred grower."""
         records: List[RuleRecord] = []
         if unit.kind == CONSEQUENT_UNIT:
-            projections = self._replay_projections(context, unit.path, stats)
+            projections = self._replay(context, unit.path, stats)
             self._grow_consequents(context, unit.path, projections, records, stats)
             return records
         if unit.kind != RULES_UNIT:
             raise ConfigurationError(f"unknown rule work-unit kind {unit.kind!r}")
-        projections = self._replay_projections(context, unit.path, stats)
+        projections = self._replay(context, unit.path, stats)
 
         def visit_child(
             frame: FrontierFrame, event: EventId, child_projections: PositionBlock
@@ -291,7 +190,7 @@ class RecurrentRuleMinerBase:
         drive_split_subtree(
             self._visit_premise(context, unit.path, projections, records, stats, splitter),
             visit_child,
-            context.min_s_support,
+            context.min_support,
             splitter,
             stats,
             RULES_UNIT,
@@ -309,20 +208,20 @@ class RecurrentRuleMinerBase:
         records: List[RuleRecord] = []
         for outcome in outcomes:
             records.extend(outcome.records)
-        records.sort(key=lambda record: (record.premise, record.consequent))
+        records.sort(key=self.record_sort_key)
         return records
 
     # ------------------------------------------------------------------ #
     # Unit-search internals
     # ------------------------------------------------------------------ #
-    def _replay_projections(
+    def _replay(
         self,
-        context: RuleSearchContext,
+        context: SearchContext,
         path: Tuple[EventId, ...],
         stats: MiningStats,
     ) -> PositionBlock:
         """Re-derive a split premise's projections by replaying its path."""
-        projections = context.initial[path[0]]
+        projections = context.roots[path[0]]
         for event in path[1:]:
             projections = project_premise_extension(context.index, projections, event)
             stats.bump("steal_replayed_rows", len(projections))
@@ -330,7 +229,7 @@ class RecurrentRuleMinerBase:
 
     def _visit_premise(
         self,
-        context: RuleSearchContext,
+        context: SearchContext,
         premise: Tuple[EventId, ...],
         projections: PositionBlock,
         records: List[RuleRecord],
@@ -356,13 +255,13 @@ class RecurrentRuleMinerBase:
         ):
             return None
         extensions = premise_extensions(
-            context.encoded, projections, context.allowed_events
+            context.encoded, projections, context.extras.get("allowed_event_ids")
         )
         return FrontierFrame(premise, None, extensions, sorted(extensions))
 
     def _grow_consequents(
         self,
-        context: RuleSearchContext,
+        context: SearchContext,
         premise: Tuple[EventId, ...],
         projections: PositionBlock,
         records: List[RuleRecord],
@@ -377,7 +276,7 @@ class RecurrentRuleMinerBase:
             config=self.config,
             stats=stats,
         )
-        for grown in grower.grow(skip_dominated=self.skip_dominated):
+        for grown in grower.grow(skip_dominated=self.non_redundant_only):
             records.append(
                 RuleRecord(
                     premise=premise,

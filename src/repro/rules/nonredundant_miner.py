@@ -37,8 +37,6 @@ class NonRedundantRecurrentRuleMiner(RecurrentRuleMinerBase):
     >>> all_rules = FullRecurrentRuleMiner(config).mine(db)  # doctest: +SKIP
     """
 
-    skip_dominated = True
-    apply_final_redundancy_filter = True
     non_redundant_only = True
 
 

@@ -9,6 +9,7 @@ from repro.durability.checkpoint import MiningCheckpoint
 from repro.durability.journal import JournalWriter
 from repro.engine import resolve_backend
 from repro.jboss.workloads import generate_security_traces
+from repro.obs.metrics import DURABILITY_RESUMED_TOTAL, ENGINE_UNITS_TOTAL, REGISTRY
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 from repro.rules.config import RuleMiningConfig
@@ -101,6 +102,38 @@ def test_completed_checkpoint_resumes_everything(tmp_path):
     assert second.stats.extra.get("units_resumed", 0) >= 1
     assert second.stats.visited == first.stats.visited
 
+
+
+def _executed_units():
+    """Units recorded as executed so far: (counter total, histogram count)."""
+    snapshot = REGISTRY.snapshot()
+    counted = sum(value for _, value in snapshot[ENGINE_UNITS_TOTAL.name]["samples"])
+    observed = sum(
+        sample[3] for sample in snapshot["repro_engine_unit_seconds"]["samples"]
+    )
+    return counted, observed
+
+
+def test_fully_resumed_run_records_no_executed_units(tmp_path):
+    # The unit counter and histogram count work done by *this* run; units
+    # reused from the journal are counted by the resume counter instead.
+    database = pattern_database()
+    backend = resolve_backend("serial", None, None)
+    backend.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
+    first = pattern_miner().mine(database, backend=backend)
+    backend.checkpoint.close()
+
+    executed_before = _executed_units()
+    resumed_before = DURABILITY_RESUMED_TOTAL.value(kind="unit")
+    again = resolve_backend("serial", None, None)
+    again.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
+    second = pattern_miner().mine(database, backend=again)
+    again.checkpoint.close()
+    assert second.as_rows() == first.as_rows()
+    resumed = second.stats.extra.get("units_resumed", 0)
+    assert resumed >= 1
+    assert DURABILITY_RESUMED_TOTAL.value(kind="unit") - resumed_before == resumed
+    assert _executed_units() == executed_before
 
 def test_serial_backend_resumes_shards(tmp_path):
     # The serial backend journals per unit, so a mine killed partway

@@ -8,7 +8,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.stats import MiningStats
 from repro.engine import (
     ExecutionBackend,
-    PlanResult,
     ProcessPoolBackend,
     SerialBackend,
     ShardRunner,
@@ -55,11 +54,8 @@ class _CountingMiner:
     def build_context(self, encoded, extras):
         return None
 
-    def plan_roots(self, context):
-        return PlanResult(((0, 1), (1, 5), (2, 3)), pruned_support=4)
-
-    def initial_units(self, context, plan):
-        return _seeds(plan.roots)
+    def plan_units(self, context):
+        return _seeds(((0, 1), (1, 5), (2, 3))), 4
 
     def mine_unit(self, context, unit, stats, splitter):
         stats.visited += unit.root + 1

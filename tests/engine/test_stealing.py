@@ -244,5 +244,3 @@ class TestResolveStealingBackend:
             WorkStealingBackend(workers=0)
         with pytest.raises(ConfigurationError):
             WorkStealingBackend(split_depth=0)
-        with pytest.raises(ConfigurationError):
-            WorkStealingBackend(check_interval=0)

@@ -1,12 +1,12 @@
 """Registry merge determinism across execution backends.
 
-The engine's workers record their measurements into throwaway delta
-registries shipped inside each :class:`UnitOutcome` and merged exactly
-once by the coordinator.  These tests pin the resulting contract: whatever
-the backend — single process, split units, worker processes — the merged
-registry equals what a single-process run records,
-and internal accounting (histogram counts vs. counters vs. ``MiningStats``)
-always reconciles, proving every delta arrived exactly once.
+The engine's workers time each unit and ship the seconds inside its
+:class:`UnitOutcome`; the coordinator records them exactly once.  These
+tests pin the resulting contract: whatever the backend — single process,
+split units, worker processes — the registry equals what a single-process
+run records, and internal accounting (histogram counts vs. counters vs.
+``MiningStats``) always reconciles, proving every unit was recorded
+exactly once.
 """
 
 from hypothesis import given, settings, strategies as st
