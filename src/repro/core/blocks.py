@@ -302,13 +302,6 @@ class PositionBlock:
         self.seq_ids = seq_ids
         self.positions = positions
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "PositionBlock":
-        builder = PositionBlockBuilder()
-        for sequence_index, position in pairs:
-            builder.append(sequence_index, position)
-        return builder.build()
-
     def __len__(self) -> int:
         return len(self.positions)
 

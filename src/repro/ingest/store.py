@@ -207,7 +207,7 @@ class TraceStore:
         traces: Iterable[Union[TraceRecord, EncodedTrace, Sequence]],
         *,
         source: Optional[dict] = None,
-    ) -> BatchInfo:
+    ) -> Optional[BatchInfo]:
         """Append one batch of traces and return its manifest entry.
 
         Accepts label records (:class:`TraceRecord`, or any plain sequence
@@ -221,18 +221,11 @@ class TraceStore:
         raises mid-iteration — or a manifest replace that fails —
         commits nothing (partial bytes are torn trailing data the next
         append overwrites; interned labels and the in-memory batch list
-        roll back).
+        roll back).  A batch with no traces commits nothing either and
+        returns ``None`` (see :meth:`append_batches`).
         """
-        checkpoint = len(self.batches)
-        vocabulary_checkpoint = len(self.vocabulary)
-        try:
-            batch = self._append_batch_unsaved(traces, source=source)
-            self._save_manifest()
-        except BaseException:
-            del self.batches[checkpoint:]
-            self.vocabulary.truncate(vocabulary_checkpoint)
-            raise
-        return batch
+        infos = self.append_batches([traces], source=source)
+        return infos[0] if infos else None
 
     def append_batches(
         self,
@@ -363,12 +356,13 @@ class TraceStore:
 
     def append_trace_file(
         self, path: PathLike, format: Optional[str] = None
-    ) -> BatchInfo:
+    ) -> Optional[BatchInfo]:
         """Stream one trace file (any registered format, ``.gz`` included)
         into the store as a single batch.
 
         Atomic per file: a parse error anywhere in the file commits
-        nothing (see :meth:`append_batch`)."""
+        nothing (see :meth:`append_batch`), and neither does a file with
+        no traces (the result is then ``None``)."""
         return self.append_batch(stream_traces(path, format=format))
 
     def has_source(self, source: dict) -> bool:

@@ -6,10 +6,10 @@ package is the single funnel every layer records into:
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry` of
   labelled counters, gauges, and fixed-bucket histograms; thread-safe,
-  snapshot/merge-able across worker processes (engine workers ship
-  registry deltas inside their unit outcomes, merged
-  deterministically like ``MiningStats``), rendered in the Prometheus
-  text format for the ``METRICS`` wire verb and ``repro metrics``;
+  written only in the process that owns the state (the engine coordinator
+  records from the unit outcomes it collects, the serving pool at scrape
+  time), rendered in the Prometheus text format for the ``METRICS`` wire
+  verb and ``repro metrics``;
 * :mod:`repro.obs.tracing` — lightweight spans
   (``with span("engine.unit", kind="grow")``) recording monotonic durations
   to a bounded ring and optionally a JSONL trace file
@@ -35,7 +35,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    enabled,
     record_mining_stats,
     record_rule_close,
     set_enabled,
@@ -58,7 +57,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TraceCollector",
-    "enabled",
     "install_tracing",
     "record_mining_stats",
     "record_rule_close",

@@ -10,12 +10,12 @@ and no way to scrape a live server.  This module is the single funnel:
   sample children.  All mutation goes through one registry lock, so any
   thread (shard workers, the server's handler threads, the watch daemon)
   can record without coordination.
-* Registries are **mergeable**: :meth:`MetricsRegistry.snapshot` produces a
-  plain picklable dict and :meth:`MetricsRegistry.merge` folds one in —
-  counters and histogram buckets add, gauges keep their maximum — so
-  state kept outside the registry (the serving pool's per-rule tallies)
-  can be folded in as one delta.  Merging is commutative and associative,
-  so fold order never changes the result.
+* State kept outside the registry is brought up to date when the registry
+  is read: scrape-time *collectors* (:meth:`MetricsRegistry.add_collector`)
+  run first, so the serving pool records its per-rule tallies' growth
+  with plain ``inc`` / :meth:`Histogram.add` calls only when scraped.
+* :meth:`MetricsRegistry.snapshot` produces a plain, deterministically
+  ordered dict of every family and sample.
 * :meth:`MetricsRegistry.render_text` renders the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` + samples, deterministically
   ordered), which is what the ``METRICS`` wire verb and ``repro metrics``
@@ -36,7 +36,6 @@ workloads.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -49,10 +48,8 @@ __all__ = [
     "SERVING_BUCKETS",
     "UNIT_BUCKETS",
     "set_enabled",
-    "enabled",
     "record_mining_stats",
     "record_rule_close",
-    "rule_tally_delta",
 ]
 
 #: Fixed default histogram buckets (seconds).  Spanning 100µs..10s covers
@@ -129,18 +126,14 @@ def set_enabled(value: bool) -> None:
     ENABLED = bool(value)
 
 
-def enabled() -> bool:
-    """Whether record calls currently reach the registry."""
-    return ENABLED
-
-
 def _validated_buckets(name: str, buckets: Sequence[float]) -> Tuple[float, ...]:
     """Validate declared histogram bounds: non-empty, positive, ascending.
 
-    Buckets are part of a family's identity (cross-process merging is only
-    exact when both sides share them), so a bad declaration must fail at
-    declaration time with a message naming the family — not later as a
-    merge conflict or a silently empty bucket.
+    Buckets are part of a family's identity (a re-declaration must name
+    the same bounds, and pre-bucketed counts passed to :meth:`Histogram.add`
+    are laid out by them), so a bad declaration must fail at declaration
+    time with a message naming the family — not later as a silently empty
+    bucket.
     """
     bounds = tuple(float(bound) for bound in buckets)
     if not bounds:
@@ -234,7 +227,7 @@ class Counter(_Family):
 
 
 class Gauge(_Family):
-    """A labelled gauge: a value that can go up and down (queue depths)."""
+    """A labelled gauge: a level set at scrape time (queue depths)."""
 
     kind = "gauge"
 
@@ -244,16 +237,6 @@ class Gauge(_Family):
         key = self._key(labels)
         with self._lock:
             self._samples[key] = float(value)
-
-    def inc(self, amount: float = 1, **labels: object) -> None:
-        if not ENABLED:
-            return
-        key = self._key(labels)
-        with self._lock:
-            self._samples[key] = self._samples.get(key, 0.0) + amount  # type: ignore[operator]
-
-    def dec(self, amount: float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
         key = self._key(labels)
@@ -267,8 +250,7 @@ class Histogram(_Family):
     Each sample child is ``[bucket_counts, total_sum, total_count]`` where
     ``bucket_counts[i]`` counts observations ``<= buckets[i]`` *non*-
     cumulatively; cumulative counts (and the implicit ``+Inf`` bucket) are
-    computed at render/snapshot time.  Fixed shared buckets are what make
-    cross-process merging exact.
+    computed at render/snapshot time.
     """
 
     kind = "histogram"
@@ -284,28 +266,42 @@ class Histogram(_Family):
         super().__init__(name, help_text, label_names, lock)
         self.buckets = _validated_buckets(name, buckets)
 
+    def _child(self, key: Tuple[str, ...]) -> list:
+        """The sample child for ``key``, created empty (registry lock held)."""
+        child = self._samples.get(key)
+        if child is None:
+            child = self._samples[key] = [[0] * (len(self.buckets) + 1), 0.0, 0]
+        return child  # type: ignore[return-value]
+
     def observe(self, value: float, **labels: object) -> None:
         if not ENABLED:
             return
         key = self._key(labels)
         with self._lock:
-            child = self._samples.get(key)
-            if child is None:
-                child = [[0] * (len(self.buckets) + 1), 0.0, 0]
-                self._samples[key] = child
-            counts, _, _ = child  # type: ignore[misc]
+            child = self._child(key)
             index = len(self.buckets)
             for position, bound in enumerate(self.buckets):
                 if value <= bound:
                     index = position
                     break
-            counts[index] += 1
-            child[1] += value  # type: ignore[index]
-            child[2] += 1  # type: ignore[index]
+            child[0][index] += 1
+            child[1] += value
+            child[2] += 1
 
-    def time(self, **labels: object) -> "_HistogramTimer":
-        """Context manager observing the elapsed wall-clock on exit."""
-        return _HistogramTimer(self, labels)
+    def add(self, counts: Sequence[int], total: float, **labels: object) -> None:
+        """Add observations already bucketed: ``counts`` is non-cumulative
+        in :attr:`buckets` order plus the overflow bucket, ``total`` their
+        sum (how the serving pool records its per-rule tallies' growth)."""
+        if not ENABLED:
+            return
+        key = self._key(labels)
+        with self._lock:
+            child = self._child(key)
+            buckets = child[0]
+            for position, count in enumerate(counts):
+                buckets[position] += count
+            child[1] += total
+            child[2] += sum(counts)
 
     def sample(self, **labels: object) -> Tuple[List[int], float, int]:
         """(non-cumulative bucket counts incl. overflow, sum, count)."""
@@ -318,28 +314,10 @@ class Histogram(_Family):
             return list(counts), float(total), int(count)
 
 
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_labels", "_start")
-
-    def __init__(self, histogram: Histogram, labels: Mapping[str, object]) -> None:
-        self._histogram = histogram
-        self._labels = labels
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._histogram.observe(time.perf_counter() - self._start, **self._labels)
-
-
 class MetricsRegistry:
     """A set of metric families sharing one lock and one namespace.
 
-    The process-wide instance is :data:`REGISTRY`; deltas folded into it
-    are plain snapshot dicts (see :func:`rule_tally_delta`).
-    Family constructors are idempotent: re-declaring the same name with the
+    The process-wide instance is :data:`REGISTRY`.  Family constructors are idempotent: re-declaring the same name with the
     same type/labels returns the existing family, a conflicting
     re-declaration raises.
     """
@@ -420,15 +398,14 @@ class MetricsRegistry:
             return [self._families[name] for name in sorted(self._families)]
 
     # ------------------------------------------------------------- #
-    # Snapshot / merge
+    # Snapshot
     # ------------------------------------------------------------- #
     def snapshot(self) -> Dict[str, object]:
         """A deterministic, picklable view of every family and sample.
 
         The shape is stable (sorted family names, sorted label tuples) so
         two registries that recorded the same events — in any order —
-        snapshot identically; the engine's merge-determinism tests pin
-        this.
+        snapshot identically; tests compare families through it.
         """
         self._collect()
         out: Dict[str, object] = {}
@@ -453,48 +430,6 @@ class MetricsRegistry:
                     ]
                 out[name] = entry
         return out
-
-    def merge(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a :meth:`snapshot` in: counters/histograms add, gauges max.
-
-        Families absent here are created from the snapshot's metadata, so a
-        delta built by a worker that only ever saw two families merges into
-        the full coordinator registry.  Counter and histogram merging is
-        commutative/associative; gauges take the maximum — the only
-        deterministic order-free combination for level-style values.
-        """
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            kind = entry["kind"]  # type: ignore[index]
-            labels = tuple(entry["labels"])  # type: ignore[index,arg-type]
-            help_text = entry.get("help", "")  # type: ignore[union-attr]
-            if kind == "histogram":
-                family = self.histogram(name, help_text, labels, entry["buckets"])  # type: ignore[index]
-                with self._lock:
-                    for key, counts, total, count in entry["samples"]:  # type: ignore[index]
-                        child = family._samples.get(tuple(key))
-                        if child is None:
-                            child = [[0] * (len(family.buckets) + 1), 0.0, 0]
-                            family._samples[tuple(key)] = child
-                        for position, bucket_count in enumerate(counts):
-                            child[0][position] += bucket_count  # type: ignore[index]
-                        child[1] += total  # type: ignore[index]
-                        child[2] += count  # type: ignore[index]
-                continue
-            if kind == "counter":
-                counter = self.counter(name, help_text, labels)
-                with self._lock:
-                    for key, value in entry["samples"]:  # type: ignore[index]
-                        counter._samples[tuple(key)] = (
-                            counter._samples.get(tuple(key), 0.0) + value  # type: ignore[operator]
-                        )
-                continue
-            gauge = self.gauge(name, help_text, labels)
-            with self._lock:
-                for key, value in entry["samples"]:  # type: ignore[index]
-                    current = gauge._samples.get(tuple(key))
-                    if current is None or value > current:  # type: ignore[operator]
-                        gauge._samples[tuple(key)] = float(value)
 
     def reset(self) -> None:
         """Zero every sample while keeping the declared families (tests)."""
@@ -698,49 +633,8 @@ DURABILITY_RESUMED_TOTAL = REGISTRY.counter(
 
 
 # ------------------------------------------------------------------- #
-# Helpers: rule-tally deltas and run-level stats mirroring
+# Helpers: per-rule closes and run-level stats mirroring
 # ------------------------------------------------------------------- #
-
-def rule_tally_delta(deltas: Mapping[str, Sequence[float]]) -> Dict[str, object]:
-    """A delta snapshot of the three ``repro_rule_*`` families.
-
-    ``deltas`` maps a rule key to the growth of its tally slot since the
-    last export, in the :class:`~repro.serving.stream_monitor.RuleTally`
-    layout ``[opened, satisfied, violated, trie_advances,
-    active_seconds_sum, *active_seconds_bucket_counts]``.  Merging the
-    result into :data:`REGISTRY` is what the monitor pool does at scrape
-    time in place of recording every rule at every session close.
-    """
-    points: List[object] = []
-    advances: List[object] = []
-    active: List[object] = []
-    for rule, slot in sorted(deltas.items()):
-        for outcome, value in zip(("opened", "satisfied", "violated"), slot):
-            if value:
-                points.append([[rule, outcome], float(value)])
-        if slot[3]:
-            advances.append([[rule], float(slot[3])])
-        buckets = [int(count) for count in slot[5:]]
-        if any(buckets):
-            active.append([[rule], buckets, float(slot[4]), sum(buckets)])
-
-    def entry(family: _Family, samples: List[object]) -> Dict[str, object]:
-        out = {
-            "kind": family.kind,
-            "help": family.help,
-            "labels": list(family.label_names),
-            "samples": samples,
-        }
-        if isinstance(family, Histogram):
-            out["buckets"] = list(family.buckets)
-        return out
-
-    return {
-        RULE_POINTS_TOTAL.name: entry(RULE_POINTS_TOTAL, points),
-        RULE_TRIE_ADVANCES_TOTAL.name: entry(RULE_TRIE_ADVANCES_TOTAL, advances),
-        RULE_ACTIVE_SECONDS.name: entry(RULE_ACTIVE_SECONDS, active),
-    }
-
 
 def record_rule_close(
     rule: str,
@@ -754,9 +648,9 @@ def record_rule_close(
     families directly.
 
     For embedders that monitor without a pool.  The monitor pool does not
-    call this: it keeps per-rule tallies per shard and exports them at
-    scrape time (:func:`rule_tally_delta`), so a session close takes no
-    registry lock.
+    call this: it keeps per-rule tallies per shard and records their growth
+    at scrape time (:meth:`~repro.serving.stream_monitor.RuleTally.record_growth`),
+    so a session close takes no registry lock.
     """
     if not ENABLED:
         return

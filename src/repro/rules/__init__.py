@@ -14,7 +14,6 @@ from .config import RuleMiningConfig
 from .consequent_miner import ConsequentGrower, GrownRule
 from .full_miner import FullRecurrentRuleMiner, mine_all_rules
 from .nonredundant_miner import NonRedundantRecurrentRuleMiner, mine_non_redundant_rules
-from .premise_miner import MinedPremise
 from .redundancy import filter_redundant
 from .result import RuleMiningResult
 from .rule import RecurrentRule
@@ -35,7 +34,6 @@ __all__ = [
     "mine_all_rules",
     "NonRedundantRecurrentRuleMiner",
     "mine_non_redundant_rules",
-    "MinedPremise",
     "filter_redundant",
     "RuleMiningResult",
     "RecurrentRule",

@@ -19,25 +19,11 @@ the tuple-based interface for consumers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from ..core.blocks import PositionBlock, PositionBlockBuilder
 from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
-
-
-class MinedPremise(NamedTuple):
-    """A premise candidate: the pattern, its s-support and its projections.
-
-    ``projections`` maps each supporting sequence index to the end position
-    of the earliest embedding of the premise in that sequence (columnar,
-    one row per sequence, ascending); the consequent grower reuses it to
-    seed the i-support recurrence.
-    """
-
-    pattern: Tuple[EventId, ...]
-    s_support: int
-    projections: PositionBlock
 
 
 def initial_premise_projections(

@@ -363,6 +363,8 @@ class WatchDaemon:
             # between the store commit and the state save may otherwise
             # re-append this file (= duplicate traces) on restart.
             self._save_watch_state()
+            if info is None:
+                continue  # no traces: nothing committed, nothing to monitor
             cycle.ingested.append((path, info))
             cycle.traces_added += info.traces
 

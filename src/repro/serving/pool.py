@@ -149,33 +149,17 @@ class SessionTicket:
 
 
 class _Session:
-    """One live logical session: its monitor, admission index and generation."""
+    """One live logical session: its monitor, admission index and shard."""
 
-    __slots__ = (
-        "session_id",
-        "index",
-        "generation",
-        "monitor",
-        "shard",
-        "events_fed",
-        "last_seq",
-        "trace",
-    )
+    __slots__ = ("session_id", "index", "monitor", "shard", "last_seq", "trace")
 
     def __init__(
-        self,
-        session_id: str,
-        index: int,
-        generation: int,
-        monitor: StreamingMonitor,
-        shard: "_Shard",
+        self, session_id: str, index: int, monitor: StreamingMonitor, shard: "_Shard"
     ) -> None:
         self.session_id = session_id
         self.index = index
-        self.generation = generation
         self.monitor = monitor
         self.shard = shard
-        self.events_fed = 0
         # Highest client-supplied batch sequence number accepted, or None
         # when the producer does not number its batches.  Lets a client
         # whose reply was lost in a connection drop re-send the batch
@@ -251,7 +235,6 @@ class _Shard:
                     with batch_span:
                         for event in events:
                             monitor.feed(event)
-                    session.events_fed += len(events)
                     with self.lock:
                         self.events_processed += len(events)
                     obs_metrics.POOL_EVENTS_TOTAL.inc(len(events))
@@ -416,7 +399,7 @@ class MonitorPool:
         ring.sort()
         self._ring_points = [point for point, _ in ring]
         self._ring_shards = [shard for _, shard in ring]
-        # Per-rule tally slots already merged into the metrics registry;
+        # Per-rule tally slots already recorded in the metrics registry;
         # each scrape exports only the growth since (see _export_rule_metrics).
         self._exported: Dict[str, List[float]] = {}
         self._export_lock = threading.Lock()
@@ -559,13 +542,7 @@ class MonitorPool:
                 # worker cannot see this monitor until the first queue item
                 # below is enqueued.
                 monitor.begin_trace(name=session_id)
-                session = _Session(
-                    session_id,
-                    self._next_index,
-                    self._generation,
-                    monitor,
-                    shard,
-                )
+                session = _Session(session_id, self._next_index, monitor, shard)
                 session.trace = trace
                 try:
                     shard.queue.put_nowait(("events", session, batch))
@@ -690,32 +667,24 @@ class MonitorPool:
         ``rule key -> {"opened", "satisfied", "violated", "trie_advances"}``
         — the ANALYTICS wire verb's payload and the rule-ranking feed.
         Each shard's tally is read under its own lock and summed key-wise;
-        addition commutes, so the merge is order-free exactly like the
-        engine's worker metric deltas.  Sessions still open contribute
-        nothing until they close.
+        addition commutes, so the merge is order-free.  Sessions still open
+        contribute nothing until they close.
         """
         return RuleTally.analytics(RuleTally.merged(shard.tally for shard in self._shards))
 
     def _export_rule_metrics(self) -> None:
         """Bring the ``repro_rule_*`` families up to date with the shard
-        tallies (a registry collector: runs when the registry is scraped).
+        tallies (a registry collector: runs when the registry is scraped,
+        and once more when the pool closes).
 
-        Only the growth since the previous export is merged, so counters
+        Only the growth since the previous export is recorded, so counters
         stay monotonic and several pools in one process add up.  While
         metrics are muted the growth is dropped, as muted record calls are.
         """
         with self._export_lock:
             current = RuleTally.merged(shard.tally for shard in self._shards)
-            deltas: Dict[str, List[float]] = {}
-            for key, slot in current.items():
-                before = self._exported.get(key)
-                if before is None:
-                    deltas[key] = slot
-                elif slot != before:
-                    deltas[key] = [now - then for now, then in zip(slot, before)]
+            RuleTally.record_growth(current, self._exported)
             self._exported = current
-            if deltas and obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.merge(obs_metrics.rule_tally_delta(deltas))
 
     def shard_liveness(self) -> List[bool]:
         """Whether each shard's worker thread is currently alive.
@@ -822,7 +791,8 @@ class MonitorPool:
         return closed
 
     def close(self) -> None:
-        """Stop every shard worker.  Open sessions are abandoned unclosed."""
+        """Stop every shard worker and export the per-rule growth no scrape
+        has recorded yet.  Open sessions are abandoned unclosed."""
         with self._lock:
             if self._closed:
                 return
@@ -830,6 +800,9 @@ class MonitorPool:
         self._supervisor.join(timeout=self._supervisor_interval * 20 + 1.0)
         for shard in self._shards:
             shard.stop()
+        # Closes since the last scrape would otherwise never reach the
+        # registry: export once more before the collector goes away.
+        self._export_rule_metrics()
         obs_metrics.REGISTRY.remove_collector(self._export_rule_metrics)
 
     def __enter__(self) -> "MonitorPool":

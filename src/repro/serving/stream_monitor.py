@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from operator import add
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Tuple
 
 from ..core.errors import MonitoringError
@@ -54,17 +54,19 @@ class RuleTally:
     """Per-rule serving analytics summed over closed traces.
 
     Each rule key maps to one flat slot in the layout
-    :func:`repro.obs.metrics.rule_tally_delta` exports:
     ``[opened, satisfied, violated, trie_advances, active_seconds_sum,
     *active_seconds_bucket_counts]``, the buckets being those of
-    ``repro_rule_active_seconds``.  Every entry is a plain sum, so tallies
-    merge by element-wise addition in any order.
+    ``repro_rule_active_seconds``.  This class is the only code that knows
+    the layout.  Every entry is a plain sum, so tallies merge by
+    element-wise addition in any order.
 
     A tally is folded once per trace close, under its own lock, and read by
     scrapes: a :class:`~repro.serving.pool.MonitorPool` shard shares one
     tally among all its sessions' monitors, and that tally is the only
-    place the pool keeps per-rule analytics.  The metrics registry reads it
-    at scrape time instead of being written per close.
+    place the pool keeps per-rule analytics.  The pool records the growth
+    of its merged tallies onto the ``repro_rule_*`` families when the
+    registry is scraped (:meth:`record_growth`) instead of writing the
+    registry per close.
     """
 
     BOUNDS = obs_metrics.RULE_ACTIVE_SECONDS.buckets
@@ -103,6 +105,28 @@ class RuleTally:
                     total = totals.get(key)
                     totals[key] = list(slot) if total is None else list(map(add, total, slot))
         return totals
+
+    @staticmethod
+    def record_growth(
+        current: Dict[str, List[float]], before: Dict[str, List[float]]
+    ) -> None:
+        """Record the growth from ``before`` to ``current`` (two
+        :meth:`merged` results, ``before`` the older) onto the three
+        ``repro_rule_*`` metric families."""
+        for key, slot in current.items():
+            previous = before.get(key)
+            if previous is not None:
+                if slot == previous:
+                    continue
+                slot = list(map(sub, slot, previous))
+            for outcome, value in zip(("opened", "satisfied", "violated"), slot):
+                if value:
+                    obs_metrics.RULE_POINTS_TOTAL.inc(value, rule=key, outcome=outcome)
+            if slot[3]:
+                obs_metrics.RULE_TRIE_ADVANCES_TOTAL.inc(slot[3], rule=key)
+            buckets = slot[5:]
+            if any(buckets):
+                obs_metrics.RULE_ACTIVE_SECONDS.add(buckets, slot[4], rule=key)
 
     @staticmethod
     def analytics(slots: Dict[str, List[float]]) -> Dict[str, Dict[str, int]]:

@@ -170,6 +170,30 @@ def test_append_trace_file_streams_any_format(tmp_path):
     assert store.snapshot()[1] == ("b", "c")
 
 
+def test_empty_append_commits_nothing(tmp_path):
+    """A zero-trace append leaves the fingerprint alone, so one corpus
+    fingerprints identically however it arrived."""
+    records = [TraceRecord(("a", "b"), "t0"), TraceRecord(("b",), "t1")]
+    empty, traces = tmp_path / "empty.jsonl", tmp_path / "traces.jsonl"
+    write_trace_records(empty, [])
+    write_trace_records(traces, records)
+
+    with_empty = TraceStore(tmp_path / "with-empty")
+    initial = with_empty.fingerprint
+    assert with_empty.append_trace_file(empty) is None
+    assert with_empty.append_batch([]) is None
+    assert with_empty.batches == [] and with_empty.fingerprint == initial
+    assert with_empty.append_trace_file(traces).index == 0
+
+    alone = TraceStore(tmp_path / "alone")
+    alone.append_trace_file(traces)
+    batched = TraceStore(tmp_path / "batched")
+    batched.append_batches([[], records])
+    assert len(with_empty.batches) == len(alone.batches) == len(batched.batches) == 1
+    assert with_empty.fingerprint == alone.fingerprint == batched.fingerprint
+    assert TraceStore.open(tmp_path / "with-empty").fingerprint == alone.fingerprint
+
+
 def test_snapshot_vocabulary_is_isolated(tmp_path):
     store = TraceStore(tmp_path / "store")
     store.append_batch([["a"]])

@@ -9,6 +9,8 @@ run records, and internal accounting (histogram counts vs. counters vs.
 exactly once.
 """
 
+import bisect
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sequence import SequenceDatabase
@@ -127,7 +129,7 @@ def test_muted_runs_ship_no_deltas():
 
 
 # --------------------------------------------------------------------- #
-# Scrapes racing merges: a render must always be a consistent exposition.
+# Scrapes racing writes: a render must always be a consistent exposition.
 # --------------------------------------------------------------------- #
 _BUCKETS = (0.01, 0.1, 1.0)
 
@@ -146,15 +148,14 @@ observations_strategy = st.lists(
 )
 
 
-def _delta_snapshot(observations):
-    """What a worker ships: a throwaway registry's snapshot."""
-    delta = obs_metrics.MetricsRegistry()
-    ops = delta.counter("race_ops_total", "ops", labels=("op",))
-    seconds = delta.histogram("race_seconds", "dur", labels=("op",), buckets=_BUCKETS)
+def _record_delta(ops, seconds, observations):
+    """Add one delta the way a scrape-time collector records tally growth:
+    counter increments and pre-bucketed histogram counts."""
     for op, amount, duration in observations:
         ops.inc(amount, op=op)
-        seconds.observe(duration, op=op)
-    return delta.snapshot()
+        counts = [0] * (len(_BUCKETS) + 1)
+        counts[bisect.bisect_left(_BUCKETS, duration)] += 1
+        seconds.add(counts, duration, op=op)
 
 
 def _assert_consistent_exposition(text):
@@ -184,9 +185,9 @@ def _assert_consistent_exposition(text):
 @given(rounds=observations_strategy)
 @settings(max_examples=15, deadline=None)
 def test_concurrent_scrapes_race_delta_merges(rounds):
-    """METRICS scrapes interleaving worker-delta merges stay consistent.
+    """METRICS scrapes interleaving delta writes stay consistent.
 
-    One thread folds worker deltas into a shared registry (the coordinator
+    One thread adds deltas to a shared registry (the scrape-time collector
     path) while the main thread scrapes continuously; every intermediate
     exposition must parse and satisfy the per-family invariants, and the
     final totals must equal the exact sums — every delta exactly once.
@@ -194,24 +195,23 @@ def test_concurrent_scrapes_race_delta_merges(rounds):
     import threading
 
     registry = obs_metrics.MetricsRegistry()
-    registry.counter("race_ops_total", "ops", labels=("op",))
-    registry.histogram("race_seconds", "dur", labels=("op",), buckets=_BUCKETS)
-    snapshots = [_delta_snapshot(observations) for observations in rounds]
+    ops = registry.counter("race_ops_total", "ops", labels=("op",))
+    seconds = registry.histogram("race_seconds", "dur", labels=("op",), buckets=_BUCKETS)
 
-    merged = threading.Event()
+    def write_all():
+        for observations in rounds:
+            _record_delta(ops, seconds, observations)
 
-    def merge_all():
-        for snapshot in snapshots:
-            registry.merge(snapshot)
-        merged.set()
-
-    merger = threading.Thread(target=merge_all)
-    merger.start()
+    writer = threading.Thread(target=write_all)
+    writer.start()
     scrapes = 0
-    while not merged.is_set() or scrapes == 0:
+    # Loop on the thread itself, not on a flag it sets: a writer that
+    # raises ends the loop and fails the totals below instead of hanging.
+    while writer.is_alive() or scrapes == 0:
         _assert_consistent_exposition(registry.render_text())
         scrapes += 1
-    merger.join()
+    writer.join(timeout=30.0)
+    assert not writer.is_alive()
 
     final = _assert_consistent_exposition(registry.render_text())
     expected_ops = {}

@@ -1,5 +1,6 @@
-"""Unit tests for the metrics registry: families, rendering, merging."""
+"""Unit tests for the metrics registry: families, rendering, snapshots."""
 
+import bisect
 import pickle
 
 import pytest
@@ -20,13 +21,12 @@ class TestFamilies:
         assert counter.value(op="b") == 1
         assert counter.value(op="absent") == 0
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_keeps_the_latest_level(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("g")
         gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value() == 6
+        gauge.set(2)
+        assert gauge.value() == 2
 
     def test_histogram_buckets_sum_count(self):
         registry = MetricsRegistry()
@@ -38,12 +38,16 @@ class TestFamilies:
         assert total == pytest.approx(6.05)
         assert count == 4
 
-    def test_histogram_timer_observes(self):
+    def test_histogram_add_matches_observing_each_value(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("t_seconds")
-        with histogram.time():
-            pass
-        assert histogram.sample()[2] == 1
+        observed = registry.histogram("o_seconds", buckets=(0.1, 1.0))
+        added = registry.histogram("a_seconds", buckets=(0.1, 1.0))
+        for value in (0.0625, 0.5, 0.5, 5.0):
+            observed.observe(value)
+        added.add([1, 0, 0], 0.0625)
+        added.add([0, 2, 1], 6.0)
+        added.add([0, 0, 0], 0.0)
+        assert added.sample() == observed.sample()
 
     def test_wrong_labels_raise(self):
         registry = MetricsRegistry()
@@ -92,6 +96,7 @@ class TestFamilies:
         try:
             counter.inc()
             histogram.observe(0.5)
+            histogram.add([1] * (len(histogram.buckets) + 1), 1.0)
         finally:
             obs_metrics.set_enabled(True)
         assert counter.value() == 0
@@ -141,6 +146,8 @@ class TestRenderText:
 
 
 class TestSnapshotMerge:
+    """Snapshots, and deltas added through the plain write calls."""
+
     def _delta(self, op_counts, observations):
         registry = MetricsRegistry()
         counter = registry.counter("ops_total", "Ops.", labels=("op",))
@@ -151,26 +158,27 @@ class TestSnapshotMerge:
         for value in observations:
             histogram.observe(value)
         if observations:
-            # Levels carried in a delta are peaks; merging takes the max.
             gauge.set(max(observations))
         return registry.snapshot()
+
+    @staticmethod
+    def _record_delta(registry, op_counts, observations):
+        """Add one delta the way the serving pool records tally growth:
+        counter increments and pre-bucketed histogram counts."""
+        counter = registry.counter("ops_total", "Ops.", labels=("op",))
+        histogram = registry.histogram("dur_seconds", "Durations.")
+        for op, amount in op_counts:
+            counter.inc(amount, op=op)
+        counts = [0] * (len(DEFAULT_BUCKETS) + 1)
+        for value in observations:
+            counts[bisect.bisect_left(DEFAULT_BUCKETS, value)] += 1
+        histogram.add(counts, sum(observations))
 
     def test_snapshot_is_picklable_and_deterministic(self):
         delta = self._delta([("a", 2), ("b", 1)], [0.1, 0.2])
         assert pickle.loads(pickle.dumps(delta)) == delta
         again = self._delta([("b", 1), ("a", 2)], [0.2, 0.1])
         assert again == delta
-
-    def test_merge_creates_families_and_adds(self):
-        target = MetricsRegistry()
-        target.merge(self._delta([("a", 1)], [0.1]))
-        target.merge(self._delta([("a", 2), ("b", 3)], [5.0]))
-        assert target.get("ops_total").value(op="a") == 3
-        assert target.get("ops_total").value(op="b") == 3
-        counts, total, count = target.get("dur_seconds").sample()
-        assert count == 2 and total == pytest.approx(5.1)
-        # Gauges take the max: order-free for level-style values.
-        assert target.get("level").value() == 5.0
 
     @given(
         deltas=st.lists(
@@ -189,20 +197,19 @@ class TestSnapshotMerge:
     )
     @settings(max_examples=60, deadline=None)
     def test_merge_is_permutation_invariant(self, deltas, seed):
-        """Folding worker deltas in any completion order merges identically."""
-        snapshots = [self._delta(ops, observations) for ops, observations in deltas]
-        shuffled = list(snapshots)
+        """Adding deltas in any order records identically."""
+        shuffled = list(deltas)
         seed.shuffle(shuffled)
         ordered, permuted = MetricsRegistry(), MetricsRegistry()
-        for snapshot in snapshots:
-            ordered.merge(snapshot)
-        for snapshot in shuffled:
-            permuted.merge(snapshot)
+        for ops, observations in deltas:
+            self._record_delta(ordered, ops, observations)
+        for ops, observations in shuffled:
+            self._record_delta(permuted, ops, observations)
         assert ordered.snapshot() == permuted.snapshot()
         assert ordered.render_text() == permuted.render_text()
 
     def test_merged_deltas_equal_direct_recording(self):
-        """One registry recording everything == many deltas merged."""
+        """One registry recording everything == many deltas added."""
         direct = MetricsRegistry()
         counter = direct.counter("ops_total", "Ops.", labels=("op",))
         histogram = direct.histogram("dur_seconds", "Durations.")
@@ -210,10 +217,7 @@ class TestSnapshotMerge:
         for op, value in [("a", 0.01), ("b", 0.2), ("a", 3.0)]:
             counter.inc(op=op)
             histogram.observe(value)
-            delta = MetricsRegistry()
-            delta.counter("ops_total", "Ops.", labels=("op",)).inc(op=op)
-            delta.histogram("dur_seconds", "Durations.").observe(value)
-            merged.merge(delta.snapshot())
+            self._record_delta(merged, [(op, 1)], [value])
         assert merged.snapshot() == direct.snapshot()
 
     def test_default_buckets_are_sorted_and_nontrivial(self):

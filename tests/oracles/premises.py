@@ -8,16 +8,25 @@ tests can pin the s-support semantics without a full rule mine.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterator, NamedTuple, Optional, Tuple
 
 from repro.core.blocks import PositionBlock
 from repro.core.events import EncodedDatabase, EventId
 from repro.core.stats import MiningStats
-from repro.rules.premise_miner import (
-    MinedPremise,
-    initial_premise_projections,
-    premise_extensions,
-)
+from repro.rules.premise_miner import initial_premise_projections, premise_extensions
+
+
+class MinedPremise(NamedTuple):
+    """A premise candidate: the pattern, its s-support and its projections.
+
+    ``projections`` maps each supporting sequence index to the end position
+    of the earliest embedding of the premise in that sequence (columnar,
+    one row per sequence, ascending).
+    """
+
+    pattern: Tuple[EventId, ...]
+    s_support: int
+    projections: PositionBlock
 
 
 class PremiseMiner:

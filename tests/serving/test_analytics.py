@@ -208,6 +208,20 @@ class TestAnalyticsVerb:
                 assert points.get((rule, outcome), 0) == tally[outcome]
             assert advances.get(rule, 0) == tally["trie_advances"]
 
+    def test_close_exports_growth_no_scrape_has_recorded(self):
+        """Closing the pool records the tallies' growth before its
+        collector goes away, so closes after the last scrape still count."""
+        REGISTRY.reset()
+        with MonitorPool(RULES, shards=2, queue_depth=64) as pool:
+            for session, events in (("good", ["open", "use", "close"]), ("bad", ["open"])):
+                pool.feed_batch(session, events)
+                pool.end_session(session).wait(timeout=10)
+        text = REGISTRY.render_text()
+        assert "repro_pool_sessions_closed_total 2" in text
+        assert 'repro_rule_points_total{rule="open -> use, close",outcome="opened"} 2' in text
+        assert 'repro_rule_points_total{rule="open -> use, close",outcome="violated"} 1' in text
+        assert 'repro_rule_active_seconds_count{rule="open -> use, close"} 2' in text
+
     def test_muted_registry_leaves_rule_families_empty(self, client):
         REGISTRY.reset()
         set_enabled(False)

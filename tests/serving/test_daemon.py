@@ -1,6 +1,7 @@
 """Watch-daemon integration tests: the mine→serve→monitor loop end to end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,28 @@ def test_watch_state_is_saved_per_committed_append(dirs, monkeypatch):
     # Only the file whose append never committed is (re-)ingested.
     assert [path.name for path, _ in cycle.ingested] == ["b.jsonl"]
     assert len(restarted.store) == 2
+
+
+def test_empty_file_is_marked_ingested_without_a_batch(dirs):
+    """An empty trace file commits no batch: the daemon records it as
+    ingested but neither reports nor monitors it."""
+    watch, store_dir = dirs
+    daemon = WatchDaemon(watch, store_dir, _miner())
+    daemon.run_once()
+    _write(watch / "empty.jsonl", [])
+    cycle = daemon.run_once()
+    assert cycle.ingested == [] and cycle.traces_added == 0
+    assert cycle.monitoring is None
+    assert daemon.store.batches == []
+    state = json.loads((store_dir / "watch_state.json").read_text())
+    assert [Path(path).name for path in state["ingested"]] == ["empty.jsonl"]
+
+    _write(watch / "day1.jsonl", [["a", "b"], ["a", "b"]])
+    restarted = WatchDaemon(watch, store_dir, _miner())
+    cycle = restarted.run_once()
+    assert [path.name for path, _ in cycle.ingested] == ["day1.jsonl"]
+    assert [info.index for _, info in cycle.ingested] == [0]
+    assert cycle.monitoring is not None and cycle.monitoring.total_points > 0
 
 
 def test_restart_with_a_different_directory_spelling_does_not_reingest(dirs):

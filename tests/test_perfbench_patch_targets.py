@@ -4,8 +4,8 @@
 where the program calls them.  A rename or a call that bypasses the patched
 name would silently drop a layer from the benchmark's ledger, so this test
 installs every wrapper on a real ``Tracer``, checks each target resolved,
-and mines once in process to check the mining layers are really reached
-through the patched names.
+then mines once and serves a few sessions in process to check every layer
+is really reached through the patched names.
 """
 
 import importlib.util
@@ -16,6 +16,9 @@ from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
+from repro.rules.rule import RecurrentRule
+from repro.serving.pool import MonitorPool
+from repro.serving.server import EventPushServer, PushClient
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -86,5 +89,48 @@ def test_mining_layers_are_reached_through_the_patched_names():
         "premise",
         "consequent",
         "redundancy",
+    ):
+        assert calls.get(layer, 0) > 0, layer
+
+
+def test_serving_layers_are_reached_through_the_patched_names():
+    module = _load_tracer_module()
+    tracer = module.Tracer()
+    module.install_serving(tracer)
+    try:
+        rules = [
+            RecurrentRule(
+                premise=("open",), consequent=("close",), s_support=2, i_support=2,
+                confidence=1.0,
+            )
+        ]
+        with MonitorPool(rules, shards=2, queue_depth=64) as pool:
+            server = EventPushServer(pool, port=0)
+            server.start()
+            try:
+                with PushClient(*server.address) as client:
+                    client.feed_batch("good", ["open", "close"])
+                    client.end("good")
+                    client.feed_batch("bad", ["open"])
+                    client.end("bad")
+                    client.stats()
+                    client.analytics()
+                    client.report()
+            finally:
+                server.close()
+        calls = tracer.snapshot()["calls"]
+    finally:
+        tracer.restore()
+    for layer in (
+        "compile",
+        "server.decode",
+        "server.encode",
+        "server.dispatch",
+        "pool.admit",
+        "pool.ticket_wait",
+        "monitor.feed",
+        "monitor.close",
+        "report.merge",
+        "obs.scrape",
     ):
         assert calls.get(layer, 0) > 0, layer
