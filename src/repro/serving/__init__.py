@@ -5,12 +5,14 @@ serves them against *live* traffic:
 
 * :mod:`repro.serving.compile` — compile a rule set (or a specification
   repository) into a :class:`CompiledRuleSet`: a shared premise trie plus
-  per-rule consequent trackers whose per-trace state advances one event at
-  a time in amortized O(active states);
+  the per-rule tables read when a trace closes;
 * :mod:`repro.serving.stream_monitor` — :class:`StreamingMonitor`, the
   incremental checker (``feed`` / ``end_trace`` / ``report``) emitting
   exactly the violations the rule semantics
-  (:mod:`repro.rules.temporal_points`) define;
+  (:mod:`repro.rules.temporal_points`) define.  ``feed`` is O(1) per event
+  and touches no rule (an open trace holds one int per rule-relevant
+  event); ``end_trace`` settles every armed rule in
+  O(armed rules · log n);
 * :mod:`repro.serving.pool` — :class:`MonitorPool`, the multi-tenant layer:
   worker shards with bounded queues and ``BUSY`` backpressure,
   consistent-hash session→shard affinity, generation-numbered hot swap of

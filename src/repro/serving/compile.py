@@ -5,11 +5,10 @@ points of every rule from scratch for every trace: checking ``R`` rules
 over a length-``n`` trace costs ``O(R * n)`` full scans plus one
 ``O(n)`` suffix re-scan per temporal point.  That is fine for a batch audit
 and hopeless for serving a stream.  This module compiles a rule set *once*
-into a :class:`CompiledRuleSet` whose per-trace state advances one event at
-a time, so the streaming monitor pays amortized ``O(active states)`` per
-event — independent of how long the trace has already run.
+into a :class:`CompiledRuleSet` that lets the streaming monitor do O(1)
+work per fed event and settle every rule once, when the trace closes.
 
-Three compiled structures, mirroring the two halves of the temporal-points
+Two compiled structures, mirroring the two halves of the temporal-points
 semantics (Definition 5.1):
 
 * **a shared premise trie** over the encoded premise *prefixes*
@@ -22,16 +21,16 @@ semantics (Definition 5.1):
   *watch index* the per-trace state keeps (symbol → trie nodes waiting on
   that symbol): a reached node registers its children once, each node is
   activated at most once per trace, and every event's work is exactly the
-  states it actually advances.  A rule whose premise prefix completes at
-  its trie node is *armed* from that position on;
-* **per-rule point openers**: an armed rule opens one temporal point at
-  every later occurrence of its premise's last event (``last(P)`` strictly
-  after the prefix embedding end — the characterisation of
-  :func:`~repro.rules.temporal_points.temporal_points_in_sequence`);
-* **per-rule consequent trackers**: templates for the greedy subsequence
-  match of the consequent over the suffix after each temporal point,
-  compiled as symbol → descending matched-stage moves so one event advances
-  every pending point of a rule in one list splice.
+  nodes it actually advances.  A rule whose premise prefix completes at
+  its trie node is *armed* from that position on, and each node lists the
+  distinct ``last(premise)`` symbols of the rules it arms, so the monitor
+  can stamp the clock when a rule's first point opens without touching
+  the rule;
+* **per-rule tables** read only at trace close: the symbol of
+  ``last(premise)`` (an armed rule has one temporal point at every later
+  occurrence of it — the characterisation of
+  :func:`~repro.rules.temporal_points.temporal_points_in_sequence`), the
+  encoded consequent, the report signature and the analytics key.
 
 The compiled artifact is immutable and shared: any number of concurrent
 :class:`~repro.serving.stream_monitor.StreamingMonitor` sessions can serve
@@ -95,9 +94,9 @@ class CompiledRuleSet:
         "children",
         "arm_at_node",
         "root_armed",
+        "opens_at_node",
         "last_symbol",
         "consequents",
-        "consequent_moves",
         "signatures",
         "keys",
     )
@@ -110,7 +109,6 @@ class CompiledRuleSet:
         arm_at_node: Tuple[Tuple[int, ...], ...],
         last_symbol: Tuple[Symbol, ...],
         consequents: Tuple[Tuple[Symbol, ...], ...],
-        consequent_moves: Tuple[Dict[Symbol, Tuple[int, ...]], ...],
     ) -> None:
         #: The monitored rules, in monitor order (violation reports follow it).
         self.rules = rules
@@ -125,12 +123,16 @@ class CompiledRuleSet:
         self.arm_at_node = arm_at_node
         #: Rule ids armed from the start of every trace (premise length 1).
         self.root_armed = arm_at_node[0]
+        #: Node id -> the distinct ``last(premise)`` symbols of the rules
+        #: armed there: the events that open those rules' first points.
+        self.opens_at_node = tuple(
+            tuple(dict.fromkeys(last_symbol[rule_id] for rule_id in armed))
+            for armed in arm_at_node
+        )
         #: Rule id -> symbol of ``last(premise)`` (the point-opening event).
         self.last_symbol = last_symbol
         #: Rule id -> encoded consequent.
         self.consequents = consequents
-        #: Rule id -> {symbol: descending matched-stage indices it advances}.
-        self.consequent_moves = consequent_moves
         #: Rule id -> ``rule.signature()``, the report's per-rule point key.
         self.signatures = tuple(rule.signature() for rule in rules)
         #: Rule id -> :func:`rule_key`, the analytics key.
@@ -180,7 +182,6 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
     arm_lists: List[List[int]] = [[]]
     last_symbol: List[Symbol] = []
     consequents: List[Tuple[Symbol, ...]] = []
-    consequent_moves: List[Dict[Symbol, Tuple[int, ...]]] = []
 
     for rule_id, rule in enumerate(rules):
         node: NodeId = 0
@@ -195,20 +196,7 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
             node = successor
         arm_lists[node].append(rule_id)
         last_symbol.append(intern(rule.premise[-1]))
-        consequent = tuple(intern(label) for label in rule.consequent)
-        consequents.append(consequent)
-        stages_by_symbol: Dict[Symbol, List[int]] = {}
-        for stage, symbol in enumerate(consequent):
-            stages_by_symbol.setdefault(symbol, []).append(stage)
-        # Descending stage order: one event advances each pending point by
-        # at most one consequent position, even when the consequent repeats
-        # the event (the later stage is spliced before the earlier one).
-        consequent_moves.append(
-            {
-                symbol: tuple(reversed(stages))
-                for symbol, stages in stages_by_symbol.items()
-            }
-        )
+        consequents.append(tuple(intern(label) for label in rule.consequent))
 
     return CompiledRuleSet(
         rules=rules,
@@ -217,5 +205,4 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
         arm_at_node=tuple(tuple(arm) for arm in arm_lists),
         last_symbol=tuple(last_symbol),
         consequents=tuple(consequents),
-        consequent_moves=tuple(consequent_moves),
     )

@@ -183,6 +183,15 @@ def _seq_field(payload: Dict[str, object]) -> Optional[int]:
     return value
 
 
+def _limit_field(payload: Dict[str, object]) -> Optional[int]:
+    value = payload.get("limit")
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise MonitoringError("'limit' must be a non-negative integer")
+    return value
+
+
 def _report_payload(report, limit: Optional[int]) -> Dict[str, object]:
     violations = report.violations if limit is None else report.violations[:limit]
     return {
@@ -195,6 +204,10 @@ def _report_payload(report, limit: Optional[int]) -> Dict[str, object]:
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: read frames, dispatch verbs, reply in order."""
+
+    # Each reply is its own small segment; with Nagle's algorithm on, a
+    # client pipelining frames would wait out the delayed ACK per reply.
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # noqa: D102 - socketserver plumbing
         server: "_PushTCPServer" = self.server  # type: ignore[assignment]
@@ -397,6 +410,7 @@ class EventPushServer:
             return self._feed_reply(status, session), False
         if op == "END":
             session = _string_field(payload, "session")
+            limit = _limit_field(payload)  # before END takes effect
             try:
                 ticket = self.pool.end_session(session, trace=_trace_field(payload))
                 if ticket is None:
@@ -404,9 +418,8 @@ class EventPushServer:
                 report = ticket.wait(timeout=self.end_timeout)
             except SessionLost as error:
                 return {"op": "SESSION_LOST", "session": session, "error": str(error)}, False
-            limit = payload.get("limit")
             reply = {"op": "SESSION", "session": session}
-            reply.update(_report_payload(report, limit if isinstance(limit, int) else None))
+            reply.update(_report_payload(report, limit))
             return reply, False
         if op == "STATS":
             stats = dict(self.pool.stats())
@@ -443,11 +456,8 @@ class EventPushServer:
                 "rules": rules,
             }, False
         if op == "REPORT":
-            limit = payload.get("limit")
             reply = {"op": "REPORT"}
-            reply.update(
-                _report_payload(self.pool.report(), limit if isinstance(limit, int) else None)
-            )
+            reply.update(_report_payload(self.pool.report(), _limit_field(payload)))
             return reply, False
         if op == "SWAP":
             repository = payload.get("repository")
@@ -519,6 +529,7 @@ class PushClient:
     # -- connection management ----------------------------------------- #
     def _connect(self) -> None:
         self._sock = socket.create_connection(self._address, timeout=self._connect_timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(self._timeout)
         self._file = self._sock.makefile("rwb")
 

@@ -8,35 +8,43 @@ reference monitor derives from the temporal-points semantics.  The
 hypothesis parity suite in ``tests/serving/`` pins it against that
 reference (``tests/oracles/monitor.py``) and the LTL translation.
 
-Per event the monitor does three things, in an order that encodes the
-"strictly after" halves of Definition 5.1:
+The work splits between the two calls:
 
-1. **advance consequent trackers** — pending temporal points opened at
-   *earlier* positions consume this event for their greedy consequent
-   match (a point opened at this very position must not, so opening comes
-   second);
-2. **open temporal points** — every rule already armed whose premise-last
-   event equals this one opens a point here (a rule arming at this very
-   position must not, so arming comes third);
-3. **advance the premise trie** — trie nodes watching this symbol are
-   reached, registering their children in the watch index and arming the
-   rules whose premise prefix ends there.
+* **feed is O(1) per event** and touches no rule.  It appends the
+  position to its symbol's occurrence list, advances the premise trie
+  (noting the position at which each trie node is reached — the rules
+  armed there are armed from that position on) and fires the one-shot
+  clock watches that stamp when an armed node's rules open their first
+  point.  Events outside every rule fall out of the symbol table.
+* **close is O(armed rules · log n)**.  It visits the armed rules in
+  ascending rule id.  A rule's temporal points are the occurrences of
+  ``last(premise)`` strictly after its arming position (one bisect).  For
+  each distinct consequent, one backward greedy walk (one bisect per
+  consequent event) finds the latest position at which a consequent
+  embedding can start; a point strictly before it is satisfied, every
+  later point is a violation, in position order.
 
-Every step only touches state that actually moves: unknown events fall out
-of the symbol table in O(1), each trie node is activated at most once per
-trace, and consequent advancement splices whole stage lists.  The per-event
-cost is therefore amortized O(active states), independent of trace length —
-the property that makes the monitor serviceable on live streams where
-per-trace re-scans are quadratic.
+An open trace therefore holds one int per rule-relevant event rather than
+the pending points of every rule.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from operator import add, sub
-from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Tuple
+from typing import (
+    DefaultDict,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence as TypingSequence,
+    Set,
+    Tuple,
+)
 
 from ..core.errors import MonitoringError
 from ..core.events import EventLabel
@@ -93,7 +101,7 @@ class RuleTally:
                     active = closed_at - first_open
                     slot[4] += active
                     # ``le`` buckets: the first bound >= the observation.
-                    slot[5 + bisect.bisect_left(bounds, active)] += 1
+                    slot[5 + bisect_left(bounds, active)] += 1
 
     @staticmethod
     def merged(tallies: Iterable["RuleTally"]) -> Dict[str, List[float]]:
@@ -142,52 +150,6 @@ class RuleTally:
         }
 
 
-class _ConsequentTracker:
-    """All pending temporal points of one rule within the current trace.
-
-    ``stages[s]`` holds the opening positions of the points whose greedy
-    consequent match has consumed ``s`` events so far; a point leaving the
-    last stage is satisfied and only counted.  Points open in ascending
-    position order and whole stages advance together, so every stage list
-    stays ascending — end-of-trace violation order is position order.
-    """
-
-    __slots__ = ("stages", "opened", "satisfied", "first_open")
-
-    def __init__(self, consequent_length: int) -> None:
-        self.stages: List[List[int]] = [[] for _ in range(consequent_length)]
-        self.opened = 0
-        self.satisfied = 0
-        #: perf_counter at the first opened point — the start of the rule's
-        #: "active" window for the per-rule latency histogram.
-        self.first_open: Optional[float] = None
-
-    def open(self, position: int) -> None:
-        if self.opened == 0:
-            self.first_open = time.perf_counter()
-        self.opened += 1
-        self.stages[0].append(position)
-
-    def advance(self, moves: TypingSequence[int]) -> None:
-        last = len(self.stages) - 1
-        for stage in moves:  # descending: one consequent step per event
-            pending = self.stages[stage]
-            if not pending:
-                continue
-            if stage == last:
-                self.satisfied += len(pending)
-            else:
-                self.stages[stage + 1].extend(pending)
-            pending.clear()
-
-    def pending_positions(self) -> List[int]:
-        if len(self.stages) == 1:
-            return list(self.stages[0])  # one stage list is already ascending
-        return sorted(
-            position for stage in self.stages for position in stage
-        )
-
-
 class _TraceRun:
     """Mutable matching state of one in-flight trace."""
 
@@ -195,108 +157,126 @@ class _TraceRun:
         "trace_index",
         "name",
         "position",
+        "positions",
         "node_watch",
-        "point_watch",
-        "consequent_watch",
-        "trackers",
-        "armed_counts",
+        "reached",
+        "open_watch",
+        "opened_at",
     )
 
     def __init__(self, compiled: CompiledRuleSet, trace_index: int, name: Optional[str]) -> None:
         self.trace_index = trace_index
         self.name = name
         self.position = -1
-        #: rule id -> times the premise trie armed the rule this trace
-        #: (plain int bumps on the arming path only — never per event).
-        self.armed_counts: Dict[int, int] = {}
+        #: symbol -> ascending positions of its occurrences in this trace.
+        self.positions: DefaultDict[Symbol, List[int]] = defaultdict(list)
         #: symbol -> trie nodes reachable from an already-reached node via
         #: that symbol.  This is the trie's "failure function" in disguise:
         #: a mismatching event touches none of the waiting nodes.
         self.node_watch: Dict[Symbol, List[NodeId]] = {}
-        #: symbol -> armed rule ids opening a point on that symbol.
-        self.point_watch: Dict[Symbol, List[int]] = {}
-        #: symbol -> rule ids with a live tracker advancing on that symbol.
-        self.consequent_watch: Dict[Symbol, List[int]] = {}
-        #: rule id -> consequent tracker (created at the rule's first point).
-        self.trackers: Dict[int, _ConsequentTracker] = {}
+        #: (trie node, position it was reached at) for every node that arms
+        #: rules; the root is reached before the first event.
+        self.reached: List[Tuple[NodeId, int]] = []
+        #: ``last(premise)`` symbols of armed rules whose next occurrence
+        #: opens some rule's first point (one-shot clock watches).
+        self.open_watch: Set[Symbol] = set()
+        #: position -> perf_counter when a watched symbol occurred there.
+        self.opened_at: Dict[int, float] = {}
         self._reach(compiled, 0)
 
     def _reach(self, compiled: CompiledRuleSet, node: NodeId) -> None:
-        """Activate a trie node: register its children, arm its rules."""
+        """Activate a trie node: register its children, note its arming."""
         for symbol, child in compiled.children[node].items():
             self.node_watch.setdefault(symbol, []).append(child)
-        for rule_id in compiled.arm_at_node[node]:
-            self.point_watch.setdefault(compiled.last_symbol[rule_id], []).append(rule_id)
-            self.armed_counts[rule_id] = self.armed_counts.get(rule_id, 0) + 1
+        opens = compiled.opens_at_node[node]
+        if opens:
+            self.reached.append((node, self.position))
+            self.open_watch.update(opens)
 
     def feed(self, compiled: CompiledRuleSet, event: EventLabel) -> None:
         self.position += 1
         symbol = compiled.symbol_of.get(event)
         if symbol is None:
             return
-        # 1. Earlier points consume this event for their consequent match.
-        for rule_id in self.consequent_watch.get(symbol, ()):
-            self.trackers[rule_id].advance(compiled.consequent_moves[rule_id][symbol])
-        # 2. Rules armed strictly before this position open points here.
-        for rule_id in self.point_watch.get(symbol, ()):
-            tracker = self.trackers.get(rule_id)
-            if tracker is None:
-                tracker = _ConsequentTracker(len(compiled.consequents[rule_id]))
-                self.trackers[rule_id] = tracker
-                for watched in compiled.consequent_moves[rule_id]:
-                    self.consequent_watch.setdefault(watched, []).append(rule_id)
-            tracker.open(self.position)
-        # 3. The premise trie advances; newly armed rules wait for the
-        #    *next* occurrence of their last event (strictly-after).
+        self.positions[symbol].append(self.position)
+        # Rules armed strictly before this position open their first point
+        # here; a node reached at this very position watches from the next
+        # event on, so the trie advances last.
+        if symbol in self.open_watch:
+            self.open_watch.discard(symbol)
+            self.opened_at[self.position] = time.perf_counter()
         reached = self.node_watch.pop(symbol, None)
         if reached is not None:
             for node in reached:
                 self._reach(compiled, node)
 
+    def _latest_start(self, consequent: Tuple[Symbol, ...]) -> int:
+        """The latest position a consequent embedding starts at, or -1.
+
+        A backward greedy walk: the last occurrence of the consequent's last
+        event, then the last occurrence of each earlier event before that.
+        """
+        before = self.position + 1
+        positions = self.positions
+        for symbol in reversed(consequent):
+            occurrences = positions.get(symbol)
+            index = bisect_left(occurrences, before) - 1 if occurrences else -1
+            if index < 0:
+                return -1
+            before = occurrences[index]
+        return before
+
     def close(self, compiled: CompiledRuleSet) -> Tuple[MonitoringReport, List[RuleClose]]:
-        """Finish the trace: unmatched pending points become violations.
+        """Finish the trace: settle every armed rule's temporal points.
 
         Only the rules this trace armed are visited — a rule never armed
-        has no points and no analytics — so the cost is O(rules touched),
-        not O(rule set).  (A rule whose premise is one event is armed at
-        the root, i.e. by every trace.)  Trackers exist only for armed
-        rules, so the armed ids are all of them; visiting them in ascending
-        rule id keeps the violation order of a full scan.  Returns the
-        trace's report (with sparse ``per_rule_points``) and one
-        :data:`RuleClose` per touched rule for the analytics tally.
+        has no points and no analytics — so the cost is
+        O(armed rules · log n), not O(rule set).  (A rule whose premise is one event is armed at
+        the root, i.e. by every trace.)  Visiting them in ascending rule
+        id keeps the violation order of a full scan.  Returns the trace's
+        report (with sparse ``per_rule_points``) and one :data:`RuleClose`
+        per armed rule for the analytics tally; a trie node is reached at
+        most once per trace, so each armed rule counts one trie advance.
         """
         report = MonitoringReport()
         per_rule_points = report.per_rule_points
         violations = report.violations
-        keys, signatures = compiled.keys, compiled.signatures
-        trackers = self.trackers
+        rules, keys, signatures = compiled.rules, compiled.keys, compiled.signatures
+        last_symbol, consequents = compiled.last_symbol, compiled.consequents
+        positions, opened_at = self.positions, self.opened_at
+        trace_index, name = self.trace_index, self.name
+        armed_at: Dict[int, int] = {}
+        for node, position in self.reached:
+            armed_at.update(dict.fromkeys(compiled.arm_at_node[node], position))
+        latest: Dict[Tuple[Symbol, ...], int] = {}
         closes: List[RuleClose] = []
         total = satisfied = 0
-        for rule_id, armed in sorted(self.armed_counts.items()):
-            tracker = trackers.get(rule_id)
-            if tracker is None:
-                closes.append((keys[rule_id], 0, 0, 0, armed, None))
+        for rule_id, armed in sorted(armed_at.items()):
+            # The points: occurrences of last(premise) after the arming.
+            points = positions.get(last_symbol[rule_id], ())
+            first = bisect_right(points, armed)
+            opened = len(points) - first
+            if not opened:
+                closes.append((keys[rule_id], 0, 0, 0, 1, None))
                 continue
-            opened = tracker.opened
+            consequent = consequents[rule_id]
+            start = latest.get(consequent)
+            if start is None:
+                start = latest[consequent] = self._latest_start(consequent)
+            # Points before the latest consequent start are satisfied.
+            cut = bisect_left(points, start, first)
             signature = signatures[rule_id]
             per_rule_points[signature] = per_rule_points.get(signature, 0) + opened
             total += opened
-            satisfied += tracker.satisfied
-            pending = tracker.pending_positions()
+            satisfied += cut - first
             closes.append(
-                (keys[rule_id], opened, tracker.satisfied, len(pending), armed, tracker.first_open)
+                (keys[rule_id], opened, cut - first, len(points) - cut, 1, opened_at[points[first]])
             )
-            if pending:
-                rule = compiled.rules[rule_id]
-                violations.extend(
-                    RuleViolation(
-                        rule=rule,
-                        trace_index=self.trace_index,
-                        position=position,
-                        trace_name=self.name,
-                    )
-                    for position in pending
-                )
+            if cut < len(points):
+                rule = rules[rule_id]
+                violations += [
+                    RuleViolation(rule, trace_index, position, name) for position in points[cut:]
+                ]
         report.total_points = total
         report.satisfied_points = satisfied
         return report, closes

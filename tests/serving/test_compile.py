@@ -68,11 +68,13 @@ def test_compile_interns_symbols_only_for_rule_events():
     assert "z" not in compiled.symbol_of
 
 
-def test_compile_consequent_moves_are_descending_for_repeated_events():
-    compiled = compile_rules([_rule(["a"], ["x", "x", "y"])])
-    (moves,) = compiled.consequent_moves
-    x = compiled.symbol_of["x"]
-    assert moves[x] == (1, 0)
+def test_compile_lists_the_point_opening_symbols_of_each_node():
+    compiled = compile_rules(
+        [_rule(["a", "b"], ["x"]), _rule(["a", "c"], ["y"]), _rule(["a", "b"], ["z"])]
+    )
+    a_node = compiled.children[0][compiled.symbol_of["a"]]
+    assert compiled.opens_at_node[0] == ()
+    assert compiled.opens_at_node[a_node] == (compiled.symbol_of["b"], compiled.symbol_of["c"])
 
 
 def test_compiled_rule_set_is_immutable_shape():

@@ -3,6 +3,7 @@
 import io
 import socket
 import struct
+import time
 
 import pytest
 
@@ -100,6 +101,40 @@ def test_verb_errors_keep_the_connection(client):
     assert client.request({"op": "BATCH", "session": "s", "events": "oops"})["op"] == "ERROR"
     assert client.request({"op": "EVENT", "session": "", "event": "x"})["op"] == "ERROR"
     assert client.ping() == {"op": "PONG"}  # still alive after every error
+
+
+@pytest.mark.parametrize("limit", [-1, True, False, 1.5, "2"])
+def test_end_rejects_a_bad_limit_and_keeps_the_session_open(client, limit):
+    client.feed_batch("s", ["open", "open"])
+    reply = client.request({"op": "END", "session": "s", "limit": limit})
+    assert reply["op"] == "ERROR" and "limit" in reply["error"]
+    reply = client.end("s", limit=1)  # the session survived the bad END
+    assert reply["op"] == "SESSION"
+    assert reply["violation_count"] == 2 and len(reply["violations"]) == 1
+
+
+@pytest.mark.parametrize("limit", [-1, True, 0.0])
+def test_report_rejects_a_bad_limit(client, limit):
+    reply = client.request({"op": "REPORT", "limit": limit})
+    assert reply["op"] == "ERROR" and "limit" in reply["error"]
+    assert client.report(limit=0)["op"] == "REPORT"
+
+
+def test_pipelined_sessions_do_not_wait_for_delayed_acks(client):
+    """Both ends disable Nagle's algorithm: a session sent as BATCH, BATCH,
+    END in one flush is answered without a delayed-ACK stall per reply."""
+    assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    client.ping()  # connection established and warmed up
+    started = time.perf_counter()
+    for n in range(20):
+        session = f"nagle-{n}"
+        client.send({"op": "BATCH", "session": session, "events": ["open", "use"]})
+        client.send({"op": "BATCH", "session": session, "events": ["close"]})
+        client.send({"op": "END", "session": session})
+        client.flush()
+        replies = [client.read() for _ in range(3)]
+        assert [reply["op"] for reply in replies] == ["OK", "OK", "SESSION"]
+    assert time.perf_counter() - started < 0.5
 
 
 def test_malformed_frame_gets_error_then_close(served):

@@ -18,8 +18,9 @@ from repro.ltl.semantics import holds
 from repro.ltl.translate import rule_to_ltl
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.rules.rule import RecurrentRule
-from repro.serving import StreamingMonitor, compile_rules, monitor_stream
+from repro.serving import CompiledRuleSet, StreamingMonitor, compile_rules, monitor_stream
 from repro.serving.compile import rule_key
+from repro.serving.stream_monitor import RuleTally
 from tests.oracles.monitor import RuleMonitor
 
 ALPHABET = [str(i) for i in range(5)]
@@ -192,6 +193,91 @@ def _rule(premise, consequent):
         premise=tuple(premise), consequent=tuple(consequent),
         s_support=1, i_support=1, confidence=1.0,
     )
+
+
+def _check_against_oracle(rules, trace):
+    """The trace's streaming report, after asserting it equals the oracle's."""
+    report = StreamingMonitor(compile_rules(rules)).check_trace(trace)
+    _assert_reports_identical(RuleMonitor(rules).check_trace(trace), report)
+    return report
+
+
+def test_consequent_repeating_an_event_needs_both_occurrences():
+    # Points at 0, 2 and 5: the first two see x, x, y later on (x@3, x@6,
+    # y@7); after 5 only one x is left.
+    report = _check_against_oracle(
+        [_rule(["a"], ["x", "x", "y"])], ["a", "x", "a", "x", "y", "a", "x", "y"]
+    )
+    assert (report.total_points, report.satisfied_points) == (3, 2)
+    assert [violation.position for violation in report.violations] == [5]
+
+
+def test_consequent_equal_to_the_last_premise_event_looks_strictly_after():
+    # Each a opens a point that only a *later* a satisfies.
+    report = _check_against_oracle([_rule(["a"], ["a"])], ["a", "b", "a", "a"])
+    assert (report.total_points, report.satisfied_points) == (3, 2)
+    assert [violation.position for violation in report.violations] == [3]
+
+
+def test_one_event_premise_is_armed_at_the_root():
+    rule = _rule(["b"], ["c"])
+    monitor = StreamingMonitor(compile_rules([rule]))
+    report = monitor.check_trace(["b", "c", "b"])
+    _assert_reports_identical(RuleMonitor([rule]).check_trace(["b", "c", "b"]), report)
+    assert [violation.position for violation in report.violations] == [2]
+    assert monitor.rule_analytics()[rule_key(rule)] == {
+        "opened": 2, "satisfied": 1, "violated": 1, "trie_advances": 1,
+    }
+    # A trace without the premise event still arms a root rule.
+    assert monitor.check_trace(["c"]).total_points == 0
+    assert monitor.rule_analytics()[rule_key(rule)]["trie_advances"] == 2
+
+
+def test_armed_rule_without_a_later_last_event_opens_no_point():
+    # The prefix a is reached at 1; the b before it opens nothing.
+    never, opens = _rule(["a", "b"], ["c"]), _rule(["a"], ["c"])
+    monitor = StreamingMonitor(compile_rules([never, opens]))
+    report = monitor.check_trace(["b", "a", "c"])
+    _assert_reports_identical(RuleMonitor([never, opens]).check_trace(["b", "a", "c"]), report)
+    assert report.per_rule_points == {opens.signature(): 1}
+    analytics = monitor.rule_analytics()
+    assert analytics[rule_key(never)] == {
+        "opened": 0, "satisfied": 0, "violated": 0, "trie_advances": 1,
+    }
+    # Only a rule that opened a point has an active window to observe.
+    slots = RuleTally.merged([monitor.tally])
+    assert sum(slots[rule_key(never)][5:]) == 0
+    assert sum(slots[rule_key(opens)][5:]) == 1
+
+
+def test_feed_reads_no_per_rule_table(monkeypatch):
+    """Feeding does no per-rule work: the per-rule tables are read only
+    when the trace closes."""
+    rules = [
+        _rule(["a"], ["b", "c"]),
+        _rule(["a", "b"], ["c"]),
+        _rule(["a", "b", "a"], ["a"]),
+        _rule(["c"], ["c"]),
+    ]
+    trace = ["a", "b", "a", "c", "b", "a", "c", "noise", "c"]
+    compiled = compile_rules(rules)
+    feeding = False
+    for name in ("last_symbol", "consequents", "keys", "signatures"):
+        slot = CompiledRuleSet.__dict__[name]
+
+        def read(self, slot=slot, name=name):
+            if feeding:
+                raise AssertionError(f"feed read compiled.{name}")
+            return slot.__get__(self, CompiledRuleSet)
+
+        monkeypatch.setattr(CompiledRuleSet, name, property(read))
+    monitor = StreamingMonitor(compiled)
+    monitor.begin_trace()
+    feeding = True
+    for event in trace:
+        monitor.feed(event)
+    feeding = False
+    _assert_reports_identical(RuleMonitor(rules).check_trace(trace), monitor.end_trace())
 
 
 def test_violations_carry_trace_names_and_global_indexes():
