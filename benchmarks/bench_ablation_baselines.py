@@ -8,18 +8,23 @@ Two comparisons on the same traces back the paper's qualitative claims:
 * **two-event rules only** — the Perracotta-style baseline (ref [33]) can
   only produce 1 -> 1 rules, whereas the recurrent-rule miner recovers the
   multi-event JAAS rule of Figure 5 from the same security traces.
+
+The baselines are test code, not part of the ``repro`` package: they live in
+``tests/baselines``, so run this from the checkout root
+(``python -m pytest benchmarks/bench_ablation_baselines.py
+-o python_files='bench_*.py' -o python_functions='bench_*'``).
 """
 
 from repro.analysis.reporting import format_table
 from repro.core.sequence import SequenceDatabase
 from repro.core.stats import Timer
-from repro.episodes.windows import WinepiMiner
 from repro.jboss.reference import FIGURE5_CONSEQUENT, FIGURE5_PREMISE
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
-from repro.sequential.rules import TwoEventRuleMiner
+from tests.baselines.episodes import WinepiMiner
+from tests.baselines.sequential import TwoEventRuleMiner
 
 from conftest import write_result
 

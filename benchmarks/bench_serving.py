@@ -13,8 +13,8 @@ shape the shared trie exists for):
   :class:`~repro.serving.stream_monitor.StreamingMonitor` over the
   compiled automaton versus the re-scanning reference monitor of the test
   oracles (``tests/oracles/monitor.py``), which re-derives temporal
-  points per rule per trace.  Reports must be identical
-  (asserted) and the streaming path must be **>= 5x** faster at canonical
+  points per rule per trace.  Reports and per-rule point counts must be
+  identical (asserted) and the streaming path must be **>= 5x** faster at canonical
   scale (asserted, the acceptance criterion);
 * **hot-swap latency** — re-compiling after a rule-set change, i.e. the
   serving gap of :meth:`WatchDaemon._swap`.
@@ -26,7 +26,8 @@ network serving plane (what ``repro serve`` runs): a real TCP
 logical sessions open at once and pushing interleaved batches through a
 pipelined client.  The pool-merged report must be **byte-identical** to a
 single :class:`StreamingMonitor` fed the same sessions sequentially in
-admission order (asserted).  Its record starts its own ``serving_sessions``
+admission order, and the pool's per-rule analytics must count the points
+the reference monitor counts (both asserted).  Its record starts its own ``serving_sessions``
 lineage in ``BENCH_hot_paths.json``.
 
 Results go to ``benchmarks/results/serving.txt`` and are appended as one
@@ -44,13 +45,14 @@ from __future__ import annotations
 import functools
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.core.sequence import SequenceDatabase
 from repro.rules.config import RuleMiningConfig
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
 from repro.serving import StreamingMonitor, compile_rules
-from tests.oracles.monitor import RuleMonitor
+from tests.oracles.monitor import RuleMonitor, analytics_counts
 
 from conftest import append_bench_record, write_result
 
@@ -129,18 +131,21 @@ def bench_serving(benchmark):
     stream_events = stream.total_events()
 
     start = time.perf_counter()
-    offline_report = RuleMonitor(rules).check_database(stream)
+    oracle = RuleMonitor(rules)
+    offline_report = oracle.check_database(stream)
     offline_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    streaming_report = StreamingMonitor(compiled).check_database(stream)
+    streaming_monitor = StreamingMonitor(compiled)
+    streaming_report = streaming_monitor.check_database(stream)
     streaming_seconds = time.perf_counter() - start
 
-    # Correctness first: the serving path emits the identical report.
+    # Correctness first: the serving path emits the identical report and
+    # counts the same points per rule.
     assert streaming_report.total_points == offline_report.total_points
     assert streaming_report.satisfied_points == offline_report.satisfied_points
-    assert streaming_report.per_rule_points == offline_report.per_rule_points
     assert streaming_report.violations == offline_report.violations
+    assert analytics_counts(streaming_monitor.rule_analytics()) == oracle.rule_counts()
     assert streaming_report.violation_count > 0  # the stream exercises both outcomes
 
     # Hot-swap latency: a rule-set change (here: drop one rule) re-compiles.
@@ -250,9 +255,6 @@ def _report_bytes(report) -> bytes:
         "total": report.total_points,
         "satisfied": report.satisfied_points,
         "violations": [violation.as_dict() for violation in report.violations],
-        "per_rule": sorted(
-            (repr(key), count) for key, count in report.per_rule_points.items()
-        ),
     }
     return _json.dumps(payload, sort_keys=True).encode()
 
@@ -320,6 +322,7 @@ def bench_serving_concurrent_sessions(benchmark):
                 assert pool.drain(timeout=120.0)
                 push_seconds = time.perf_counter() - start
             pooled = pool.report()
+            pooled_analytics = pool.rule_analytics()
             final_stats = pool.stats()
 
     assert peak_stats["sessions_active"] == SESSIONS  # all open at once
@@ -343,6 +346,18 @@ def bench_serving_concurrent_sessions(benchmark):
     reference_seconds = time.perf_counter() - start
     assert _report_bytes(pooled) == _report_bytes(reference_report)
     assert pooled.violation_count > 0  # the stream exercises both outcomes
+
+    # Per-rule counts against the reference monitor, which checks each
+    # distinct session trace once (sessions repeat their family's events).
+    expected_counts = {}
+    distinct = Counter(tuple(_session_events(index)) for index in range(SESSIONS))
+    for events, sessions in distinct.items():
+        oracle = RuleMonitor(rules)
+        oracle.check_trace(events)
+        for key, counts in oracle.rule_counts().items():
+            previous = expected_counts.get(key, (0, 0, 0))
+            expected_counts[key] = tuple(a + sessions * b for a, b in zip(previous, counts))
+    assert analytics_counts(pooled_analytics) == expected_counts
 
     # The pytest-benchmark probe: one extra full push run on a fresh stack.
     def probe():

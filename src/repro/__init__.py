@@ -2,11 +2,10 @@
 
 A from-scratch reproduction of Lo & Khoo, *"Mining Patterns and Rules for
 Software Specification Discovery"*, VLDB 2008: closed iterative pattern
-mining, non-redundant recurrent rule mining, the LTL view of mined rules,
-the baselines they are compared against (full miners, sequential patterns,
-episodes, two-event rules), an IBM QUEST-style synthetic generator, a
-simulated JBoss substrate for the case studies, and runtime monitoring of
-the mined specifications.
+mining, non-redundant recurrent rule mining, the full miners they are
+compared against, the LTL view of mined rules, an IBM QUEST-style synthetic
+generator, a simulated JBoss substrate for the case studies, and runtime
+monitoring of the mined specifications.
 
 Quickstart::
 

@@ -107,13 +107,7 @@ class MiningCheckpoint:
     use) the directory is re-keyed and any previous journal discarded.
     """
 
-    def __init__(
-        self,
-        directory: PathLike,
-        identity: Dict[str, str],
-        *,
-        fsync_interval: int = 8,
-    ) -> None:
+    def __init__(self, directory: PathLike, identity: Dict[str, str]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.identity = {str(key): str(value) for key, value in identity.items()}
@@ -128,7 +122,7 @@ class MiningCheckpoint:
             )
         else:
             self._replay(journal_path)
-        self._journal = JournalWriter(journal_path, fsync_interval=fsync_interval)
+        self._journal = JournalWriter(journal_path)
 
     # ------------------------------------------------------------------ #
     # Replay

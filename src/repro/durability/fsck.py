@@ -18,8 +18,9 @@ directory can hold and classifies what it finds:
 * nothing — exit code 0.
 
 The checks mirror the writers: the chained SHA-256 re-hash retraces
-``TraceStore._append_batch_unsaved``, cache validation retraces
-``IncrementalMiner._load_persisted_cache``, and checkpoint validation
+``TraceStore._append_batch_unsaved``, cache validation calls the rule
+``IncrementalMiner`` loads its caches by
+(:func:`repro.ingest.incremental.cache_problem`), and checkpoint validation
 retraces ``MiningCheckpoint`` identity matching — if a writer's invariant
 changes, its audit lives here and must change with it.
 """
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
+from ..ingest.incremental import cache_problem
 from ..ingest.store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, BatchInfo
 from . import checkpoint as checkpoint_format
 from .journal import read_frames
@@ -100,7 +102,7 @@ def audit_store(directory: PathLike, *, repair: bool = True) -> AuditReport:
     _audit_stray_temporaries(report, directory, repair=repair)
     _audit_orphan_data_files(report, directory, data_file, repair=repair)
     chain = {batch.fingerprint for batch in batches}
-    _audit_caches(report, directory, chain, len(batches), batches, repair=repair)
+    _audit_caches(report, directory, batches, repair=repair)
     _audit_checkpoints(report, directory, chain, repair=repair)
     return report
 
@@ -183,15 +185,9 @@ def _audit_orphan_data_files(
 
 
 def _audit_caches(
-    report: AuditReport,
-    directory: Path,
-    chain: set,
-    batch_count: int,
-    batches: List[BatchInfo],
-    *,
-    repair: bool,
+    report: AuditReport, directory: Path, batches: List[BatchInfo], *, repair: bool
 ) -> None:
-    """Incremental record caches must be keyed into the current lineage."""
+    """Incremental record caches must be ones the miner would load."""
     cache_dir = directory / "cache"
     if not cache_dir.is_dir():
         return
@@ -202,15 +198,7 @@ def _audit_caches(
         except Exception as error:
             reason = f"unreadable ({type(error).__name__})"
         else:
-            if not isinstance(payload, dict):
-                reason = "malformed payload"
-            else:
-                synced = payload.get("synced_batches")
-                fingerprint = payload.get("fingerprint")
-                if not isinstance(synced, int) or not 1 <= synced <= batch_count:
-                    reason = "synced batch count outside the store"
-                elif batches[synced - 1].fingerprint != fingerprint:
-                    reason = "fingerprint not in the store's lineage"
+            reason = cache_problem(payload, batches)
         if reason is not None:
             report.issues.append(f"stale incremental cache cache/{cache_path.name}: {reason}")
             if repair:

@@ -35,6 +35,8 @@ PathLike = Union[str, Path]
 
 #: Frame header: payload byte length, CRC-32 of the payload.
 FRAME_HEADER = struct.Struct("<II")
+#: A :class:`JournalWriter` fsyncs after this many appends (and on close).
+FSYNC_INTERVAL = 8
 
 
 def fsync_file(handle) -> None:
@@ -124,12 +126,12 @@ class JournalWriter:
     (everything past the last intact frame), so appends always extend a
     clean prefix.  Every append is flushed to the OS immediately — an
     appended frame survives the *process* dying right after
-    :meth:`append` returns — and fsynced every ``fsync_interval`` appends
-    and on :meth:`close`, bounding what power loss can take to a tail the
-    CRC framing already recovers from.
+    :meth:`append` returns — and fsynced every :data:`FSYNC_INTERVAL`
+    appends and on :meth:`close`, bounding what power loss can take to a
+    tail the CRC framing already recovers from.
     """
 
-    def __init__(self, path: PathLike, *, fsync_interval: int = 8) -> None:
+    def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         existing, valid = read_frames(self.path)
         self._handle = open(self.path, "r+b" if self.path.exists() else "w+b")
@@ -139,7 +141,6 @@ class JournalWriter:
         #: plus frames appended since) — also the fault key of the next
         #: append, so tests can target "the Nth journal write".
         self.entries = len(existing)
-        self._fsync_interval = max(1, fsync_interval)
         self._since_fsync = 0
 
     def append(self, payload: bytes) -> None:
@@ -155,7 +156,7 @@ class JournalWriter:
         self._handle.write(payload)
         self._handle.flush()
         self._since_fsync += 1
-        if self._since_fsync >= self._fsync_interval:
+        if self._since_fsync >= FSYNC_INTERVAL:
             os.fsync(self._handle.fileno())
             self._since_fsync = 0
             obs_metrics.DURABILITY_JOURNAL_FSYNCS_TOTAL.inc()

@@ -36,7 +36,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventId
@@ -51,10 +51,34 @@ from ..engine import (
     ShardRunner,
     WorkUnit,
 )
-from .store import TraceStore
+from .store import BatchInfo, TraceStore
 
 #: On-disk record-cache format version; unknown versions are ignored.
 CACHE_VERSION = 1
+
+
+def cache_problem(payload: Any, batches: Sequence[BatchInfo]) -> Optional[str]:
+    """Why a persisted record cache does not fit a store, or ``None`` if it does.
+
+    The one validity rule for the caches :class:`IncrementalMiner` writes,
+    shared with ``repro fsck``: the payload has this module's
+    :data:`CACHE_VERSION`, its synced batch count lies inside the store,
+    and the store's fingerprint at that batch is the cached one.  Chained
+    fingerprints make that one comparison: the cache fits iff the store's
+    first ``synced`` batches are exactly the corpus it was computed from.
+    The miner also checks the configuration token, which only it knows.
+    """
+    if not isinstance(payload, dict):
+        return "malformed payload"
+    version = payload.get("version")
+    if version != CACHE_VERSION:
+        return f"cache version {version!r}, expected {CACHE_VERSION}"
+    synced = payload.get("synced_batches")
+    if not isinstance(synced, int) or not 1 <= synced <= len(batches):
+        return "synced batch count outside the store"
+    if batches[synced - 1].fingerprint != payload.get("fingerprint"):
+        return "fingerprint not in the store's lineage"
+    return None
 
 
 @dataclass(frozen=True)
@@ -199,11 +223,10 @@ class IncrementalMiner:
     def _load_persisted_cache(self) -> bool:
         """Adopt a persisted record cache when it matches store + config.
 
-        Validation is strict and failure is silent-but-safe: any mismatch
-        (missing file, unreadable pickle, different miner/config token,
-        store fingerprint that does not chain to the cached sync point)
-        just leaves the miner cold — the next refresh is a full re-mine,
-        which is always correct.  The payload is a pickle written by this
+        Validation is strict and failure is silent-but-safe: a missing
+        file, an unreadable pickle, a different miner/config token or any
+        :func:`cache_problem` just leaves the miner cold — the next refresh
+        is a full re-mine, which is always correct.  The payload is a pickle written by this
         class into the user's own store directory; treat the store
         directory with the same trust as the traces themselves.
         """
@@ -214,18 +237,11 @@ class IncrementalMiner:
             payload = pickle.loads(path.read_bytes())
         except Exception:  # noqa: BLE001 - any corrupt cache means "cold start"
             return False
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+        if cache_problem(payload, self.store.batches) is not None:
             return False
         if payload.get("identity") != self._config_token():
             return False
-        synced = payload.get("synced_batches")
-        if not isinstance(synced, int) or not 1 <= synced <= len(self.store.batches):
-            return False
-        # Chained fingerprints make prefix validation one comparison: the
-        # cache is valid iff the store's first `synced` batches are exactly
-        # the corpus the cache was computed from.
-        if self.store.batches[synced - 1].fingerprint != payload.get("fingerprint"):
-            return False
+        synced = payload["synced_batches"]
         database = SequenceDatabase(self.store.vocabulary)
         for trace in self.store.iter_traces(stop_batch=synced):
             database.add_encoded(trace.events, name=trace.name)

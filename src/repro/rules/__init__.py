@@ -6,7 +6,6 @@ Public entry points:
   emitting every significant rule;
 * :class:`NonRedundantRecurrentRuleMiner` / :func:`mine_non_redundant_rules`
   — the paper's non-redundant rule miner;
-* :func:`rule_statistics` — the oracle used to validate rule statistics;
 * :func:`filter_redundant` — the Definition 5.2 redundancy filter.
 """
 
@@ -17,14 +16,6 @@ from .nonredundant_miner import NonRedundantRecurrentRuleMiner, mine_non_redunda
 from .redundancy import filter_redundant
 from .result import RuleMiningResult
 from .rule import RecurrentRule
-from .temporal_points import (
-    TemporalPoint,
-    earliest_embedding_end,
-    is_followed_by,
-    rule_statistics,
-    temporal_points,
-    temporal_points_in_sequence,
-)
 
 __all__ = [
     "RuleMiningConfig",
@@ -37,10 +28,4 @@ __all__ = [
     "filter_redundant",
     "RuleMiningResult",
     "RecurrentRule",
-    "TemporalPoint",
-    "earliest_embedding_end",
-    "is_followed_by",
-    "rule_statistics",
-    "temporal_points",
-    "temporal_points_in_sequence",
 ]

@@ -8,11 +8,10 @@ serves them against *live* traffic:
   the per-rule tables read when a trace closes;
 * :mod:`repro.serving.stream_monitor` — :class:`StreamingMonitor`, the
   incremental checker (``feed`` / ``end_trace`` / ``report``) emitting
-  exactly the violations the rule semantics
-  (:mod:`repro.rules.temporal_points`) define.  ``feed`` is O(1) per event
-  and touches no rule (an open trace holds one int per rule-relevant
-  event); ``end_trace`` settles every armed rule in
-  O(armed rules · log n);
+  exactly the violations the rule semantics (Definition 5.1 temporal
+  points) define.  ``feed`` is O(1) per event and touches no rule (an open
+  trace holds one int per rule-relevant event); ``end_trace`` settles
+  every armed rule in O(armed rules · log n);
 * :mod:`repro.serving.pool` — :class:`MonitorPool`, the multi-tenant layer:
   worker shards with bounded queues and ``BUSY`` backpressure,
   consistent-hash session→shard affinity, generation-numbered hot swap of
@@ -39,7 +38,7 @@ from .compile import CompiledRuleSet, compile_rules
 from .daemon import WatchCycle, WatchDaemon
 from .pool import ACCEPTED, BUSY, SESSION_LOST, MonitorPool, SessionTicket
 from .server import EventPushServer, ProtocolError, PushClient, encode_frame, read_frame
-from .stream_monitor import StreamingMonitor, monitor_stream
+from .stream_monitor import StreamingMonitor
 
 __all__ = [
     "ACCEPTED",
@@ -53,7 +52,6 @@ __all__ = [
     "PushClient",
     "SessionTicket",
     "StreamingMonitor",
-    "monitor_stream",
     "WatchCycle",
     "WatchDaemon",
     "encode_frame",

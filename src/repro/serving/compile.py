@@ -28,9 +28,8 @@ semantics (Definition 5.1):
   the rule;
 * **per-rule tables** read only at trace close: the symbol of
   ``last(premise)`` (an armed rule has one temporal point at every later
-  occurrence of it — the characterisation of
-  :func:`~repro.rules.temporal_points.temporal_points_in_sequence`), the
-  encoded consequent, the report signature and the analytics key.
+  occurrence of it — the prefix characterisation of Definition 5.1
+  temporal points), the encoded consequent and the analytics key.
 
 The compiled artifact is immutable and shared: any number of concurrent
 :class:`~repro.serving.stream_monitor.StreamingMonitor` sessions can serve
@@ -97,7 +96,6 @@ class CompiledRuleSet:
         "opens_at_node",
         "last_symbol",
         "consequents",
-        "signatures",
         "keys",
     )
 
@@ -133,8 +131,6 @@ class CompiledRuleSet:
         self.last_symbol = last_symbol
         #: Rule id -> encoded consequent.
         self.consequents = consequents
-        #: Rule id -> ``rule.signature()``, the report's per-rule point key.
-        self.signatures = tuple(rule.signature() for rule in rules)
         #: Rule id -> :func:`rule_key`, the analytics key.
         self.keys = tuple(rule_key(rule) for rule in rules)
 

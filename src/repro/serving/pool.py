@@ -76,7 +76,7 @@ SESSION_LOST = "lost"
 #: Virtual ring points per shard.  More replicas smooth the session
 #: distribution; 64 keeps the spread within a few percent of uniform while
 #: the ring stays tiny.
-DEFAULT_RING_REPLICAS = 64
+RING_REPLICAS = 64
 #: Default bound on each shard's pending-item queue.
 DEFAULT_QUEUE_DEPTH = 1024
 #: How often the supervisor thread polls shard-worker liveness.  Bounds
@@ -341,8 +341,6 @@ class MonitorPool:
         Bound on each shard's pending work-item queue (an item is one
         :meth:`feed` batch or one session close).  A full queue answers
         :data:`BUSY` instead of growing.
-    ring_replicas:
-        Virtual ring points per shard for the consistent-hash ring.
 
     Example
     -------
@@ -359,7 +357,6 @@ class MonitorPool:
         *,
         shards: int = 4,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        ring_replicas: int = DEFAULT_RING_REPLICAS,
         supervisor_interval: float = DEFAULT_SUPERVISOR_INTERVAL,
     ) -> None:
         if shards < 1:
@@ -394,7 +391,7 @@ class MonitorPool:
         # shard count changes (the property multi-host sharding needs).
         ring: List[Tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(ring_replicas):
+            for replica in range(RING_REPLICAS):
                 ring.append((_ring_point(f"shard-{shard}:vnode-{replica}"), shard))
         ring.sort()
         self._ring_points = [point for point, _ in ring]

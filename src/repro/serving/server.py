@@ -82,6 +82,9 @@ from .pool import ACCEPTED, SESSION_LOST, MonitorPool
 #: Frames above this size are refused (and the connection closed): a bad
 #: length prefix must never make the server buffer gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 1 << 20
+#: How long an ``END`` reply waits for the session's shard to drain the
+#: session's queued events, in seconds.
+END_TIMEOUT = 60.0
 
 _LENGTH = struct.Struct(">I")
 
@@ -310,9 +313,6 @@ class EventPushServer:
         address is :attr:`address` either way).
     max_frame_bytes:
         Upper bound on one frame's payload.
-    end_timeout:
-        How long an ``END`` reply may wait for the session's shard to
-        drain the session's queued events.
 
     Use :meth:`start` for a background server (tests, the watch daemon's
     push mode) or :meth:`serve_forever` to block (the ``repro serve``
@@ -326,11 +326,9 @@ class EventPushServer:
         port: int = 0,
         *,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        end_timeout: float = 60.0,
     ) -> None:
         self.pool = pool
         self.max_frame_bytes = max_frame_bytes
-        self.end_timeout = end_timeout
         self._server = _PushTCPServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
         self._started = time.monotonic()
@@ -415,7 +413,7 @@ class EventPushServer:
                 ticket = self.pool.end_session(session, trace=_trace_field(payload))
                 if ticket is None:
                     return {"op": "BUSY"}, False
-                report = ticket.wait(timeout=self.end_timeout)
+                report = ticket.wait(timeout=END_TIMEOUT)
             except SessionLost as error:
                 return {"op": "SESSION_LOST", "session": session, "error": str(error)}, False
             reply = {"op": "SESSION", "session": session}

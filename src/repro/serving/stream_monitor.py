@@ -231,17 +231,16 @@ class _TraceRun:
 
         Only the rules this trace armed are visited — a rule never armed
         has no points and no analytics — so the cost is
-        O(armed rules · log n), not O(rule set).  (A rule whose premise is one event is armed at
-        the root, i.e. by every trace.)  Visiting them in ascending rule
-        id keeps the violation order of a full scan.  Returns the trace's
-        report (with sparse ``per_rule_points``) and one :data:`RuleClose`
-        per armed rule for the analytics tally; a trie node is reached at
-        most once per trace, so each armed rule counts one trie advance.
+        O(armed rules · log n), not O(rule set).  (A rule whose premise is
+        one event is armed at the root, i.e. by every trace.)  Visiting them
+        in ascending rule id keeps the violation order of a full scan.
+        Returns the trace's report and one :data:`RuleClose` per armed rule
+        for the analytics tally; a trie node is reached at most once per
+        trace, so each armed rule counts one trie advance.
         """
         report = MonitoringReport()
-        per_rule_points = report.per_rule_points
         violations = report.violations
-        rules, keys, signatures = compiled.rules, compiled.keys, compiled.signatures
+        rules, keys = compiled.rules, compiled.keys
         last_symbol, consequents = compiled.last_symbol, compiled.consequents
         positions, opened_at = self.positions, self.opened_at
         trace_index, name = self.trace_index, self.name
@@ -265,8 +264,6 @@ class _TraceRun:
                 start = latest[consequent] = self._latest_start(consequent)
             # Points before the latest consequent start are satisfied.
             cut = bisect_left(points, start, first)
-            signature = signatures[rule_id]
-            per_rule_points[signature] = per_rule_points.get(signature, 0) + opened
             total += opened
             satisfied += cut - first
             closes.append(
@@ -405,10 +402,3 @@ class StreamingMonitor:
         for index in range(len(database)):
             combined.merge(self.check_trace(database[index], name=database.name(index)))
         return combined
-
-
-def monitor_stream(
-    database: SequenceDatabase, rules: RuleSource
-) -> MonitoringReport:
-    """Convenience wrapper: compile ``rules`` and stream a database through."""
-    return StreamingMonitor(rules).check_database(database)

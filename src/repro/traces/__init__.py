@@ -2,16 +2,7 @@
 
 from .event_model import MethodCallEvent, event_label, split_label
 from .instrument import InstrumentedProxy, instrument
-from .io import (
-    read_csv,
-    read_jsonl,
-    read_text,
-    read_traces,
-    write_csv,
-    write_jsonl,
-    write_text,
-    write_traces,
-)
+from .io import read_traces, write_traces
 from .testsuite import TestCase, TestSuiteRunner, run_test_suite
 from .trace import Trace, TraceCollector, database_to_traces, traces_to_database
 
@@ -21,13 +12,7 @@ __all__ = [
     "split_label",
     "InstrumentedProxy",
     "instrument",
-    "read_csv",
-    "read_jsonl",
-    "read_text",
     "read_traces",
-    "write_csv",
-    "write_jsonl",
-    "write_text",
     "write_traces",
     "TestCase",
     "TestSuiteRunner",

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Union
 from ..core.sequence import SequenceDatabase
 from ..ingest.formats import (
     TraceRecord,
-    adapter_for,
     format_for_path,
     iter_csv_rows,
     open_trace_text,
@@ -52,35 +51,7 @@ def _collect(records) -> SequenceDatabase:
     return database
 
 
-# ---------------------------------------------------------------------- #
-# Per-format convenience wrappers (whole-database, path-based)
-# ---------------------------------------------------------------------- #
-def write_text(database: SequenceDatabase, path: PathLike) -> None:
-    """Write a database in the plain-text format."""
-    write_trace_records(path, _database_records(database), format="text")
-
-
-def read_text(path: PathLike) -> SequenceDatabase:
-    """Read a database from the plain-text format."""
-    return _collect(stream_traces(path, format="text"))
-
-
-def write_jsonl(database: SequenceDatabase, path: PathLike) -> None:
-    """Write a database with one JSON object per trace."""
-    write_trace_records(path, _database_records(database), format="jsonl")
-
-
-def read_jsonl(path: PathLike) -> SequenceDatabase:
-    """Read a database written by :func:`write_jsonl`."""
-    return _collect(stream_traces(path, format="jsonl"))
-
-
-def write_csv(database: SequenceDatabase, path: PathLike) -> None:
-    """Write a database as ``trace_id,position,event`` rows."""
-    write_trace_records(path, _database_records(database), format="csv")
-
-
-def _collect_csv(path: PathLike) -> SequenceDatabase:
+def _collect_csv(path: PathLike, gzipped: bool) -> SequenceDatabase:
     """Whole-file CSV semantics: buffer the rows, sort by trace_id.
 
     The streaming adapter requires contiguous per-trace runs (it cannot
@@ -89,7 +60,6 @@ def _collect_csv(path: PathLike) -> SequenceDatabase:
     ordered by their numeric trace_id.  Both sit on the same
     :func:`~repro.ingest.formats.iter_csv_rows` grammar, so header
     validation and row parsing cannot drift."""
-    _, gzipped = format_for_path(path, "csv")
     rows_by_trace: Dict[int, list] = {}
     with open_trace_text(path, "r", gzipped) as handle:
         for trace_id, position, event in iter_csv_rows(handle):
@@ -101,28 +71,6 @@ def _collect_csv(path: PathLike) -> SequenceDatabase:
     return database
 
 
-def read_csv(path: PathLike) -> SequenceDatabase:
-    """Read a database written by :func:`write_csv`."""
-    return _collect_csv(path)
-
-
-# ---------------------------------------------------------------------- #
-# Format dispatch
-# ---------------------------------------------------------------------- #
-def _format_for(path: PathLike, explicit: Optional[str]) -> str:
-    """Resolve the format name for ``path`` (validating explicit names).
-
-    ``.gz`` suffixes select the gzip codec underneath the returned format;
-    kept for backward compatibility — new code should call
-    :func:`repro.ingest.formats.format_for_path`, which also reports the
-    codec.
-    """
-    if explicit is not None:
-        adapter_for(explicit)
-        return explicit
-    return format_for_path(path)[0]
-
-
 def write_traces(database: SequenceDatabase, path: PathLike, format: Optional[str] = None) -> None:
     """Write ``database`` to ``path`` in the given (or inferred) format."""
     write_trace_records(path, _database_records(database), format=format)
@@ -130,7 +78,7 @@ def write_traces(database: SequenceDatabase, path: PathLike, format: Optional[st
 
 def read_traces(path: PathLike, format: Optional[str] = None) -> SequenceDatabase:
     """Read a trace database from ``path`` in the given (or inferred) format."""
-    resolved = _format_for(path, format)
-    if resolved == "csv":
-        return _collect_csv(path)
-    return _collect(stream_traces(path, format=resolved))
+    name, gzipped = format_for_path(path, format)
+    if name == "csv":
+        return _collect_csv(path, gzipped)
+    return _collect(stream_traces(path, format=name))

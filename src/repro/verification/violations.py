@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.events import EventLabel
 from ..rules.rule import RecurrentRule
 
 
@@ -50,19 +49,14 @@ class RuleViolation:
 class MonitoringReport:
     """Aggregated outcome of monitoring a set of rules over a trace database.
 
-    ``per_rule_points`` is sparse: it maps a rule's ``signature()`` to its
-    temporal point count and leaves out rules with no points, so its size
-    (and the cost of :meth:`merge`) follows the rules a trace touched, not
-    the size of the rule set.  Renderers that need every rule fill in the
-    zeros themselves.
+    Per-rule counts are not kept here: a serving monitor tallies them per
+    rule key (:class:`~repro.serving.stream_monitor.RuleTally`, the
+    ``ANALYTICS`` verb and the ``repro_rule_*`` metrics).
     """
 
     total_points: int = 0
     satisfied_points: int = 0
     violations: List[RuleViolation] = field(default_factory=list)
-    per_rule_points: Dict[Tuple[Tuple[EventLabel, ...], Tuple[EventLabel, ...]], int] = field(
-        default_factory=dict
-    )
 
     @property
     def violation_count(self) -> int:
@@ -79,17 +73,17 @@ class MonitoringReport:
     def merge(self, other: "MonitoringReport") -> "MonitoringReport":
         """Fold another report into this one (returns ``self`` for chaining).
 
-        Point counts add up, violations append in order, and the per-rule
-        point tallies combine key-wise — the aggregation both the streaming
-        monitor's database check and its cumulative report use.
+        Point counts add up and violations append in order — the
+        aggregation both the streaming monitor's database check and its
+        cumulative report use.
         """
         self.merge_counts(other)
         self.violations.extend(other.violations)
         return self
 
     def merge_counts(self, other: "MonitoringReport") -> "MonitoringReport":
-        """Fold another report's point counts and per-rule tallies, not its
-        violations (returns ``self``).
+        """Fold another report's point counts, not its violations (returns
+        ``self``).
 
         Counts commute, so callers may fold them in any order and keep only
         the violations in a canonical order — the monitor pool does this to
@@ -97,8 +91,6 @@ class MonitoringReport:
         """
         self.total_points += other.total_points
         self.satisfied_points += other.satisfied_points
-        for key, count in other.per_rule_points.items():
-            self.per_rule_points[key] = self.per_rule_points.get(key, 0) + count
         return self
 
     def violations_of(self, rule: RecurrentRule) -> List[RuleViolation]:

@@ -61,7 +61,7 @@ def test_generator_is_deterministic_for_a_seed():
 def test_generator_plants_repeated_patterns():
     # With low corruption and noise, some subsequence of length >= 2 must
     # appear in many sequences (the planted frequent patterns).
-    from repro.sequential.prefixspan import mine_sequential_patterns
+    from tests.baselines.sequential import mine_sequential_patterns
 
     db = generate_quest_database(
         _small_config(corruption_probability=0.1, noise_probability=0.05, num_sequences=80)

@@ -2,9 +2,13 @@
 
 import pickle
 
+from repro.cli import main
 from repro.durability.checkpoint import MiningCheckpoint
 from repro.durability.fsck import EXIT_CLEAN, EXIT_CORRUPT, EXIT_REPAIRED, audit_store
+from repro.ingest.incremental import CACHE_VERSION, IncrementalMiner
 from repro.ingest.store import TraceStore
+from repro.patterns.closed_miner import ClosedIterativePatternMiner
+from repro.patterns.config import IterativeMiningConfig
 
 
 def make_store(path):
@@ -89,18 +93,48 @@ def test_stale_cache_removed_valid_cache_kept(tmp_path):
     cache_dir.mkdir()
     stale = cache_dir / "Stale.records.pkl"
     stale.write_bytes(
-        pickle.dumps({"synced_batches": 1, "fingerprint": "not-in-lineage"})
+        pickle.dumps(
+            {"version": CACHE_VERSION, "synced_batches": 1, "fingerprint": "not-in-lineage"}
+        )
     )
     valid = cache_dir / "Valid.records.pkl"
     valid.write_bytes(
         pickle.dumps(
-            {"synced_batches": 2, "fingerprint": store.batches[1].fingerprint}
+            {
+                "version": CACHE_VERSION,
+                "synced_batches": 2,
+                "fingerprint": store.batches[1].fingerprint,
+            }
         )
     )
     report = audit_store(tmp_path / "store")
     assert report.exit_code == EXIT_REPAIRED
     assert not stale.exists()
     assert valid.exists()
+
+
+def test_cache_of_another_version_is_flagged_and_removed(tmp_path, capsys):
+    """A cache the miner would discard for its version is stale to fsck too."""
+    store = make_store(tmp_path / "store")
+    miner = ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2))
+    IncrementalMiner(miner, store, persist=True).refresh()
+    cache = IncrementalMiner.default_cache_path(store, miner)
+    assert main(["fsck", str(store.directory)]) == EXIT_CLEAN
+    payload = pickle.loads(cache.read_bytes())
+    payload["version"] = CACHE_VERSION + 1
+    cache.write_bytes(pickle.dumps(payload))
+    capsys.readouterr()
+
+    assert main(["fsck", "--no-repair", str(store.directory)]) == EXIT_REPAIRED
+    assert f"cache version {CACHE_VERSION + 1}" in capsys.readouterr().out
+    assert cache.exists()
+    reopened = TraceStore.open(store.directory)
+    assert not IncrementalMiner(miner, reopened, persist=True).resumed_from_cache
+
+    assert main(["fsck", str(store.directory)]) == EXIT_REPAIRED
+    assert f"removed cache/{cache.name}" in capsys.readouterr().out
+    assert not cache.exists()
+    assert main(["fsck", str(store.directory)]) == EXIT_CLEAN
 
 
 def test_checkpoint_outside_lineage_removed_matching_kept(tmp_path):

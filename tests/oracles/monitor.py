@@ -5,19 +5,25 @@ used by the miners (temporal points + "followed by", Definition 5.1): for
 every rule and trace it recomputes the premise's temporal points and
 scans the suffix after each for the consequent.  The shipped
 :class:`repro.serving.StreamingMonitor` compiles the rules instead and
-must report byte-for-byte the same violations; the parity suites and the
-serving benchmark compare it against this monitor.
+must report byte-for-byte the same violations, and its per-rule analytics
+must count the same points per rule (:meth:`RuleMonitor.rule_counts`
+against :func:`analytics_counts`); the parity suites and the serving
+benchmark compare it against this monitor.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence as TypingSequence
+from typing import Dict, Iterable, List, Mapping, Sequence as TypingSequence, Tuple
 
 from repro.core.events import EventLabel
 from repro.core.sequence import SequenceDatabase
 from repro.rules.rule import RecurrentRule
-from repro.rules.temporal_points import is_followed_by, temporal_points_in_sequence
+from repro.serving.compile import rule_key
 from repro.verification.violations import MonitoringReport, RuleViolation
+from tests.oracles.temporal_points import is_followed_by, temporal_points_in_sequence
+
+#: ``(opened, satisfied, violated)`` temporal points of one rule.
+PointCounts = Tuple[int, int, int]
 
 
 class RuleMonitor:
@@ -30,6 +36,9 @@ class RuleMonitor:
 
     def __init__(self, rules: Iterable[RecurrentRule]) -> None:
         self.rules: List[RecurrentRule] = list(rules)
+        #: Rule key -> ``[opened, satisfied, violated]`` summed over every
+        #: trace checked so far; rules without points have no entry.
+        self.counts: Dict[str, List[int]] = {}
 
     def check_trace(
         self,
@@ -43,14 +52,16 @@ class RuleMonitor:
         for rule in self.rules:
             points = temporal_points_in_sequence(events, rule.premise)
             if not points:
-                continue  # per_rule_points is sparse: no entry for zero points
-            key = rule.signature()
-            report.per_rule_points[key] = report.per_rule_points.get(key, 0) + len(points)
+                continue
+            counts = self.counts.setdefault(rule_key(rule), [0, 0, 0])
+            counts[0] += len(points)
             for position in points:
                 report.total_points += 1
                 if is_followed_by(events, position, rule.consequent):
                     report.satisfied_points += 1
+                    counts[1] += 1
                 else:
+                    counts[2] += 1
                     report.violations.append(
                         RuleViolation(
                             rule=rule,
@@ -60,6 +71,10 @@ class RuleMonitor:
                         )
                     )
         return report
+
+    def rule_counts(self) -> Dict[str, PointCounts]:
+        """Per-rule point counts over every trace checked so far, by rule key."""
+        return {key: tuple(counts) for key, counts in sorted(self.counts.items())}
 
     def satisfies(self, trace: TypingSequence[EventLabel]) -> bool:
         """Whether the trace satisfies every monitored rule (no violations)."""
@@ -80,3 +95,18 @@ def monitor_database(
 ) -> MonitoringReport:
     """Convenience wrapper: monitor ``rules`` over every trace of ``database``."""
     return RuleMonitor(rules).check_database(database)
+
+
+def analytics_counts(
+    analytics: Mapping[str, Mapping[str, int]],
+) -> Dict[str, PointCounts]:
+    """A serving monitor's ``rule_analytics()`` in :meth:`RuleMonitor.rule_counts` form.
+
+    Rules that opened no point are dropped: a monitor tallies every rule a
+    trace armed, the oracle only rules with points.
+    """
+    return {
+        key: (row["opened"], row["satisfied"], row["violated"])
+        for key, row in sorted(analytics.items())
+        if row["opened"]
+    }

@@ -1,10 +1,13 @@
-"""Temporal points and rule statistics (Definition 5.1).
+"""Reference temporal points and rule statistics (Definition 5.1).
 
 The *temporal points* of a pattern ``P`` in a sequence ``S`` are the
 positions ``j`` such that the prefix of ``S`` ending at ``j`` is a
-super-sequence of ``P`` and ``S[j] = last(P)``.  This module provides both a
-direct oracle (:func:`temporal_points_in_sequence`) and the helpers the rule
-miners use to compute s-support, i-support and confidence.
+super-sequence of ``P`` and ``S[j] = last(P)``.  This module derives them
+straight from the definition (:func:`temporal_points_in_sequence`) and
+builds s-support, i-support and confidence on top
+(:func:`rule_statistics`).  The rule miners' incremental statistics and
+the streaming monitor are checked against it, and the two-event baseline
+(:mod:`tests.baselines.sequential`) scores its candidates with it.
 
 A convenient characterisation used throughout: once the *earliest* (greedy)
 embedding of ``P[:-1]`` in ``S`` is known to end at position ``q``, the
@@ -17,10 +20,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, NamedTuple, Optional, Sequence as TypingSequence, Tuple
 
-from ..core.errors import PatternError
-from ..core.events import EventId
-from ..core.pattern import is_subsequence
-from ..core.positions import PositionIndex, SequencePositions
+from repro.core.errors import PatternError
+from repro.core.events import EventId
+from repro.core.pattern import is_subsequence
+from repro.core.positions import PositionIndex, SequencePositions
 
 
 class TemporalPoint(NamedTuple):
@@ -123,11 +126,9 @@ def rule_statistics(
     premise: TypingSequence[EventId],
     consequent: TypingSequence[EventId],
 ) -> Tuple[int, int, float]:
-    """Oracle computation of ``(s_support, i_support, confidence)`` for a rule.
+    """Reference ``(s_support, i_support, confidence)`` of a rule.
 
-    Used by the verification layer and by the tests to validate the
-    incremental statistics maintained inside the miners.  Confidence is 0.0
-    when the premise never occurs.
+    Confidence is 0.0 when the premise never occurs.
     """
     premise = tuple(premise)
     consequent = tuple(consequent)

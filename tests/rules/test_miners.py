@@ -14,7 +14,7 @@ from repro.rules.nonredundant_miner import (
     NonRedundantRecurrentRuleMiner,
     mine_non_redundant_rules,
 )
-from repro.rules.temporal_points import rule_statistics
+from tests.oracles.temporal_points import rule_statistics
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Tests for premise generation (Step 1, Theorem 2)."""
 
 from repro.core.pattern import is_subsequence
-from repro.rules.temporal_points import earliest_embedding_end
 from tests.oracles.premises import PremiseMiner
+from tests.oracles.temporal_points import earliest_embedding_end
 
 
 def _encode(sequences):

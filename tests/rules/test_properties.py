@@ -9,7 +9,7 @@ from repro.core.sequence import SequenceDatabase
 from repro.rules.config import RuleMiningConfig
 from repro.rules.full_miner import FullRecurrentRuleMiner
 from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
-from repro.rules.temporal_points import (
+from tests.oracles.temporal_points import (
     is_followed_by,
     rule_statistics,
     temporal_points_in_sequence,

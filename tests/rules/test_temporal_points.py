@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import PatternError
 from repro.core.positions import PositionIndex
-from repro.rules.temporal_points import (
+from tests.oracles.temporal_points import (
     TemporalPoint,
     count_occurrences_in_sequence,
     earliest_embedding_end,

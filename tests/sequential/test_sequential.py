@@ -5,9 +5,14 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.pattern import is_subsequence
 from repro.core.sequence import SequenceDatabase
-from repro.sequential.closed import closed_filter, mine_closed_sequential_patterns
-from repro.sequential.prefixspan import PrefixSpan, mine_sequential_patterns
-from repro.sequential.rules import TwoEventRuleMiner, mine_two_event_rules
+from tests.baselines.sequential import (
+    PrefixSpan,
+    TwoEventRuleMiner,
+    closed_filter,
+    mine_closed_sequential_patterns,
+    mine_sequential_patterns,
+    mine_two_event_rules,
+)
 
 
 @pytest.fixture

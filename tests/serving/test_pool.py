@@ -11,6 +11,7 @@ from repro.serving.compile import compile_rules
 from repro.serving.pool import ACCEPTED, BUSY, MonitorPool
 from repro.serving.stream_monitor import StreamingMonitor
 from repro.rules.rule import RecurrentRule
+from tests.oracles.monitor import RuleMonitor, analytics_counts
 
 RULES_A = [
     RecurrentRule(premise=("open",), consequent=("close",), s_support=2, i_support=2, confidence=1.0),
@@ -28,9 +29,6 @@ def report_bytes(report):
         "total": report.total_points,
         "satisfied": report.satisfied_points,
         "violations": [v.as_dict() for v in report.violations],
-        "per_rule": sorted(
-            (repr(key), count) for key, count in report.per_rule_points.items()
-        ),
     }
     return json.dumps(payload, sort_keys=True).encode()
 
@@ -54,6 +52,18 @@ def reference_report(sessions, rules_of_session):
     from repro.verification.violations import MonitoringReport
 
     return functools.reduce(MonitoringReport.merge, reports, MonitoringReport())
+
+
+def oracle_counts(sessions, rules_of_session):
+    """The reference monitor's per-rule point counts over the same sessions."""
+    totals = {}
+    for session_id, events in sessions.items():
+        oracle = RuleMonitor(rules_of_session[session_id])
+        oracle.check_trace(events)
+        for key, counts in oracle.rule_counts().items():
+            previous = totals.get(key, (0, 0, 0))
+            totals[key] = tuple(a + b for a, b in zip(previous, counts))
+    return totals
 
 
 # --------------------------------------------------------------------------- #
@@ -81,8 +91,11 @@ def test_pool_report_matches_single_monitor(stream, shards):
             assert ticket is not None
             ticket.wait(timeout=10.0)
         pooled = pool.report()
-    expected = reference_report(sessions, {sid: RULES_A for sid in sessions})
+        analytics = pool.rule_analytics()
+    rules_of_session = {sid: RULES_A for sid in sessions}
+    expected = reference_report(sessions, rules_of_session)
     assert report_bytes(pooled) == report_bytes(expected)
+    assert analytics_counts(analytics) == oracle_counts(sessions, rules_of_session)
 
 
 @given(stream=stream_strategy, swap_at=st.integers(min_value=0, max_value=60))
@@ -107,8 +120,10 @@ def test_pool_parity_across_mid_stream_hot_swap(stream, swap_at):
         for ticket in tickets:
             ticket.wait(timeout=10.0)
         pooled = pool.report()
+        analytics = pool.rule_analytics()
     expected = reference_report(sessions, rules_of_session)
     assert report_bytes(pooled) == report_bytes(expected)
+    assert analytics_counts(analytics) == oracle_counts(sessions, rules_of_session)
 
 
 # --------------------------------------------------------------------------- #
@@ -163,11 +178,12 @@ def test_busy_batch_is_atomic_and_retry_does_not_duplicate():
             assert pool.drain(timeout=10.0)
             ticket = pool.end_session("s")
         report = ticket.wait(timeout=10.0)
+        analytics = pool.rule_analytics()
     # The session saw exactly two "open"s (the seed and one from the retried
     # batch): two open->close temporal points, both satisfied.  Had the
     # rejected batch partially landed, the retry would duplicate events and
     # raise the point count.
-    assert report.per_rule_points[(("open",), ("close",))] == 2
+    assert analytics["open -> close"]["opened"] == 2
     assert report.violation_count == 0
     assert report.satisfied_points == report.total_points
 
@@ -216,10 +232,12 @@ def test_zero_event_session_reports_zero_points():
         report = pool.end_session("empty").wait(timeout=10.0)
         assert report.total_points == 0
         assert report.violation_count == 0
-        # Parity: the reference zero-length trace reports the same empty
-        # (sparse) per-rule tallies.
-        assert report.per_rule_points == {}
-        expected = reference_report({"empty": []}, {"empty": RULES_A})
+        # Parity: the reference zero-length trace counts no point for any
+        # rule either.
+        sessions, rules_of_session = {"empty": []}, {"empty": RULES_A}
+        assert oracle_counts(sessions, rules_of_session) == {}
+        assert analytics_counts(pool.rule_analytics()) == {}
+        expected = reference_report(sessions, rules_of_session)
         assert report_bytes(pool.report()) == report_bytes(expected)
 
 
@@ -237,7 +255,9 @@ def test_violation_free_sessions_leave_nothing_retained():
         assert sum(len(shard.violations) for shard in pool._shards) == 0
         report = pool.report()
         assert report.total_points == report.satisfied_points == sessions
-        assert report.per_rule_points == {(("open",), ("close",)): sessions}
+        assert analytics_counts(pool.rule_analytics()) == {
+            "open -> close": (sessions, sessions, 0)
+        }
         # One violating session is the one entry kept.
         pool.feed("bad", "open")
         pool.end_session("bad").wait(timeout=10.0)

@@ -1,11 +1,12 @@
 """Streaming-monitor parity and incremental-API tests.
 
 The serving contract: a :class:`StreamingMonitor` over a compiled automaton
-produces *identical* monitoring reports — point counts, per-rule tallies
-and the exact violation list — to the reference
+produces *identical* monitoring reports — point counts and the exact
+violation list — to the reference
 :class:`~tests.oracles.monitor.RuleMonitor`, which re-derives temporal
-points per rule per trace, and satisfiability agrees with the LTL
-translation of Table 2.  The hypothesis suites drive randomized rule sets
+points per rule per trace; its per-rule analytics count the same opened,
+satisfied and violated points per rule; and satisfiability agrees with the
+LTL translation of Table 2.  The hypothesis suites drive randomized rule sets
 and databases through all three views.
 """
 
@@ -18,10 +19,10 @@ from repro.ltl.semantics import holds
 from repro.ltl.translate import rule_to_ltl
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.rules.rule import RecurrentRule
-from repro.serving import CompiledRuleSet, StreamingMonitor, compile_rules, monitor_stream
+from repro.serving import CompiledRuleSet, StreamingMonitor, compile_rules
 from repro.serving.compile import rule_key
 from repro.serving.stream_monitor import RuleTally
-from tests.oracles.monitor import RuleMonitor
+from tests.oracles.monitor import RuleMonitor, analytics_counts
 
 ALPHABET = [str(i) for i in range(5)]
 
@@ -39,11 +40,13 @@ trace_strategy = st.lists(event_strategy, min_size=0, max_size=14)
 database_strategy = st.lists(trace_strategy, min_size=0, max_size=5)
 
 
-def _assert_reports_identical(offline, streaming):
+def _assert_matches_oracle(oracle, offline, monitor, streaming):
+    """The streaming report equals the oracle's, and the monitor's per-rule
+    analytics count the points the oracle counted."""
     assert streaming.total_points == offline.total_points
     assert streaming.satisfied_points == offline.satisfied_points
-    assert streaming.per_rule_points == offline.per_rule_points
     assert streaming.violations == offline.violations
+    assert analytics_counts(monitor.rule_analytics()) == oracle.rule_counts()
 
 
 # --------------------------------------------------------------------- #
@@ -53,9 +56,9 @@ def _assert_reports_identical(offline, streaming):
 @settings(max_examples=300, deadline=None)
 def test_streaming_report_identical_to_offline_monitor(rules, traces):
     database = SequenceDatabase.from_sequences(traces)
-    offline = RuleMonitor(rules).check_database(database)
-    streaming = StreamingMonitor(compile_rules(rules)).check_database(database)
-    _assert_reports_identical(offline, streaming)
+    oracle, monitor = RuleMonitor(rules), StreamingMonitor(compile_rules(rules))
+    offline = oracle.check_database(database)
+    _assert_matches_oracle(oracle, offline, monitor, monitor.check_database(database))
 
 
 #: Disjoint event families: a trace touching some families arms only their
@@ -94,9 +97,9 @@ def test_many_family_rule_sets_keep_offline_violation_order(rules, traces):
     """Close visits only the touched rules, in ascending rule id: the
     violation order still matches the offline monitor's full scan."""
     database = SequenceDatabase.from_sequences(traces)
-    offline = RuleMonitor(rules).check_database(database)
-    streaming = StreamingMonitor(compile_rules(rules)).check_database(database)
-    _assert_reports_identical(offline, streaming)
+    oracle, monitor = RuleMonitor(rules), StreamingMonitor(compile_rules(rules))
+    offline = oracle.check_database(database)
+    _assert_matches_oracle(oracle, offline, monitor, monitor.check_database(database))
 
 
 def test_close_is_proportional_to_the_rules_a_trace_touched(monkeypatch):
@@ -117,25 +120,22 @@ def test_close_is_proportional_to_the_rules_a_trace_touched(monkeypatch):
         )
     assert len(rules) == 1200
     compiled = compile_rules(rules)
-    touched = {rule.signature() for rule in rules if rule.premise[0].startswith("f7.")}
+    touched = {rule_key(rule) for rule in rules if rule.premise[0].startswith("f7.")}
     trace = ["f7.e0", "f7.e1", "f7.e2", "noise", "f7.e3", "f7.e1"]
-    expected = RuleMonitor(rules).check_trace(trace)
+    oracle = RuleMonitor(rules)
+    expected = oracle.check_trace(trace)
 
     def no_signatures(self):
-        raise AssertionError("close must use the precomputed signatures")
+        raise AssertionError("close must not compute rule signatures")
 
     monkeypatch.setattr(RecurrentRule, "signature", no_signatures)
     monitor = StreamingMonitor(compiled)
     report = monitor.check_trace(trace)
     monkeypatch.undo()
 
-    assert report.per_rule_points
-    assert set(report.per_rule_points) <= touched
-    assert all(count > 0 for count in report.per_rule_points.values())
-    _assert_reports_identical(expected, report)
-    assert set(monitor.rule_analytics()) <= {
-        rule_key(rule) for rule in rules if rule.signature() in touched
-    }
+    assert report.total_points
+    assert set(monitor.rule_analytics()) <= touched
+    _assert_matches_oracle(oracle, expected, monitor, report)
 
 
 @given(rules=rules_strategy, traces=database_strategy)
@@ -145,7 +145,8 @@ def test_cumulative_report_matches_offline_database_check(rules, traces):
     monitor = StreamingMonitor(compile_rules(rules))
     for index in range(len(database)):
         monitor.check_trace(database[index], name=database.name(index))
-    _assert_reports_identical(RuleMonitor(rules).check_database(database), monitor.report())
+    oracle = RuleMonitor(rules)
+    _assert_matches_oracle(oracle, oracle.check_database(database), monitor, monitor.report())
 
 
 @given(rule=rule_strategy, trace=trace_strategy)
@@ -155,7 +156,8 @@ def test_event_at_a_time_feeding_matches_whole_trace_check(rule, trace):
     by_event.begin_trace()
     for event in trace:
         by_event.feed(event)
-    _assert_reports_identical(RuleMonitor([rule]).check_trace(trace), by_event.end_trace())
+    oracle = RuleMonitor([rule])
+    _assert_matches_oracle(oracle, oracle.check_trace(trace), by_event, by_event.end_trace())
 
 
 # --------------------------------------------------------------------- #
@@ -179,9 +181,9 @@ def test_mined_rules_compile_and_match_offline_monitoring(traces, probe):
         SequenceDatabase.from_sequences(traces), min_s_support=1, min_confidence=0.5
     ).rules
     database = SequenceDatabase.from_sequences(probe)
-    _assert_reports_identical(
-        RuleMonitor(mined).check_database(database),
-        monitor_stream(database, mined),
+    oracle, monitor = RuleMonitor(mined), StreamingMonitor(mined)
+    _assert_matches_oracle(
+        oracle, oracle.check_database(database), monitor, monitor.check_database(database)
     )
 
 
@@ -197,8 +199,9 @@ def _rule(premise, consequent):
 
 def _check_against_oracle(rules, trace):
     """The trace's streaming report, after asserting it equals the oracle's."""
-    report = StreamingMonitor(compile_rules(rules)).check_trace(trace)
-    _assert_reports_identical(RuleMonitor(rules).check_trace(trace), report)
+    oracle, monitor = RuleMonitor(rules), StreamingMonitor(compile_rules(rules))
+    report = monitor.check_trace(trace)
+    _assert_matches_oracle(oracle, oracle.check_trace(trace), monitor, report)
     return report
 
 
@@ -223,7 +226,8 @@ def test_one_event_premise_is_armed_at_the_root():
     rule = _rule(["b"], ["c"])
     monitor = StreamingMonitor(compile_rules([rule]))
     report = monitor.check_trace(["b", "c", "b"])
-    _assert_reports_identical(RuleMonitor([rule]).check_trace(["b", "c", "b"]), report)
+    oracle = RuleMonitor([rule])
+    _assert_matches_oracle(oracle, oracle.check_trace(["b", "c", "b"]), monitor, report)
     assert [violation.position for violation in report.violations] == [2]
     assert monitor.rule_analytics()[rule_key(rule)] == {
         "opened": 2, "satisfied": 1, "violated": 1, "trie_advances": 1,
@@ -238,8 +242,9 @@ def test_armed_rule_without_a_later_last_event_opens_no_point():
     never, opens = _rule(["a", "b"], ["c"]), _rule(["a"], ["c"])
     monitor = StreamingMonitor(compile_rules([never, opens]))
     report = monitor.check_trace(["b", "a", "c"])
-    _assert_reports_identical(RuleMonitor([never, opens]).check_trace(["b", "a", "c"]), report)
-    assert report.per_rule_points == {opens.signature(): 1}
+    oracle = RuleMonitor([never, opens])
+    _assert_matches_oracle(oracle, oracle.check_trace(["b", "a", "c"]), monitor, report)
+    assert oracle.rule_counts() == {rule_key(opens): (1, 1, 0)}
     analytics = monitor.rule_analytics()
     assert analytics[rule_key(never)] == {
         "opened": 0, "satisfied": 0, "violated": 0, "trie_advances": 1,
@@ -262,7 +267,7 @@ def test_feed_reads_no_per_rule_table(monkeypatch):
     trace = ["a", "b", "a", "c", "b", "a", "c", "noise", "c"]
     compiled = compile_rules(rules)
     feeding = False
-    for name in ("last_symbol", "consequents", "keys", "signatures"):
+    for name in ("last_symbol", "consequents", "keys"):
         slot = CompiledRuleSet.__dict__[name]
 
         def read(self, slot=slot, name=name):
@@ -277,7 +282,8 @@ def test_feed_reads_no_per_rule_table(monkeypatch):
     for event in trace:
         monitor.feed(event)
     feeding = False
-    _assert_reports_identical(RuleMonitor(rules).check_trace(trace), monitor.end_trace())
+    oracle = RuleMonitor(rules)
+    _assert_matches_oracle(oracle, oracle.check_trace(trace), monitor, monitor.end_trace())
 
 
 def test_violations_carry_trace_names_and_global_indexes():

@@ -50,3 +50,26 @@ def test_checker_spots_a_missing_module(tmp_path, monkeypatch):
     errors = []
     check_docs.check_architecture_mentions(errors)
     assert errors == ["docs/architecture.md: module repro.newpkg is not mentioned"]
+
+
+def test_checker_spots_a_package_that_has_moved(tmp_path, monkeypatch):
+    """The map is checked the other way round too: a package it names must
+    still exist under src/repro."""
+    src = tmp_path / "src" / "repro"
+    (src / "kept").mkdir(parents=True)
+    (src / "__init__.py").write_text('"""root"""\n')
+    (src / "kept" / "__init__.py").write_text('"""pkg"""\n')
+    (src / "tool.py").write_text('"""mod"""\n')
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "architecture.md").write_text(
+        "The package repro, repro.kept (see repro.kept.Widget), repro.tool "
+        "and the moved repro.gone.module.\n"
+    )
+    monkeypatch.setattr(check_docs, "SRC_ROOT", src)
+    monkeypatch.setattr(check_docs, "ARCHITECTURE", docs / "architecture.md")
+    errors = []
+    check_docs.check_architecture_mentions(errors)
+    assert errors == [
+        "docs/architecture.md: names repro.gone, which is not under src/repro"
+    ]

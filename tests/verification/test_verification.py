@@ -72,12 +72,13 @@ def test_monitor_database_aggregates_and_reports_per_rule_points():
     db = SequenceDatabase.from_sequences(
         [["lock", "unlock"], ["lock", "work"], ["idle"]]
     )
-    report = monitor_database(db, [_rule(["lock"], ["unlock"])])
+    monitor = RuleMonitor([_rule(["lock"], ["unlock"])])
+    report = monitor.check_database(db)
     assert report.total_points == 2
     assert report.satisfied_points == 1
     assert report.violation_count == 1
     assert report.satisfaction_rate == pytest.approx(0.5)
-    assert report.per_rule_points[(("lock",), ("unlock",))] == 2
+    assert monitor.rule_counts() == {"lock -> unlock": (2, 1, 1)}
     assert report.violated_rules() == [_rule(["lock"], ["unlock"])]
     assert "violations" in report.summary()
 
@@ -126,20 +127,22 @@ def test_coverage_of_empty_database():
 # Edge cases: empty databases, never-occurring events, overlap, merging.
 # --------------------------------------------------------------------- #
 def test_monitor_empty_database_yields_an_empty_report():
-    report = monitor_database(SequenceDatabase(), [_rule(["a"], ["b"])])
+    monitor = RuleMonitor([_rule(["a"], ["b"])])
+    report = monitor.check_database(SequenceDatabase())
     assert report.total_points == 0
     assert report.violation_count == 0
-    assert report.per_rule_points == {}
+    assert monitor.rule_counts() == {}
     assert report.satisfaction_rate == 1.0
 
 
 def test_monitor_rules_whose_events_never_occur():
     db = SequenceDatabase.from_sequences([["x", "y"], ["z"]])
-    report = monitor_database(db, [_rule(["ghost"], ["phantom"])])
+    monitor = RuleMonitor([_rule(["ghost"], ["phantom"])])
+    report = monitor.check_database(db)
     assert report.total_points == 0
     assert report.violation_count == 0
-    # per_rule_points is sparse: a rule with no temporal points has no entry.
-    assert report.per_rule_points == {}
+    # The counts are sparse: a rule with no temporal points has no entry.
+    assert monitor.rule_counts() == {}
 
 
 def test_monitor_empty_trace_in_database():
@@ -211,7 +214,6 @@ def test_report_merge_accumulates_everything():
     assert merged.total_points == whole.total_points == 2
     assert merged.satisfied_points == whole.satisfied_points == 1
     assert merged.violations == whole.violations
-    assert merged.per_rule_points == whole.per_rule_points
 
 
 def test_violations_of_and_violated_rules_with_multiple_rules():

@@ -8,12 +8,14 @@ Two assertions, run by CI's ``docs`` job and by ``tests/test_docs.py``:
    links (``http(s)://``, ``mailto:``), pure fragments (``#section``) and
    links that escape the repository root (the CI badge's ``../../actions``
    URL, which GitHub resolves site-relative) are skipped.
-2. **The architecture page is complete** — every Python module under
-   ``src/repro/`` is mentioned in ``docs/architecture.md`` by its dotted
-   name (``src/repro/core/blocks.py`` → ``repro.core.blocks``; a package's
-   ``__init__.py`` → the package name itself).  Mentions must be exact:
-   ``repro.core`` inside ``repro.core.blocks`` does not count, so every
-   package needs a genuine mention of its own.
+2. **The architecture page is complete and current** — every Python
+   module under ``src/repro/`` is mentioned in ``docs/architecture.md`` by
+   its dotted name (``src/repro/core/blocks.py`` → ``repro.core.blocks``; a
+   package's ``__init__.py`` → the package name itself).  Mentions must be
+   exact: ``repro.core`` inside ``repro.core.blocks`` does not count, so
+   every package needs a genuine mention of its own.  The other way round,
+   every ``repro.<package>`` the page names must still exist under
+   ``src/repro/``, so the map cannot go on describing code that has moved.
 
 Stdlib only; exits non-zero with one line per failure.
 """
@@ -33,6 +35,8 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: ``[text](target)`` — good enough for these hand-written pages (no
 #: reference-style links, no angle-bracket targets).
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: The top-level package of a dotted ``repro.<package>...`` name.
+PACKAGE_MENTION = re.compile(r"(?<![\w.])repro\.(\w+)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
 
@@ -83,6 +87,11 @@ def check_architecture_mentions(errors: List[str]) -> None:
         )
         if not pattern.search(text):
             errors.append(f"docs/architecture.md: module {name} is not mentioned")
+    for package in sorted(set(PACKAGE_MENTION.findall(text))):
+        if not ((SRC_ROOT / package).is_dir() or (SRC_ROOT / f"{package}.py").is_file()):
+            errors.append(
+                f"docs/architecture.md: names repro.{package}, which is not under src/repro"
+            )
 
 
 def main() -> int:
