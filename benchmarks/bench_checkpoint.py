@@ -1,7 +1,7 @@
 """Checkpoint-journal overhead on the canonical mine.
 
-Runs the same closed-pattern mine three ways on the single-process
-stealing backend (the configuration where journal appends sit directly on
+Runs the same closed-pattern mine three ways on the one-worker process
+backend (the configuration where journal appends sit directly on
 the mining path, so the measured overhead is an upper bound):
 
 * **baseline** — no checkpoint attached;
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro.core.sequence import SequenceDatabase
 from repro.durability.checkpoint import MiningCheckpoint
-from repro.engine import WorkStealingBackend
+from repro.engine import ProcessPoolBackend
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 
@@ -79,7 +79,7 @@ def _miner(min_support: int) -> ClosedIterativePatternMiner:
 
 
 def _timed_mine(database, min_support, checkpoint=None):
-    backend = WorkStealingBackend(workers=1)
+    backend = ProcessPoolBackend(workers=1)
     backend.checkpoint = checkpoint
     start = time.perf_counter()
     result = _miner(min_support).mine(database, backend=backend)

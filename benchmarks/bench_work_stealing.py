@@ -9,7 +9,7 @@ coordinator subdivides the straggler's subtree on demand and keeps the
 whole pool busy to the end.
 
 The closed iterative-pattern miner runs on the same data serially
-(reference) and on the ``stealing`` backend; the parallel result is
+(reference) and on the ``process`` backend; the parallel result is
 checked bit-identical to the serial reference, and the run record (serial
 / stealing wall clocks, the speedup and the split counters) is appended
 to the ``BENCH_hot_paths.json`` trajectory next to the hot-loop records.
@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from repro.core.sequence import SequenceDatabase
-from repro.engine import SerialBackend, WorkStealingBackend
+from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 
@@ -98,7 +98,7 @@ def bench_work_stealing(benchmark):
     serial_result, serial_seconds = _timed(
         lambda: miner.mine(database, backend=SerialBackend())
     )
-    stealing_backend = WorkStealingBackend(workers=WORKERS)
+    stealing_backend = ProcessPoolBackend(workers=WORKERS)
 
     def mine_stealing():
         return miner.mine(database, backend=stealing_backend)

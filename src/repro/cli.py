@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import signal
 import sys
 import threading
@@ -217,7 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--store", required=True, help="backing trace-store directory")
     watch.add_argument("--format", default=None, help=_FORMAT_HELP)
     watch.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between polls (default 2)"
+        "--interval",
+        type=_non_negative_seconds,
+        default=2.0,
+        help="seconds between polls (default 2)",
     )
     watch.add_argument(
         "--max-cycles",
@@ -242,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--push-port",
-        type=int,
+        type=_bind_port,
         default=None,
         help="additionally serve pushed sessions over TCP on this port "
         "(0 = ephemeral; the bound address is printed on stderr)",
@@ -261,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind host (default 127.0.0.1)")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_bind_port,
         default=7311,
         help="bind port (default 7311; 0 = ephemeral, printed on stderr)",
     )
@@ -309,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--interval",
-        type=float,
+        type=_non_negative_seconds,
         default=2.0,
         help="seconds between refreshes; rates are computed over this "
         "window (default 2)",
@@ -343,7 +347,7 @@ def _add_http_arguments(subparser: argparse.ArgumentParser) -> None:
     """The HTTP exposition sidecar options shared by serve and watch."""
     subparser.add_argument(
         "--http-port",
-        type=int,
+        type=_bind_port,
         default=None,
         help="host the HTTP exposition sidecar (/metrics, /healthz, "
         "/statusz) on this port (0 = ephemeral; the bound address is "
@@ -356,14 +360,38 @@ def _add_http_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(value: str) -> int:
+def _int_value(value: str) -> int:
     try:
-        workers = int(value)
+        return int(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from error
-    if workers < 1:
+
+
+def _positive_int(value: str) -> int:
+    number = _int_value(value)
+    if number < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    return workers
+    return number
+
+
+def _bind_port(value: str) -> int:
+    """A port to listen on: 0 (ephemeral) through 65535."""
+    port = _int_value(value)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {value!r}")
+    return port
+
+
+def _non_negative_seconds(value: str) -> float:
+    try:
+        seconds = float(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from error
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number of seconds, got {value!r}"
+        )
+    return seconds
 
 
 def _add_source_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -491,15 +519,15 @@ def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         help="worker processes for the parallel engine (unset: serial with "
-        "'auto', all CPU cores with '--backend process' or 'stealing')",
+        "'auto', all CPU cores with '--backend process')",
     )
     subparser.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
         help="execution backend; 'auto' is 'process' when --workers > 1 and "
-        "'serial' otherwise; 'process' and 'stealing' are the same work-unit "
-        "coordinator, which splits hot subtrees across workers",
+        "'serial' otherwise; 'process' is the work-unit coordinator, which "
+        "splits hot subtrees across workers",
     )
     subparser.add_argument(
         "--split-depth",
@@ -869,9 +897,6 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.port < 0:
-        print("error: --port must be >= 0", file=sys.stderr)
-        return 2
     try:
         repository = SpecificationRepository.load(args.rules)
     except (DataFormatError, OSError) as error:

@@ -24,6 +24,14 @@ manifest of another ``CHECKPOINT_VERSION`` discards the whole journal:
 version 2 changed the :class:`~repro.engine.sharding.UnitOutcome` fields,
 which older pickles would fill positionally with the wrong values.
 
+An intact ``unit`` frame whose pickle no longer loads is skipped too, so
+its unit counts as not completed and is mined again.  This is how
+journals from before closure ``verify`` units emitted final records still
+resume: a ``grow`` outcome holding a pending closure, or a ``verify``
+outcome holding a closure verdict, names a type that no longer exists.
+Resume walks the spawn lineage only below completed units, so the
+re-mined ``grow`` unit re-covers its whole subtree, offloads included.
+
 The journal is sound because work outcomes are *plan-independent*: a
 ``(kind, split-path)`` unit is a pure function of the database and the
 mining configuration, so any outcome journaled under a matching

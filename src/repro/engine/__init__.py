@@ -24,7 +24,6 @@ from .backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkStealingBackend,
     plan_shards,
     resolve_backend,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "WorkStealingBackend",
     "plan_shards",
     "resolve_backend",
     "SearchContext",

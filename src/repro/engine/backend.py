@@ -16,7 +16,6 @@ The backend classes differ only in their name (the ``backend`` label of
 * :class:`SerialBackend` — one worker, in process; nothing ever splits.
   The default and the reference semantics.
 * :class:`ProcessPoolBackend` — one worker process per CPU by default.
-* :class:`WorkStealingBackend` — the same coordinator under its own name.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ class ExecutionBackend:
         outcomes = cached + outcomes
         for outcome in outcomes:
             stats.merge_counters(outcome.stats)
-        return runner.resolve_units(outcomes), stats
+        return runner.miner.resolve_units(outcomes), stats
 
     def describe(self) -> str:
         """Short human-readable form used by the CLI and benchmarks."""
@@ -177,12 +176,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """Worker processes, one per CPU unless ``workers`` says otherwise."""
 
     name = "process"
-
-
-class WorkStealingBackend(ExecutionBackend):
-    """The process backend under the name ``--backend stealing`` selects."""
-
-    name = "stealing"
 
 
 def resolve_backend(
@@ -212,17 +205,16 @@ def resolve_backend(
                 "--split-depth needs more than one worker; the serial backend never splits"
             )
         return SerialBackend()
-    backends = {"process": ProcessPoolBackend, "stealing": WorkStealingBackend}
-    if name not in backends:
+    if name != "process":
         raise ConfigurationError(
             f"unknown execution backend {name!r} "
-            "(expected 'serial', 'process', 'stealing' or 'auto')"
+            "(expected 'serial', 'process' or 'auto')"
         )
-    return backends[name](
+    return ProcessPoolBackend(
         workers=workers,
         split_depth=split_depth if split_depth is not None else DEFAULT_SPLIT_DEPTH,
     )
 
 
 #: Backend names accepted by :func:`resolve_backend` (CLI choices).
-BACKEND_CHOICES = ("auto", "serial", "process", "stealing")
+BACKEND_CHOICES = ("auto", "serial", "process")

@@ -16,16 +16,21 @@ from the miner packages):
     :class:`~repro.engine.sharding.WorkUnit` per frequent root, and the
     number of roots the support threshold discarded.
 ``mine_unit(context, unit, stats, splitter)``
-    Execute one work unit, consulting ``splitter`` for dynamic subtree
-    splitting and heavy-phase offload.
+    Execute one work unit and return its final records, consulting
+    ``splitter`` for dynamic subtree splitting and heavy-phase offload.
 ``resolve_units(outcomes)``
     Deterministically reassemble unit outcomes into the canonical serial
     record order (coordinating process only).
 
-Both miner families implement the first two — and ``mine()`` — through
+Both miner families implement all four — and ``mine()`` — through
 :class:`SearchMinerBase`, whose :class:`SearchContext` carries what their
-searches share; each family supplies its root weights and payloads, its
-node visit, ``mine_unit``, ``resolve_units`` and ``collect_result``.
+searches share.  Every unit emits final records: a subtree unit walks its
+subtree depth first, and a deferred unit runs one node's offloaded heavy
+phase (the closure check, consequent growth) and emits what it accepts,
+so resolving is one sort by record key.  Each family supplies its unit
+kinds, root weights and payloads, four search hooks (path replay, node
+visit, child derivation, the deferred phase), ``record_sort_key`` and
+``collect_result``.
 
 The runner crosses into each worker process once; the context is *never*
 pickled — ``__getstate__`` drops it so every worker rebuilds its
@@ -49,6 +54,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.errors import ConfigurationError
 from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
 from ..core.sequence import absolute_support
@@ -56,6 +62,7 @@ from ..core.stats import MiningStats
 from ..obs import tracing
 from .backend import ExecutionBackend, SerialBackend
 from .sharding import UnitOutcome, WorkUnit
+from .stealing import FrontierFrame, drive_split_subtree
 
 
 def plan_weighted_roots(
@@ -239,10 +246,6 @@ class ShardRunner:
             unit, records, stats, time.perf_counter() - started, tracing.drain_shipped()
         )
 
-    def resolve_units(self, outcomes: List[UnitOutcome]) -> List[Any]:
-        """Reassemble unit outcomes into canonical serial record order."""
-        return self.miner.resolve_units(outcomes)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -269,15 +272,27 @@ class ShardRunner:
 class SearchMinerBase:
     """The engine adapter both miner families share.
 
-    Owns the configuration, :meth:`mine`, context building and planning.
-    A family supplies ``subtree_kind`` (the kind of its seed units),
-    :meth:`_min_support` (its configured threshold), :meth:`_root_weights`
-    and :meth:`_root_payloads`, plus ``mine_unit``, ``resolve_units`` and
-    ``collect_result``.
+    Owns the configuration, :meth:`mine`, context building, planning and
+    the unit protocol (:meth:`mine_unit`, :meth:`resolve_units`).  A family
+    declares its two unit kinds and ``offload_counter`` and supplies
+    :meth:`_min_support`, :meth:`_root_weights`, :meth:`_root_payloads`,
+    ``record_sort_key(record)``, ``collect_result`` and four search hooks
+    over its node type (the node's key paired with its projection payload):
+
+    * ``_replay(context, path, stats) -> node`` re-derives a unit's node;
+    * ``_visit(context, node, records, stats, splitter) -> frame | None``
+      emits the node's records and opens its frame;
+    * ``_child(frame, event, payload) -> node`` derives a frame's child;
+    * ``_run_deferred(context, node, records, stats)`` runs the node's
+      heavy phase, in place or as a ``deferred_kind`` unit.
     """
 
     #: Work-unit kind that mines a whole subtree (the seed units' kind).
     subtree_kind = ""
+    #: Work-unit kind that runs one node's offloaded heavy phase.
+    deferred_kind = ""
+    #: ``MiningStats`` extra counter bumped per offloaded heavy phase.
+    offload_counter = ""
 
     def __init__(self, config: Any) -> None:
         self.config = config
@@ -336,6 +351,81 @@ class SearchMinerBase:
         return plan_weighted_roots(
             self._root_weights(context), context.min_support, self.subtree_kind
         )
+
+    def mine_unit(
+        self,
+        context: SearchContext,
+        unit: WorkUnit,
+        stats: MiningStats,
+        splitter: Any,
+    ) -> List[Any]:
+        """Execute one work unit and return its final records.
+
+        The unit's node is re-derived by replaying its path.  A deferred
+        unit then runs that node's heavy phase; a subtree unit walks the
+        subtree below it depth first, splitting its frontier when the
+        splitter asks.
+        """
+        if unit.kind not in (self.subtree_kind, self.deferred_kind):
+            raise ConfigurationError(
+                f"unknown {type(self).__name__} work-unit kind {unit.kind!r}"
+            )
+        records: List[Any] = []
+        node = self._replay(context, unit.path, stats)
+        if unit.kind == self.deferred_kind:
+            self._run_deferred(context, node, records, stats)
+            return records
+
+        def visit_child(
+            frame: FrontierFrame, event: EventId, payload: Any
+        ) -> Optional[FrontierFrame]:
+            return self._visit(
+                context, self._child(frame, event, payload), records, stats, splitter
+            )
+
+        drive_split_subtree(
+            self._visit(context, node, records, stats, splitter),
+            visit_child,
+            context.min_support,
+            splitter,
+            stats,
+            self.subtree_kind,
+        )
+        return records
+
+    def resolve_units(self, outcomes: List[UnitOutcome]) -> List[Any]:
+        """Reassemble unit outcomes into the canonical serial record order.
+
+        Every unit emits final records keyed by their own search-tree
+        path, and the serial depth-first emission order (children visited
+        in ascending event order) is the ascending order of those keys, so
+        one sort reassembles it whichever unit produced each record.
+        """
+        records = [record for outcome in outcomes for record in outcome.records]
+        records.sort(key=self.record_sort_key)
+        return records
+
+    def _offload_or_run(
+        self,
+        context: SearchContext,
+        path: Tuple[EventId, ...],
+        node: Any,
+        cost_hint: int,
+        records: List[Any],
+        stats: MiningStats,
+        splitter: Any,
+    ) -> None:
+        """Run a node's heavy phase in place, or leave it as a deferred unit.
+
+        The phase leaves when the splitter reports a hungry pool and
+        ``cost_hint`` (the node's payload rows) outweighs the replay a
+        thief pays; the deferred unit then emits the node's records.
+        """
+        if splitter.should_offload(cost_hint):
+            splitter.submit([WorkUnit(self.deferred_kind, path[0], path, cost_hint)])
+            stats.bump(self.offload_counter)
+        else:
+            self._run_deferred(context, node, records, stats)
 
     # ------------------------------------------------------------------ #
     # Family hooks

@@ -14,8 +14,8 @@ appended batches' alphabets keeps its cached records verbatim.
 :class:`IncrementalMiner` exploits this through the existing engine: its
 runner filters the miner's plan down to the seed units of *touched* roots
 (events appearing in the newly appended batches) and runs them on
-any :class:`~repro.engine.backend.ExecutionBackend` — serial, process
-or stealing — and merges the fresh records with the cached records of
+any :class:`~repro.engine.backend.ExecutionBackend` — serial or
+process — and merges the fresh records with the cached records of
 untouched roots by the miner's canonical record key.  Because every backend
 already merges deterministically by that same key, the merged output is
 bit-identical to a full re-mine of the concatenated store.  Three events

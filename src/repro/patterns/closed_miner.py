@@ -15,16 +15,12 @@ from typing import Any, Dict, List, Optional
 from ..core.blocks import InstanceBlock
 from ..core.events import EventId
 from ..core.sequence import SequenceDatabase
-from ..core.projection import AlphabetIndex, backward_extension_events_block
-from ..engine import ExecutionBackend, SearchContext, WorkUnit
+from ..core.projection import backward_extension_events_block
+from ..core.stats import MiningStats
+from ..engine import ExecutionBackend, SearchContext
 from .closure import forward_closure_violation, infix_closure_violation_block
 from .config import IterativeMiningConfig
-from .miner_base import (
-    VERIFY_UNIT,
-    IterativePatternMinerBase,
-    PatternRecord,
-    PendingClosure,
-)
+from .miner_base import IterativePatternMinerBase, PatternNode
 from .result import PatternMiningResult
 
 
@@ -48,56 +44,51 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
     def _emit(
         self,
         context: SearchContext,
-        node: AlphabetIndex,
-        block: InstanceBlock,
+        node: PatternNode,
         extensions: Dict[EventId, InstanceBlock],
-        stats: "Any",
-        splitter: Any,
         records: List[object],
+        stats: MiningStats,
+        splitter: Any,
     ) -> None:
         """Closure-check sharding: free forward test inline, rest offloadable.
 
         The forward violation test reuses the extension blocks the growth
         step just computed, so it always runs in place.  The backward scan
-        and the infix oracle are the expensive tail; when the splitter
+        and the infix check are the expensive tail; when the splitter
         reports a hungry pool and the block is heavy enough, they leave as
-        a ``verify`` unit with the block length as cost hint, and the
-        pattern is emitted pending that unit's verdict.
+        a ``verify`` unit with the block length as cost hint, and that
+        unit emits the pattern if it is closed.
         """
-        pattern = node.pattern
+        block, alphabet = node
         if forward_closure_violation(extensions, len(block)) is not None:
             stats.pruned_closure += 1
             return
-        if splitter.should_offload(len(block)):
-            records.append(
-                PendingClosure(pattern, len(block), self._keep_instances(block))
-            )
-            splitter.submit([WorkUnit(VERIFY_UNIT, pattern[0], pattern, len(block))])
-            stats.bump("closure_offloads")
-            return
-        if self._verify_deferred_closure(context, node, block):
-            stats.emitted += 1
-            records.append(
-                PatternRecord(pattern, len(block), self._keep_instances(block))
-            )
-        else:
-            stats.pruned_closure += 1
+        self._offload_or_run(
+            context, alphabet.pattern, node, len(block), records, stats, splitter
+        )
 
-    def _verify_deferred_closure(
-        self, context: SearchContext, node: AlphabetIndex, block: InstanceBlock
-    ) -> bool:
-        """The offloadable closure tail: backward scan plus infix oracle."""
-        if backward_extension_events_block(context.encoded, context.index, node, block):
-            return False
-        if (
+    def _run_deferred(
+        self,
+        context: SearchContext,
+        node: PatternNode,
+        records: List[object],
+        stats: MiningStats,
+    ) -> None:
+        """The offloadable closure tail: backward scan plus infix check.
+
+        Emits the pattern unless a backward or infix extension violates
+        its closure; runs in place or as a ``verify`` unit.
+        """
+        block, alphabet = node
+        encoded, index = context.encoded, context.index
+        if backward_extension_events_block(encoded, index, alphabet, block) or (
             self.config.check_infix_extensions
-            and infix_closure_violation_block(
-                context.encoded, context.index, node, block
-            )
+            and infix_closure_violation_block(encoded, index, alphabet, block)
             is not None
         ):
-            return False
-        return True
+            stats.pruned_closure += 1
+            return
+        self._accept(node, records, stats)
 
 
 def mine_closed_patterns(

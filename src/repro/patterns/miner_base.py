@@ -23,10 +23,11 @@ node inside a subtree can itself be carved off as a
 and re-derived elsewhere by replaying projections along the path.  The
 miners plug into the engine through
 :class:`~repro.engine.runner.SearchMinerBase`, which owns ``mine()``,
-context building and planning; this module adds the pattern family's root
-weights (occurrence counts) and payloads (singleton instance blocks), the
-node visit, the deferred closure phase, ``mine_unit``, ``resolve_units``
-and ``collect_result``, and an
+context building, planning and the unit protocol; this module adds the
+pattern family's root weights (occurrence counts) and payloads (singleton
+instance blocks), path replay, the node visit and ``collect_result``, and
+the closed miner adds the deferred closure phase.  A search node is the
+pair ``(instance block, AlphabetIndex)``.  An
 :class:`~repro.engine.backend.ExecutionBackend` decides where the search
 runs.  Wherever it runs the merged output is bit-identical: the serial
 depth-first emission order equals the ascending lexicographic order of the
@@ -39,7 +40,6 @@ from collections import Counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import InstanceBlock, WireInstanceBlock
-from ..core.errors import ConfigurationError
 from ..core.events import EncodedDatabase, EventId
 from ..core.projection import (
     AlphabetIndex,
@@ -49,8 +49,8 @@ from ..core.projection import (
 )
 from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
-from ..engine import SearchContext, SearchMinerBase, UnitOutcome, WorkUnit
-from ..engine.stealing import FrontierFrame, drive_split_subtree
+from ..engine import SearchContext, SearchMinerBase
+from ..engine.stealing import FrontierFrame
 from .config import IterativeMiningConfig
 from .result import MinedPattern, PatternMiningResult
 
@@ -58,6 +58,9 @@ from .result import MinedPattern, PatternMiningResult
 #: ``verify`` runs one node's deferred closure check.
 GROW_UNIT = "grow"
 VERIFY_UNIT = "verify"
+
+#: A pattern search node: its instance block and its boundary cache.
+PatternNode = Tuple[InstanceBlock, AlphabetIndex]
 
 
 class PatternRecord(NamedTuple):
@@ -75,33 +78,14 @@ class PatternRecord(NamedTuple):
     instances: Optional[WireInstanceBlock]
 
 
-class PendingClosure(NamedTuple):
-    """A frequent pattern whose closure check was offloaded to a verify unit.
-
-    The grow worker already ran the free forward check; the matching
-    ``verify`` unit reports the backward/infix verdict and
-    ``resolve_units`` turns the pair into a :class:`PatternRecord` (or
-    drops it) on the coordinator.
-    """
-
-    pattern: Tuple[EventId, ...]
-    support: int
-    instances: Optional[WireInstanceBlock]
-
-
-class ClosureVerdict(NamedTuple):
-    """The outcome of a deferred closure check for one pattern."""
-
-    pattern: Tuple[EventId, ...]
-    closed: bool
-
-
 class IterativePatternMinerBase(SearchMinerBase):
     """Template-method base class for the iterative-pattern miners."""
 
     config: IterativeMiningConfig
     closed_only = False
     subtree_kind = GROW_UNIT
+    deferred_kind = VERIFY_UNIT
+    offload_counter = "closure_offloads"
 
     def collect_result(
         self,
@@ -165,104 +149,32 @@ class IterativePatternMinerBase(SearchMinerBase):
         """The singleton instance blocks every subtree starts from."""
         return singleton_blocks(context.encoded)
 
-    def mine_unit(
-        self,
-        context: SearchContext,
-        unit: WorkUnit,
-        stats: MiningStats,
-        splitter: Any,
-    ) -> List[object]:
-        """Execute one work unit: mine a subtree or verify one closure."""
-        records: List[object] = []
-        if unit.kind == VERIFY_UNIT:
-            block, node = self._replay(context, unit.path, stats)
-            closed = self._verify_deferred_closure(context, node, block)
-            if closed:
-                stats.emitted += 1
-            else:
-                stats.pruned_closure += 1
-            records.append(ClosureVerdict(unit.path, closed))
-            return records
-        if unit.kind != GROW_UNIT:
-            raise ConfigurationError(f"unknown pattern work-unit kind {unit.kind!r}")
-        block, node = self._replay(context, unit.path, stats)
-
-        def visit_child(
-            frame: FrontierFrame, event: EventId, child_block: InstanceBlock
-        ) -> Optional[FrontierFrame]:
-            return self._visit(
-                context, child_block, frame.state.extend(event), records, stats, splitter
-            )
-
-        drive_split_subtree(
-            self._visit(context, block, node, records, stats, splitter),
-            visit_child,
-            context.min_support,
-            splitter,
-            stats,
-            GROW_UNIT,
-        )
-        return records
-
-    def resolve_units(self, outcomes: List[UnitOutcome]) -> List[PatternRecord]:
-        """Reassemble unit outcomes into the canonical serial record order.
-
-        Deferred closure verdicts are matched back to their pending
-        records first; the final sort by encoded pattern reproduces the
-        serial depth-first emission order exactly (pre-order over children
-        visited in ascending event order *is* lexicographic pattern
-        order).
-        """
-        verdicts: Dict[Tuple[EventId, ...], bool] = {}
-        mined: List[object] = []
-        for outcome in outcomes:
-            for record in outcome.records:
-                if isinstance(record, ClosureVerdict):
-                    verdicts[record.pattern] = record.closed
-                else:
-                    mined.append(record)
-        resolved: List[PatternRecord] = []
-        for record in mined:
-            if isinstance(record, PendingClosure):
-                if verdicts[record.pattern]:
-                    resolved.append(
-                        PatternRecord(record.pattern, record.support, record.instances)
-                    )
-            else:
-                resolved.append(record)
-        resolved.sort(key=self.record_sort_key)
-        return resolved
-
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
     def _emit(
         self,
         context: SearchContext,
-        node: AlphabetIndex,
-        block: InstanceBlock,
+        node: PatternNode,
         extensions: Dict[EventId, InstanceBlock],
+        records: List[object],
         stats: MiningStats,
         splitter: Any,
-        records: List[object],
     ) -> None:
         """Emit the current node's pattern (below the length cap).
 
         The default emits every frequent pattern; the closed miner
         overrides this to split its closure check into a free inline part
-        and an offloadable verify unit.
+        and an offloadable ``verify`` unit.
         """
+        self._accept(node, records, stats)
+
+    def _accept(self, node: PatternNode, records: List[object], stats: MiningStats) -> None:
+        """Append the node's pattern as a final record."""
+        block, alphabet = node
         stats.emitted += 1
         records.append(
-            PatternRecord(node.pattern, len(block), self._keep_instances(block))
-        )
-
-    def _verify_deferred_closure(
-        self, context: SearchContext, node: AlphabetIndex, block: InstanceBlock
-    ) -> bool:
-        """Run the deferred part of a closure check (verify units only)."""
-        raise NotImplementedError(
-            "only the closed miner offloads closure verification"
+            PatternRecord(alphabet.pattern, len(block), self._keep_instances(block))
         )
 
     # ------------------------------------------------------------------ #
@@ -282,7 +194,7 @@ class IterativePatternMinerBase(SearchMinerBase):
         context: SearchContext,
         path: Tuple[EventId, ...],
         stats: MiningStats,
-    ) -> Tuple[InstanceBlock, AlphabetIndex]:
+    ) -> PatternNode:
         """Re-derive a split node's instance block by replaying its path.
 
         This is the cost a thief pays for a stolen unit: one targeted
@@ -292,20 +204,24 @@ class IterativePatternMinerBase(SearchMinerBase):
         stay comparable with the serial run.
         """
         block = context.roots[path[0]]
-        node = AlphabetIndex(context.index, (path[0],))
+        alphabet = AlphabetIndex(context.index, (path[0],))
         for event in path[1:]:
             block = project_extension_block(
-                context.encoded, context.index, node, block, event
+                context.encoded, context.index, alphabet, block, event
             )
-            node = node.extend(event)
+            alphabet = alphabet.extend(event)
             stats.bump("steal_replayed_rows", len(block))
-        return block, node
+        return block, alphabet
+
+    def _child(
+        self, frame: FrontierFrame, event: EventId, block: InstanceBlock
+    ) -> PatternNode:
+        return block, frame.state.extend(event)
 
     def _visit(
         self,
         context: SearchContext,
-        block: InstanceBlock,
-        node: AlphabetIndex,
+        node: PatternNode,
         records: List[object],
         stats: MiningStats,
         splitter: Any,
@@ -315,13 +231,14 @@ class IterativePatternMinerBase(SearchMinerBase):
         Nodes at ``max_pattern_length`` are emitted as they are, with no
         projection and no frame.
 
-        ``node`` is this search node's shared boundary cache: every
+        The node's ``AlphabetIndex`` is its shared boundary cache: every
         projection and closure query reuses the same frozenset(pattern)
         and merged alphabet-occurrence lists, derived incrementally from
         the parent node's cache.
         """
         encoded = context.encoded
-        pattern = node.pattern
+        block, alphabet = node
+        pattern = alphabet.pattern
         stats.visited += 1
         max_length = self.config.max_pattern_length
         if max_length is not None and len(pattern) >= max_length:
@@ -330,15 +247,14 @@ class IterativePatternMinerBase(SearchMinerBase):
             # pattern space, and every single-event extension of a
             # cap-length pattern lies outside it.  So its extensions are
             # never projected.
-            stats.emitted += 1
-            records.append(PatternRecord(pattern, len(block), self._keep_instances(block)))
+            self._accept(node, records, stats)
             return None
 
-        extensions = forward_extensions_block(encoded, context.index, node, block)
+        extensions = forward_extensions_block(encoded, context.index, alphabet, block)
         for extension_block in extensions.values():
             stats.instances_materialized += len(extension_block)
 
-        self._emit(context, node, block, extensions, stats, splitter, records)
+        self._emit(context, node, extensions, records, stats, splitter)
 
         explore = sorted(extensions)
         if self.config.adjacent_absorption_pruning:
@@ -351,7 +267,7 @@ class IterativePatternMinerBase(SearchMinerBase):
                 stats.bump("absorption_pruned_branches", len(extensions) - 1)
                 explore = [absorbed]
 
-        return FrontierFrame(pattern, node, extensions, explore)
+        return FrontierFrame(pattern, alphabet, extensions, explore)
 
     @staticmethod
     def _adjacent_absorbing_event(

@@ -14,12 +14,14 @@ as a :class:`~repro.engine.sharding.WorkUnit` keyed by its ``(root,
 split-path)`` — the thief re-derives the premise projections with one
 binary search per supporting sequence per path step.  A premise's
 consequent growth — the heavy phase of rule mining — can likewise leave as
-its own ``consequent`` unit when the pool runs hungry.  The miners plug
-into the engine through :class:`~repro.engine.runner.SearchMinerBase`,
-which owns ``mine()``, context building and planning; this module adds the
+its own ``consequent`` unit when the pool runs hungry; that unit emits the
+premise's final rules.  The miners plug into the engine through
+:class:`~repro.engine.runner.SearchMinerBase`, which owns ``mine()``,
+context building, planning and the unit protocol; this module adds the
 rule family's root weights (sequence counts) and payloads (single-event
-premise projections), the premise visit, the deferred consequent phase,
-``mine_unit``, ``resolve_units`` and ``collect_result``.  Merged output is
+premise projections), path replay, the premise visit, the deferred
+consequent phase and ``collect_result``.  A search node is the pair
+``(premise, projections)``.  Merged output is
 bit-identical on every backend because the serial emission order equals the
 ascending lexicographic order of ``(premise, consequent)`` keys.  The
 Definition 5.2 sweep is global, so it always runs in the coordinating
@@ -33,12 +35,11 @@ from collections import Counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import PositionBlock
-from ..core.errors import ConfigurationError
 from ..core.events import EventId
 from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
-from ..engine import SearchContext, SearchMinerBase, UnitOutcome, WorkUnit
-from ..engine.stealing import FrontierFrame, drive_split_subtree
+from ..engine import SearchContext, SearchMinerBase
+from ..engine.stealing import FrontierFrame
 from .config import RuleMiningConfig
 from .consequent_miner import ConsequentGrower
 from .premise_miner import (
@@ -55,6 +56,9 @@ from .rule import RecurrentRule
 #: consequent growth of a single premise.
 RULES_UNIT = "rules"
 CONSEQUENT_UNIT = "consequent"
+
+#: A premise search node: the premise and its projections.
+PremiseNode = Tuple[Tuple[EventId, ...], PositionBlock]
 
 
 class RuleRecord(NamedTuple):
@@ -76,6 +80,8 @@ class RecurrentRuleMinerBase(SearchMinerBase):
     #: 5.2 sweep.  Also copied to the result object.
     non_redundant_only = False
     subtree_kind = RULES_UNIT
+    deferred_kind = CONSEQUENT_UNIT
+    offload_counter = "consequent_offloads"
 
     def collect_result(
         self,
@@ -163,54 +169,6 @@ class RecurrentRuleMinerBase(SearchMinerBase):
             context.encoded, context.extras.get("allowed_event_ids")
         )
 
-    def mine_unit(
-        self,
-        context: SearchContext,
-        unit: WorkUnit,
-        stats: MiningStats,
-        splitter: Any,
-    ) -> List[RuleRecord]:
-        """Execute one work unit: a premise subtree or one deferred grower."""
-        records: List[RuleRecord] = []
-        if unit.kind == CONSEQUENT_UNIT:
-            projections = self._replay(context, unit.path, stats)
-            self._grow_consequents(context, unit.path, projections, records, stats)
-            return records
-        if unit.kind != RULES_UNIT:
-            raise ConfigurationError(f"unknown rule work-unit kind {unit.kind!r}")
-        projections = self._replay(context, unit.path, stats)
-
-        def visit_child(
-            frame: FrontierFrame, event: EventId, child_projections: PositionBlock
-        ) -> "Optional[FrontierFrame]":
-            return self._visit_premise(
-                context, frame.key + (event,), child_projections, records, stats, splitter
-            )
-
-        drive_split_subtree(
-            self._visit_premise(context, unit.path, projections, records, stats, splitter),
-            visit_child,
-            context.min_support,
-            splitter,
-            stats,
-            RULES_UNIT,
-        )
-        return records
-
-    def resolve_units(self, outcomes: List[UnitOutcome]) -> List[RuleRecord]:
-        """Reassemble unit outcomes into the canonical serial record order.
-
-        Premises are emitted depth-first over children in ascending event
-        order and each premise's consequents likewise, so the serial rule
-        order is exactly the ascending lexicographic order of the
-        ``(premise, consequent)`` pairs — whichever unit produced each.
-        """
-        records: List[RuleRecord] = []
-        for outcome in outcomes:
-            records.extend(outcome.records)
-        records.sort(key=self.record_sort_key)
-        return records
-
     # ------------------------------------------------------------------ #
     # Unit-search internals
     # ------------------------------------------------------------------ #
@@ -219,36 +177,36 @@ class RecurrentRuleMinerBase(SearchMinerBase):
         context: SearchContext,
         path: Tuple[EventId, ...],
         stats: MiningStats,
-    ) -> PositionBlock:
+    ) -> PremiseNode:
         """Re-derive a split premise's projections by replaying its path."""
         projections = context.roots[path[0]]
         for event in path[1:]:
             projections = project_premise_extension(context.index, projections, event)
             stats.bump("steal_replayed_rows", len(projections))
-        return projections
+        return path, projections
 
-    def _visit_premise(
+    def _child(
+        self, frame: FrontierFrame, event: EventId, projections: PositionBlock
+    ) -> PremiseNode:
+        return frame.key + (event,), projections
+
+    def _visit(
         self,
         context: SearchContext,
-        premise: Tuple[EventId, ...],
-        projections: PositionBlock,
+        node: PremiseNode,
         records: List[RuleRecord],
         stats: MiningStats,
         splitter: Any,
     ) -> "Optional[FrontierFrame]":
         """Visit one premise node: grow (or defer) its rules, open its frame."""
+        premise, projections = node
         stats.visited += 1
         # Consequent growth is the heavy phase behind each premise; when
         # the pool is hungry it leaves as its own unit, with the premise's
         # supporting-sequence count as the cost hint.
-        if splitter.should_offload(len(projections)):
-            splitter.submit(
-                [WorkUnit(CONSEQUENT_UNIT, premise[0], premise, len(projections))]
-            )
-            stats.bump("consequent_offloads")
-        else:
-            self._grow_consequents(context, premise, projections, records, stats)
-
+        self._offload_or_run(
+            context, premise, node, len(projections), records, stats, splitter
+        )
         if (
             self.config.max_premise_length is not None
             and len(premise) >= self.config.max_premise_length
@@ -258,6 +216,16 @@ class RecurrentRuleMinerBase(SearchMinerBase):
             context.encoded, projections, context.extras.get("allowed_event_ids")
         )
         return FrontierFrame(premise, None, extensions, sorted(extensions))
+
+    def _run_deferred(
+        self,
+        context: SearchContext,
+        node: PremiseNode,
+        records: List[RuleRecord],
+        stats: MiningStats,
+    ) -> None:
+        premise, projections = node
+        self._grow_consequents(context, premise, projections, records, stats)
 
     def _grow_consequents(
         self,

@@ -186,12 +186,12 @@ def _seq_field(payload: Dict[str, object]) -> Optional[int]:
     return value
 
 
-def _limit_field(payload: Dict[str, object]) -> Optional[int]:
-    value = payload.get("limit")
+def _limit_field(payload: Dict[str, object], name: str = "limit") -> Optional[int]:
+    value = payload.get(name)
     if value is None:
         return None
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise MonitoringError("'limit' must be a non-negative integer")
+        raise MonitoringError(f"'{name}' must be a non-negative integer")
     return value
 
 
@@ -437,12 +437,12 @@ class EventPushServer:
             }, False
         if op == "ANALYTICS":
             # Per-rule serving counters, merged order-free across shards.
-            # An optional integer "top" keeps only the N most-violated
+            # An optional non-negative "top" keeps only the N most-violated
             # rules (ties broken by opened points, then rule id) so a
             # dashboard polling a huge rule set gets a bounded reply.
+            top = _limit_field(payload, "top")
             rules = self.pool.rule_analytics()
-            top = payload.get("top")
-            if isinstance(top, int) and not isinstance(top, bool) and top >= 0:
+            if top is not None:
                 ranked = sorted(
                     rules.items(),
                     key=lambda item: (-item[1]["violated"], -item[1]["opened"], item[0]),

@@ -4,9 +4,10 @@ import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core.sequence import SequenceDatabase
-from repro.durability.checkpoint import MiningCheckpoint
-from repro.durability.journal import JournalWriter
+from repro.durability.checkpoint import JOURNAL_NAME, MiningCheckpoint
+from repro.durability.journal import JournalWriter, read_frames
 from repro.engine import resolve_backend
 from repro.jboss.workloads import generate_security_traces
 from repro.obs.metrics import DURABILITY_RESUMED_TOTAL, ENGINE_UNITS_TOTAL, REGISTRY
@@ -57,7 +58,7 @@ def interrupted_then_resumed(tmp_path, database, make_miner, backend_name):
 def test_stealing_resume_is_identical_and_cheaper(tmp_path):
     database = pattern_database()
     cold, resumed = interrupted_then_resumed(
-        tmp_path, database, pattern_miner, "stealing"
+        tmp_path, database, pattern_miner, "process"
     )
     assert resumed.as_rows() == cold.as_rows()
     # At least the units journaled before the injected crash were reused,
@@ -80,7 +81,7 @@ def test_rule_mining_resume_is_identical(tmp_path):
         tmp_path,
         database,
         lambda: NonRedundantRecurrentRuleMiner(config),
-        "stealing",
+        "process",
     )
     assert resumed.as_rows() == cold.as_rows()
     assert resumed.stats.extra.get("units_resumed", 0) >= 3
@@ -88,12 +89,12 @@ def test_rule_mining_resume_is_identical(tmp_path):
 
 def test_completed_checkpoint_resumes_everything(tmp_path):
     database = pattern_database()
-    backend = resolve_backend("stealing", 1, None)
+    backend = resolve_backend("process", 1, None)
     backend.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
     first = pattern_miner().mine(database, backend=backend)
     backend.checkpoint.close()
 
-    again = resolve_backend("stealing", 1, None)
+    again = resolve_backend("process", 1, None)
     again.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
     second = pattern_miner().mine(database, backend=again)
     again.checkpoint.close()
@@ -169,3 +170,70 @@ def test_legacy_shard_frames_are_skipped_on_replay(tmp_path):
     # Nothing was reused: every unit was mined again.
     assert resumed.stats.extra.get("units_resumed", 0) == 0
     assert resumed.stats.visited == cold.stats.visited
+
+
+def _journal_entries(directory):
+    payloads, _ = read_frames(directory / JOURNAL_NAME)
+    return payloads
+
+
+def _make_first_unit_frame_unloadable(directory):
+    """Rewrite the journal so its first ``unit`` frame no longer unpickles.
+
+    The frame stays intact (its CRC matches its payload), but the pickle
+    names a record type the program does not have, as a journal written
+    by an older version of the record types would.  Returns the unit key.
+    """
+    payloads = _journal_entries(directory)
+    (directory / JOURNAL_NAME).unlink()
+    stale_key = None
+    with JournalWriter(directory / JOURNAL_NAME) as journal:
+        for payload in payloads:
+            entry = pickle.loads(payload)
+            if stale_key is None and entry[0] == "unit" and entry[2].records:
+                stale_key = entry[1]
+                # Protocol 2 names classes as text lines, so the rename
+                # keeps every other byte of the pickle valid.
+                payload = pickle.dumps(entry, protocol=2).replace(
+                    b"\nPatternRecord\n", b"\nRetiredRecord\n"
+                )
+                with pytest.raises(AttributeError):
+                    pickle.loads(payload)
+            journal.append(payload)
+    assert stale_key is not None
+    return stale_key
+
+
+def test_unloadable_unit_frame_is_re_mined(tmp_path, capsys):
+    """A journaled unit whose outcome no longer loads is mined again, and
+    the resumed run prints and saves exactly what an uninterrupted mine
+    does."""
+    traces = tmp_path / "traces.txt"
+    traces.write_text(
+        "\n\n".join("\n".join(sequence) for sequence in pattern_database())
+        + "\n",
+        encoding="utf-8",
+    )
+    checkpoint = tmp_path / "ckpt"
+    saved = tmp_path / "patterns.json"
+    mine = ["mine-patterns", "--input", str(traces), "--min-support", "2"]
+
+    assert main(mine + ["--save", str(saved)]) == 0
+    cold = capsys.readouterr().out
+    cold_json = saved.read_bytes()
+    assert main(mine + ["--checkpoint", str(checkpoint)]) == 0
+    capsys.readouterr()
+    units = sum(pickle.loads(p)[0] == "unit" for p in _journal_entries(checkpoint))
+    assert units >= 2
+
+    stale_key = _make_first_unit_frame_unloadable(checkpoint)
+    assert main(mine + ["--checkpoint", str(checkpoint), "--save", str(saved)]) == 0
+    captured = capsys.readouterr()
+
+    assert f"resumed {units - 1} completed units" in captured.err
+    # The re-mined unit was journaled afresh, in loadable form.
+    reloaded = [pickle.loads(p) for p in _journal_entries(checkpoint)[units:]]
+    assert [entry[1] for entry in reloaded if entry[0] == "unit"] == [stale_key]
+    # Below the summary line (which carries the wall time).
+    assert captured.out.splitlines()[1:] == cold.splitlines()[1:]
+    assert saved.read_bytes() == cold_json

@@ -12,7 +12,6 @@ from repro.engine import (
     SerialBackend,
     ShardRunner,
     UnitOutcome,
-    WorkStealingBackend,
     WorkUnit,
     plan_shards,
     resolve_backend,
@@ -128,8 +127,8 @@ class TestResolveBackend:
     def test_backends_differ_only_in_name_and_default_workers(self):
         assert SerialBackend().workers == 1
         assert ProcessPoolBackend().workers == (os.cpu_count() or 1)
-        for cls in (SerialBackend, ProcessPoolBackend, WorkStealingBackend):
+        for cls in (SerialBackend, ProcessPoolBackend):
             assert cls._execute is ExecutionBackend._execute
-        assert {cls.name for cls in (SerialBackend, ProcessPoolBackend, WorkStealingBackend)} == {
-            "serial", "process", "stealing",
+        assert {cls.name for cls in (SerialBackend, ProcessPoolBackend)} == {
+            "serial", "process",
         }

@@ -7,7 +7,7 @@ be offloaded to other workers, and the merged result must still match the serial
 bit for bit, core search counters included.
 
 ``eager_split`` forces every split and offload decision to yes, so the
-in-process runs below exercise the splitting, replay and deferred-verdict
+in-process runs below exercise the splitting, replay and deferred-unit
 machinery deterministically on every hypothesis example; a handful of
 tests also cross real process boundaries.
 """
@@ -17,12 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.sequence import SequenceDatabase
-from repro.engine import WorkStealingBackend, resolve_backend
-from repro.patterns.closed_miner import mine_closed_patterns
+from repro.engine import DEFAULT_SPLIT_DEPTH, ProcessPoolBackend, ShardRunner, resolve_backend
+from repro.engine.stealing import _run_units_in_process
+from repro.patterns.closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
 from repro.patterns import miner_base
+from repro.patterns.config import IterativeMiningConfig
 from repro.patterns.full_miner import mine_frequent_patterns
+from repro.rules.config import RuleMiningConfig
 from repro.rules.full_miner import mine_all_rules
-from repro.rules.nonredundant_miner import mine_non_redundant_rules
+from repro.rules.miner_base import RuleRecord
+from repro.rules.nonredundant_miner import (
+    NonRedundantRecurrentRuleMiner,
+    mine_non_redundant_rules,
+)
 
 sequences_strategy = st.lists(
     st.lists(st.integers(min_value=0, max_value=4).map(str), min_size=1, max_size=14),
@@ -35,7 +42,7 @@ CORE_COUNTERS = ("visited", "emitted", "pruned_support", "pruned_closure")
 
 
 def _eager(split_depth=4):
-    return WorkStealingBackend(workers=1, eager_split=True, split_depth=split_depth)
+    return ProcessPoolBackend(workers=1, eager_split=True, split_depth=split_depth)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +186,35 @@ def test_consequent_offload_rides_the_unit_queue(skewed_database):
     assert stolen.stats.extra.get("consequent_offloads", 0) > 0
 
 
+@pytest.mark.parametrize(
+    "miner, deferred_kind, record_type",
+    [
+        (
+            ClosedIterativePatternMiner(IterativeMiningConfig(min_support=4)),
+            "verify",
+            miner_base.PatternRecord,
+        ),
+        (
+            NonRedundantRecurrentRuleMiner(RuleMiningConfig(**SKEWED_RULE_KWARGS)),
+            "consequent",
+            RuleRecord,
+        ),
+    ],
+)
+def test_offloaded_units_emit_final_records(skewed_database, miner, deferred_kind, record_type):
+    """A deferred unit emits its node's final records itself, so merging
+    the outcomes is one sort, equal to the serial record list."""
+    runner = ShardRunner(miner, skewed_database.encoded)
+    seeds, _ = runner.plan_units()
+    outcomes = _run_units_in_process(runner, seeds, _eager())
+    deferred = [outcome for outcome in outcomes if outcome.unit.kind == deferred_kind]
+    assert any(outcome.records for outcome in deferred)
+    for outcome in outcomes:
+        assert all(type(record) is record_type for record in outcome.records)
+    serial_outcomes = _run_units_in_process(runner, seeds, ProcessPoolBackend(workers=1))
+    assert miner.resolve_units(outcomes) == miner.resolve_units(serial_outcomes)
+
+
 def test_instances_survive_the_stealing_path(skewed_database):
     serial = mine_closed_patterns(skewed_database, min_support=4, collect_instances=True)
     stolen = mine_closed_patterns(
@@ -193,7 +229,7 @@ def test_instances_survive_the_stealing_path(skewed_database):
 # Real worker processes: fewer runs (each forks a pool).
 # --------------------------------------------------------------------- #
 def test_process_stealing_parity_on_skewed_database(skewed_database):
-    backend = WorkStealingBackend(workers=2, eager_split=True, split_depth=4)
+    backend = ProcessPoolBackend(workers=2, eager_split=True, split_depth=4)
     serial_patterns = mine_closed_patterns(skewed_database, min_support=4)
     stolen_patterns = mine_closed_patterns(skewed_database, min_support=4, backend=backend)
     assert serial_patterns.patterns == stolen_patterns.patterns
@@ -208,7 +244,7 @@ def test_process_stealing_parity_on_skewed_database(skewed_database):
 
 
 def test_repeated_process_stealing_runs_are_deterministic(skewed_database):
-    backend = WorkStealingBackend(workers=2, eager_split=True, split_depth=4)
+    backend = ProcessPoolBackend(workers=2, eager_split=True, split_depth=4)
     runs = [
         mine_closed_patterns(skewed_database, min_support=4, backend=backend).patterns
         for _ in range(2)
@@ -221,15 +257,18 @@ def test_repeated_process_stealing_runs_are_deterministic(skewed_database):
 # --------------------------------------------------------------------- #
 class TestResolveStealingBackend:
     def test_resolve_by_name(self):
-        backend = resolve_backend("stealing", workers=4, split_depth=5)
-        assert isinstance(backend, WorkStealingBackend)
+        # 'stealing' was once an alias of the process backend; it is gone.
+        with pytest.raises(ConfigurationError, match="stealing"):
+            resolve_backend("stealing", workers=4, split_depth=5)
+        backend = resolve_backend("process", workers=4, split_depth=5)
+        assert isinstance(backend, ProcessPoolBackend)
         assert backend.workers == 4
         assert backend.split_depth == 5
-        assert "stealing" in backend.describe()
+        assert "split_depth=5" in backend.describe()
 
     def test_split_depth_defaults(self):
-        backend = resolve_backend("stealing", workers=2)
-        assert backend.split_depth >= 1
+        backend = resolve_backend("process", workers=2)
+        assert backend.split_depth == DEFAULT_SPLIT_DEPTH
 
     def test_split_depth_rejected_for_other_backends(self):
         # Only the serial backend (named, or picked by 'auto' for one
@@ -241,6 +280,6 @@ class TestResolveStealingBackend:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            WorkStealingBackend(workers=0)
+            ProcessPoolBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            WorkStealingBackend(split_depth=0)
+            ProcessPoolBackend(split_depth=0)

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.core.errors import ExecutionFault
-from repro.engine import WorkStealingBackend, resolve_backend
+from repro.engine import ProcessPoolBackend, resolve_backend
 from repro.patterns.closed_miner import mine_closed_patterns
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.testing import faults
@@ -28,7 +28,7 @@ fork_only = pytest.mark.skipif(
 def test_stealing_backend_survives_two_worker_kills(lock_database):
     serial = mine_closed_patterns(lock_database, min_support=2)
     faults.install("engine.unit", "kill", count=2)
-    backend = WorkStealingBackend(workers=4)
+    backend = ProcessPoolBackend(workers=4)
     recovered = mine_closed_patterns(lock_database, min_support=2, backend=backend)
     assert recovered.patterns == serial.patterns
     assert recovered.stats.extra["workers_lost"] == 2
@@ -39,7 +39,7 @@ def test_stealing_backend_survives_two_worker_kills(lock_database):
 def test_stealing_rule_mining_survives_a_worker_kill(lock_database):
     serial = mine_non_redundant_rules(lock_database, min_s_support=2, min_confidence=0.5)
     faults.install("engine.unit", "kill", count=1)
-    backend = WorkStealingBackend(workers=4)
+    backend = ProcessPoolBackend(workers=4)
     recovered = mine_non_redundant_rules(
         lock_database, min_s_support=2, min_confidence=0.5, backend=backend
     )
@@ -64,7 +64,7 @@ def test_poison_unit_is_quarantined_with_a_diagnostic(lock_database):
     # dies, so the third death must fail the mine naming the unit — while
     # other units still complete on surviving workers.
     faults.install("engine.unit", "kill", key="grow:0")
-    backend = WorkStealingBackend(workers=4, unit_retries=2)
+    backend = ProcessPoolBackend(workers=4, unit_retries=2)
     with pytest.raises(ExecutionFault) as excinfo:
         mine_closed_patterns(lock_database, min_support=2, backend=backend)
     message = str(excinfo.value)
@@ -79,7 +79,7 @@ def test_deterministic_worker_exception_aborts_immediately(lock_database):
     # same way; the coordinator must abort with the traceback instead of
     # burning the retry budget.
     faults.install("engine.unit", "raise", count=1)
-    backend = WorkStealingBackend(workers=2)
+    backend = ProcessPoolBackend(workers=2)
     with pytest.raises(ExecutionFault, match="failed"):
         mine_closed_patterns(lock_database, min_support=2, backend=backend)
 
@@ -88,7 +88,7 @@ def test_deterministic_worker_exception_aborts_immediately(lock_database):
 def test_unit_deadline_converts_stragglers_into_split_and_retry(lock_database):
     serial = mine_closed_patterns(lock_database, min_support=2)
     faults.install("engine.unit", "sleep", count=1, value=5.0)
-    backend = WorkStealingBackend(workers=2, unit_deadline=0.3)
+    backend = ProcessPoolBackend(workers=2, unit_deadline=0.3)
     recovered = mine_closed_patterns(lock_database, min_support=2, backend=backend)
     assert recovered.patterns == serial.patterns
     assert recovered.stats.extra["units_deadline_split"] == 1
@@ -109,7 +109,7 @@ def test_chaos_kills_on_a_realistic_workload(small_transaction_traces):
     faults.install("engine.unit", "kill", count=3)
     # unit_retries=3: even if all three kills land on the same unit it
     # stays within budget (this test is about recovery, not quarantine).
-    backend = WorkStealingBackend(workers=4, unit_retries=3)
+    backend = ProcessPoolBackend(workers=4, unit_retries=3)
     recovered = mine_closed_patterns(small_transaction_traces, backend=backend, **kwargs)
     assert recovered.patterns == serial.patterns
     assert recovered.stats.extra["workers_lost"] == 3

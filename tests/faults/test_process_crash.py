@@ -53,7 +53,7 @@ def run_cli(args, faults_spec=None):
 
 def write_workload(path, *, offset=0):
     """A small store-able workload: eight distinct frequent roots, so an
-    in-process stealing mine journals one entry per root unit."""
+    in-process one-worker mine journals one entry per root unit."""
     chunks = []
     for _ in range(2):
         for i in range(8):
@@ -67,7 +67,7 @@ def mine_args(workload, save, checkpoint=None):
         "mine-patterns",
         "--input", str(workload),
         "--min-support", "2",
-        "--backend", "stealing",
+        "--backend", "process",
         "--workers", "1",
         "--save", str(save),
     ]

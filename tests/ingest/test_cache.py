@@ -9,7 +9,7 @@ store-fingerprint or configuration mismatch.
 
 import pickle
 
-from repro.engine import WorkStealingBackend
+from repro.engine import ProcessPoolBackend
 from repro.ingest import IncrementalMiner, TraceStore
 from repro.patterns.closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
 from repro.patterns.config import IterativeMiningConfig
@@ -76,7 +76,7 @@ def test_cached_records_replay_on_any_backend(tmp_path):
     store = _base_store(tmp_path)
     IncrementalMiner(_pattern_miner(), store, persist=True).refresh()
     store.append_batch([["a", "x", "a"]])
-    backend = WorkStealingBackend(workers=1, eager_split=True, split_depth=4)
+    backend = ProcessPoolBackend(workers=1, eager_split=True, split_depth=4)
     result, report = IncrementalMiner(
         _pattern_miner(), store, backend=backend, persist=True
     ).refresh()

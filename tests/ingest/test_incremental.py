@@ -6,14 +6,15 @@ roots and merging cached records) must not be observable.  The hypothesis
 suite drives random databases and random append batches through refresh
 after refresh, comparing every intermediate result against a from-scratch
 mine of the store's snapshot — for full patterns, closed patterns and both
-rule miners, on the serial, process-pool and work-stealing backends.
+rule miners, on the serial and process-pool backends, with and without
+eager splitting.
 """
 
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import ProcessPoolBackend, WorkStealingBackend
+from repro.engine import ProcessPoolBackend
 from repro.ingest import IncrementalMiner, TraceStore
 from repro.patterns.closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
 from repro.patterns.config import IterativeMiningConfig
@@ -121,13 +122,13 @@ def test_incremental_with_collected_instances(batches):
 
 
 # --------------------------------------------------------------------- #
-# Work-stealing backend, in-process eager splitting: every unit boundary
+# Process backend, in-process eager splitting: every unit boundary
 # is exercised without paying for worker processes.
 # --------------------------------------------------------------------- #
 @given(batches=batches_strategy)
 @settings(max_examples=15, deadline=None)
 def test_incremental_parity_on_stealing_backend(batches):
-    backend = WorkStealingBackend(workers=1, eager_split=True, split_depth=4)
+    backend = ProcessPoolBackend(workers=1, eager_split=True, split_depth=4)
     _check_parity(
         batches,
         ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2)),

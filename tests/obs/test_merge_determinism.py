@@ -14,7 +14,7 @@ import bisect
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ProcessPoolBackend, SerialBackend, WorkStealingBackend
+from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
     ENGINE_UNIT_SECONDS,
@@ -101,7 +101,7 @@ def test_stealing_deltas_reconcile_with_stats():
         [["a", "b", "c", "a", "b", "c"], ["a", "b", "a", "c"], ["b", "c", "a", "b"]] * 3
     )
     REGISTRY.reset()
-    backend = WorkStealingBackend(workers=2, eager_split=True, split_depth=4)
+    backend = ProcessPoolBackend(workers=2, eager_split=True, split_depth=4)
     result = mine_closed_patterns(database, min_support=2, backend=backend)
     for name in SEARCH_COUNTERS:
         assert MINING_COUNTER_TOTAL.value(name=name) == getattr(result.stats, name)

@@ -137,6 +137,15 @@ class TestAnalyticsVerb:
         everything = client.analytics()
         assert len(everything["rules"]) == 2
 
+    @pytest.mark.parametrize("top", [-1, True, False, 1.5, "2"])
+    def test_bad_top_is_an_error_not_every_rule(self, client, top):
+        """A malformed ``top`` must not fall back to the unbounded reply."""
+        _drive(client)
+        reply = client.request({"op": "ANALYTICS", "top": top})
+        assert reply["op"] == "ERROR" and "top" in reply["error"]
+        assert "rules" not in reply
+        assert list(client.analytics(top=0)["rules"]) == []
+
     def test_pool_merge_is_per_rule_across_shards(self, served):
         """Sessions hash to different shards; analytics still sum per rule."""
         _, pool = served

@@ -588,3 +588,28 @@ def test_watch_command_with_push_port_prints_the_address(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "push serving on 127.0.0.1:" in captured.err
     assert "watched 1 cycles" in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["serve", "--rules", "specs.json", "--port", "70000"],
+        ["serve", "--rules", "specs.json", "--port", "-1"],
+        ["serve", "--rules", "specs.json", "--http-port", "-5"],
+        ["watch", "--dir", "d", "--store", "s", "--push-port", "-1"],
+        ["watch", "--dir", "d", "--store", "s", "--http-port", "65536"],
+        ["watch", "--dir", "d", "--store", "s", "--interval", "-1"],
+        ["watch", "--dir", "d", "--store", "s", "--interval", "nan"],
+        ["top", "--interval", "-0.5"],
+        ["top", "--interval", "inf"],
+    ],
+)
+def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
+    """Rejected by argparse up front (exit 2 with a usage message), before
+    any socket is bound or any poll cycle has run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --" in err
