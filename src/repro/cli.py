@@ -148,7 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     patterns.add_argument("--min-support", type=float, default=2.0)
     patterns.add_argument("--max-length", type=int, default=None)
     patterns.add_argument("--full", action="store_true", help="mine all frequent patterns")
-    patterns.add_argument("--top", type=int, default=20, help="how many patterns to print")
+    patterns.add_argument(
+        "--top", type=_non_negative_int, default=20, help="how many patterns to print"
+    )
     patterns.add_argument("--save", default=None, help="save results to a JSON repository")
     _add_engine_arguments(patterns)
     _add_checkpoint_argument(patterns)
@@ -162,7 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rules.add_argument("--max-premise-length", type=int, default=None)
     rules.add_argument("--max-consequent-length", type=int, default=None)
     rules.add_argument("--full", action="store_true", help="mine the full (redundant) rule set")
-    rules.add_argument("--top", type=int, default=20, help="how many rules to print")
+    rules.add_argument(
+        "--top", type=_non_negative_int, default=20, help="how many rules to print"
+    )
     rules.add_argument("--save", default=None, help="save results to a JSON repository")
     _add_engine_arguments(rules)
     _add_checkpoint_argument(rules)
@@ -199,7 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--input", required=True, help="input trace file")
     monitor.add_argument("--format", default=None, help=_FORMAT_HELP)
     monitor.add_argument("--specs", required=True, help="JSON specification repository")
-    monitor.add_argument("--max-violations", type=int, default=10, help="violations to print")
+    monitor.add_argument(
+        "--max-violations", type=_non_negative_int, default=10, help="violations to print"
+    )
     monitor.add_argument(
         "--stream",
         action="store_true",
@@ -242,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rewrite this JSON specification repository on every hot swap",
     )
     watch.add_argument(
-        "--max-violations", type=int, default=10, help="violations to print per cycle"
+        "--max-violations", type=_non_negative_int, default=10, help="violations to print per cycle"
     )
     watch.add_argument(
         "--push-port",
@@ -284,7 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "answers BUSY instead of growing (default 1024)",
     )
     serve.add_argument(
-        "--max-violations", type=int, default=10, help="violations to print at shutdown"
+        "--max-violations",
+        type=_non_negative_int,
+        default=10,
+        help="violations to print at shutdown",
     )
     _add_http_arguments(serve)
     _add_trace_argument(serve)
@@ -299,7 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=_positive_int, default=7311, help="server port (default 7311)"
     )
     metrics.add_argument(
-        "--timeout", type=float, default=10.0, help="socket timeout in seconds (default 10)"
+        "--timeout",
+        type=_positive_seconds,
+        default=10.0,
+        help="socket timeout in seconds (default 10)",
     )
 
     top = subparsers.add_parser(
@@ -337,7 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append frames instead of clearing the screen (logs, pipes)",
     )
     top.add_argument(
-        "--timeout", type=float, default=10.0, help="socket timeout in seconds (default 10)"
+        "--timeout",
+        type=_positive_seconds,
+        default=10.0,
+        help="socket timeout in seconds (default 10)",
     )
 
     return parser
@@ -367,6 +382,14 @@ def _int_value(value: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from error
 
 
+def _non_negative_int(value: str) -> int:
+    """A row count: 0 prints none, a negative count is refused."""
+    number = _int_value(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return number
+
+
 def _positive_int(value: str) -> int:
     number = _int_value(value)
     if number < 1:
@@ -382,15 +405,31 @@ def _bind_port(value: str) -> int:
     return port
 
 
-def _non_negative_seconds(value: str) -> float:
+def _finite_seconds(value: str) -> float:
     try:
         seconds = float(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from error
-    if not (math.isfinite(seconds) and seconds >= 0):
+    if not math.isfinite(seconds):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds, got {value!r}")
+    return seconds
+
+
+def _non_negative_seconds(value: str) -> float:
+    """An interval: 0 means no wait."""
+    seconds = _finite_seconds(value)
+    if seconds < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative number of seconds, got {value!r}"
         )
+    return seconds
+
+
+def _positive_seconds(value: str) -> float:
+    """A socket timeout: 0 would make the socket non-blocking."""
+    seconds = _finite_seconds(value)
+    if seconds <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
     return seconds
 
 

@@ -29,7 +29,9 @@ semantics (Definition 5.1):
 * **per-rule tables** read only at trace close: the symbol of
   ``last(premise)`` (an armed rule has one temporal point at every later
   occurrence of it — the prefix characterisation of Definition 5.1
-  temporal points), the encoded consequent and the analytics key.
+  temporal points), the encoded consequent and the analytics key — plus
+  the rule's JSON fragment, encoded once when a ``REPORT`` or ``END``
+  reply is first written from a violation log.
 
 The compiled artifact is immutable and shared: any number of concurrent
 :class:`~repro.serving.stream_monitor.StreamingMonitor` sessions can serve
@@ -49,6 +51,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.events import EventLabel
 from ..rules.rule import RecurrentRule
+from ..verification.violations import violation_fragment
 
 #: A compiled symbol id (dense, local to one compiled rule set).
 Symbol = int
@@ -97,6 +100,7 @@ class CompiledRuleSet:
         "last_symbol",
         "consequents",
         "keys",
+        "_fragments",
     )
 
     def __init__(
@@ -133,9 +137,23 @@ class CompiledRuleSet:
         self.consequents = consequents
         #: Rule id -> :func:`rule_key`, the analytics key.
         self.keys = tuple(rule_key(rule) for rule in rules)
+        self._fragments: Optional[Tuple[bytes, ...]] = None
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @property
+    def fragments(self) -> Tuple[bytes, ...]:
+        """Rule id -> :func:`~repro.verification.violations.violation_fragment`,
+        the rule's part of every violation ``REPORT`` puts on the wire.
+
+        Encoded on first use and kept: only wire replies need them, so
+        compiling (and in-process monitoring) never JSON-encodes a label.
+        Two threads racing here build equal tuples.
+        """
+        if self._fragments is None:
+            self._fragments = tuple(violation_fragment(rule) for rule in self.rules)
+        return self._fragments
 
     def describe(self) -> Dict[str, int]:
         """Compile statistics: how much structure the rules actually share."""

@@ -26,10 +26,12 @@ The pool makes three serving guarantees:
   sessions opened after the swap get the new one.  No lock is held while
   monitoring — the compiled set is immutable and shared;
 * **deterministic aggregation in bounded memory** — each shard folds a
-  closed session's point counts as it arrives (counts commute) and keeps
-  ``(admission index, violations)`` only for sessions that violated;
-  :meth:`MonitorPool.report` adds the counts and concatenates the kept
-  violations *in admission order*.  The merged report is byte-identical
+  closed session's point counts as it arrives (counts commute) and appends
+  a violating session's violations to its
+  :class:`~repro.verification.violations.ViolationLog` (two ints per
+  violation; the session's admission index, name and compile generation
+  once); :meth:`MonitorPool.report` adds the counts and merges the shard
+  logs *in admission order*.  The merged report is byte-identical
   to a single ``StreamingMonitor`` fed the same sessions one after another
   in admission order — the parity contract pinned by the hypothesis suite
   in ``tests/serving/test_pool.py``, including across a mid-stream hot
@@ -61,7 +63,7 @@ from ..core.events import EventLabel
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..testing import faults
-from ..verification.violations import MonitoringReport, RuleViolation
+from ..verification.violations import MonitoringReport, ViolationLog
 from .compile import CompiledRuleSet, RuleSource, compile_rules
 from .stream_monitor import RuleTally, StreamingMonitor
 
@@ -178,12 +180,13 @@ class _Shard:
         self.index = index
         self.queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self.lock = threading.Lock()
-        #: Point counts and per-rule points of every session closed here
-        #: (its violation list stays empty).
+        #: Point counts of every session closed here (its log stays empty;
+        #: the violations go to :attr:`violations`).
         self.totals = MonitoringReport()
-        #: ``(admission index, violations)`` of each closed session that
-        #: violated — the only per-session state kept after a close.
-        self.violations: List[Tuple[int, List[RuleViolation]]] = []
+        #: The violations of every session closed here, in close order —
+        #: the only per-session state kept after a close.  A session's
+        #: trace index is its admission index.
+        self.violations = ViolationLog()
         #: Per-rule analytics of every session closed here; the shard's
         #: session monitors fold into it (see :class:`RuleTally`).
         self.tally = RuleTally()
@@ -257,8 +260,7 @@ class _Shard:
                         report = session.monitor.end_trace()
                     with self.lock:
                         self.totals.merge_counts(report)
-                        if report.violations:
-                            self.violations.append((session.index, report.violations))
+                        self.violations.extend(report.log)
                         self.sessions_closed += 1
                     obs_metrics.POOL_SESSIONS_CLOSED_TOTAL.inc()
                     ticket._resolve(report)
@@ -640,22 +642,20 @@ class MonitorPool:
         """The merged report over every *closed* session, in admission order.
 
         Sessions still open contribute nothing until they end.  The shards'
-        folded counts add up in any order; the retained violations are
-        concatenated in admission order.  That makes the aggregate
+        folded counts add up in any order; the shards' violation logs are
+        merged in admission order.  That makes the aggregate
         deterministic and byte-identical to one :class:`StreamingMonitor`
         fed the same sessions sequentially — regardless of how their events
         interleaved across shards — at a cost proportional to the number of
         violations, not to the number of sessions served.
         """
         combined = MonitoringReport()
-        entries: List[Tuple[int, List[RuleViolation]]] = []
+        logs: List[ViolationLog] = []
         for shard in self._shards:
             with shard.lock:
                 combined.merge_counts(shard.totals)
-                entries.extend(shard.violations)
-        entries.sort(key=lambda entry: entry[0])
-        for _, violations in entries:
-            combined.violations.extend(violations)
+                logs.append(shard.violations.copy())
+        combined.log = ViolationLog.in_trace_order(logs)
         return combined
 
     def rule_analytics(self) -> Dict[str, Dict[str, int]]:

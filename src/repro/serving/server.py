@@ -195,14 +195,28 @@ def _limit_field(payload: Dict[str, object], name: str = "limit") -> Optional[in
     return value
 
 
-def _report_payload(report, limit: Optional[int]) -> Dict[str, object]:
-    violations = report.violations if limit is None else report.violations[:limit]
-    return {
-        "points": report.total_points,
-        "satisfied": report.satisfied_points,
-        "violation_count": report.violation_count,
-        "violations": [violation.as_dict() for violation in violations],
-    }
+#: What :meth:`EventPushServer._dispatch` answers: a payload for
+#: :func:`encode_frame`, or a frame it already encoded.
+Reply = Union[Dict[str, object], bytearray]
+
+
+def _report_frame(head: Dict[str, object], report, limit: Optional[int]) -> bytearray:
+    """The ``REPORT``/``SESSION`` reply frame: ``head`` plus the report's
+    counts and first ``limit`` violations, written straight from its
+    violation log into one buffer (the bytes :func:`encode_frame` would
+    give for ``as_dict()`` of each violation)."""
+    head.update(
+        points=report.total_points,
+        satisfied=report.satisfied_points,
+        violation_count=report.violation_count,
+    )
+    frame = bytearray(_LENGTH.size)
+    frame += json.dumps(head, separators=(",", ":")).encode("utf-8")
+    frame[-1:] = b',"violations":'
+    report.log.encode_json(frame, limit)
+    frame += b"}"
+    _LENGTH.pack_into(frame, 0, len(frame) - _LENGTH.size)
+    return frame
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -268,7 +282,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 time.perf_counter() - started, op=op_label
             )
             obs_metrics.SERVER_REQUESTS_TOTAL.inc(op=op_label)
-            reply_op = reply.get("op")
+            reply_op = reply.get("op") if isinstance(reply, dict) else None
             if reply_op == "BUSY":
                 obs_metrics.SERVER_BUSY_REPLIES_TOTAL.inc()
             elif reply_op == "SESSION_LOST":
@@ -285,8 +299,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 threading.Thread(target=server.shutdown, daemon=True).start()
                 return
 
-    def _reply(self, payload: Dict[str, object]) -> None:
-        self.wfile.write(encode_frame(payload))
+    def _reply(self, reply: Reply) -> None:
+        self.wfile.write(reply if isinstance(reply, bytearray) else encode_frame(reply))
         self.wfile.flush()
 
 
@@ -385,8 +399,13 @@ class EventPushServer:
             return {"op": "SESSION_LOST", "session": session}
         return {"op": "BUSY"}
 
-    def _dispatch(self, payload: Dict[str, object]) -> Tuple[Dict[str, object], bool]:
-        """Handle one request; returns ``(reply, stop_serving)``."""
+    def _dispatch(self, payload: Dict[str, object]) -> Tuple[Reply, bool]:
+        """Handle one request; returns ``(reply, stop_serving)``.
+
+        ``REPORT`` and ``END`` encode their reply frame here, from the
+        report's violation log; every other reply is a payload the
+        connection handler encodes.
+        """
         op = payload.get("op")
         if op == "EVENT":
             session = _string_field(payload, "session")
@@ -416,9 +435,7 @@ class EventPushServer:
                 report = ticket.wait(timeout=END_TIMEOUT)
             except SessionLost as error:
                 return {"op": "SESSION_LOST", "session": session, "error": str(error)}, False
-            reply = {"op": "SESSION", "session": session}
-            reply.update(_report_payload(report, limit))
-            return reply, False
+            return _report_frame({"op": "SESSION", "session": session}, report, limit), False
         if op == "STATS":
             stats = dict(self.pool.stats())
             stats["op"] = "STATS"
@@ -454,9 +471,8 @@ class EventPushServer:
                 "rules": rules,
             }, False
         if op == "REPORT":
-            reply = {"op": "REPORT"}
-            reply.update(_report_payload(self.pool.report(), _limit_field(payload)))
-            return reply, False
+            limit = _limit_field(payload)
+            return _report_frame({"op": "REPORT"}, self.pool.report(), limit), False
         if op == "SWAP":
             repository = payload.get("repository")
             if not isinstance(repository, dict):

@@ -3,8 +3,9 @@
 :class:`StreamingMonitor` consumes events and traces *incrementally* —
 ``feed`` one event at a time, ``end_trace`` when a trace closes, ``report``
 for the running aggregate — and emits byte-for-byte the same violations
-(:class:`~repro.verification.violations.RuleViolation`) that a re-scanning
-reference monitor derives from the temporal-points semantics.  The
+(:class:`~repro.verification.violations.RuleViolation`, kept as ints in
+the report's :class:`~repro.verification.violations.ViolationLog`) that a
+re-scanning reference monitor derives from the temporal-points semantics.  The
 hypothesis parity suite in ``tests/serving/`` pins it against that
 reference (``tests/oracles/monitor.py``) and the LTL translation.
 
@@ -50,7 +51,7 @@ from ..core.errors import MonitoringError
 from ..core.events import EventLabel
 from ..core.sequence import SequenceDatabase
 from ..obs import metrics as obs_metrics
-from ..verification.violations import MonitoringReport, RuleViolation
+from ..verification.violations import MonitoringReport
 from .compile import CompiledRuleSet, NodeId, RuleSource, Symbol, compile_rules
 
 #: One rule's outcome in one closed trace: ``(rule key, opened, satisfied,
@@ -234,22 +235,23 @@ class _TraceRun:
         O(armed rules · log n), not O(rule set).  (A rule whose premise is
         one event is armed at the root, i.e. by every trace.)  Visiting them
         in ascending rule id keeps the violation order of a full scan.
-        Returns the trace's report and one :data:`RuleClose` per armed rule
-        for the analytics tally; a trie node is reached at most once per
-        trace, so each armed rule counts one trie advance.
+        Each violation is logged as its rule id and position (no record is
+        built).  Returns the trace's report and one :data:`RuleClose` per
+        armed rule for the analytics tally; a trie node is reached at most
+        once per trace, so each armed rule counts one trie advance.
         """
         report = MonitoringReport()
-        violations = report.violations
-        rules, keys = compiled.rules, compiled.keys
+        keys = compiled.keys
         last_symbol, consequents = compiled.last_symbol, compiled.consequents
         positions, opened_at = self.positions, self.opened_at
-        trace_index, name = self.trace_index, self.name
         armed_at: Dict[int, int] = {}
         for node, position in self.reached:
             armed_at.update(dict.fromkeys(compiled.arm_at_node[node], position))
         latest: Dict[Tuple[Symbol, ...], int] = {}
         closes: List[RuleClose] = []
         total = satisfied = 0
+        violating_rules: List[int] = []
+        violating_points: List[int] = []
         for rule_id, armed in sorted(armed_at.items()):
             # The points: occurrences of last(premise) after the arming.
             points = positions.get(last_symbol[rule_id], ())
@@ -270,12 +272,14 @@ class _TraceRun:
                 (keys[rule_id], opened, cut - first, len(points) - cut, 1, opened_at[points[first]])
             )
             if cut < len(points):
-                rule = rules[rule_id]
-                violations += [
-                    RuleViolation(rule, trace_index, position, name) for position in points[cut:]
-                ]
+                violating_rules += [rule_id] * (len(points) - cut)
+                violating_points += points[cut:]
         report.total_points = total
         report.satisfied_points = satisfied
+        if violating_points:
+            report.log.append_trace(
+                compiled, self.trace_index, self.name, violating_rules, violating_points
+            )
         return report, closes
 
 

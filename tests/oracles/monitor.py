@@ -19,7 +19,7 @@ from repro.core.events import EventLabel
 from repro.core.sequence import SequenceDatabase
 from repro.rules.rule import RecurrentRule
 from repro.serving.compile import rule_key
-from repro.verification.violations import MonitoringReport, RuleViolation
+from repro.verification.violations import MonitoringReport, violation_fragment
 from tests.oracles.temporal_points import is_followed_by, temporal_points_in_sequence
 
 #: ``(opened, satisfied, violated)`` temporal points of one rule.
@@ -36,6 +36,9 @@ class RuleMonitor:
 
     def __init__(self, rules: Iterable[RecurrentRule]) -> None:
         self.rules: List[RecurrentRule] = list(rules)
+        #: The rule table a report's violation log points into (rule id =
+        #: position in :attr:`rules`).
+        self.fragments = tuple(violation_fragment(rule) for rule in self.rules)
         #: Rule key -> ``[opened, satisfied, violated]`` summed over every
         #: trace checked so far; rules without points have no entry.
         self.counts: Dict[str, List[int]] = {}
@@ -49,7 +52,9 @@ class RuleMonitor:
         """Check every rule against one trace."""
         report = MonitoringReport()
         events = tuple(trace)
-        for rule in self.rules:
+        rule_ids: List[int] = []
+        positions: List[int] = []
+        for rule_id, rule in enumerate(self.rules):
             points = temporal_points_in_sequence(events, rule.premise)
             if not points:
                 continue
@@ -62,14 +67,10 @@ class RuleMonitor:
                     counts[1] += 1
                 else:
                     counts[2] += 1
-                    report.violations.append(
-                        RuleViolation(
-                            rule=rule,
-                            trace_index=trace_index,
-                            position=position,
-                            trace_name=trace_name,
-                        )
-                    )
+                    rule_ids.append(rule_id)
+                    positions.append(position)
+        if positions:
+            report.log.append_trace(self, trace_index, trace_name, rule_ids, positions)
         return report
 
     def rule_counts(self) -> Dict[str, PointCounts]:

@@ -2,6 +2,8 @@
 
 import functools
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import MonitoringError
 from repro.serving.compile import compile_rules
 from repro.serving.pool import ACCEPTED, BUSY, MonitorPool
+from repro.serving.server import _report_frame, encode_frame
 from repro.serving.stream_monitor import StreamingMonitor
 from repro.rules.rule import RecurrentRule
 from tests.oracles.monitor import RuleMonitor, analytics_counts
@@ -31,6 +34,28 @@ def report_bytes(report):
         "violations": [v.as_dict() for v in report.violations],
     }
     return json.dumps(payload, sort_keys=True).encode()
+
+
+def encoded_report(report):
+    """The report as REPORT encodes it, straight from its violation log."""
+    return bytes(_report_frame({"op": "REPORT"}, report, None))
+
+
+def encoded_records(report, first_index=0):
+    """The report's records (trace indexes shifted by ``first_index``) as
+    ``encode_frame`` of their ``as_dict`` encodes them."""
+    violations = [
+        dict(v.as_dict(), trace_index=v.trace_index + first_index) for v in report.violations
+    ]
+    return encode_frame(
+        {
+            "op": "REPORT",
+            "points": report.total_points,
+            "satisfied": report.satisfied_points,
+            "violation_count": report.violation_count,
+            "violations": violations,
+        }
+    )
 
 
 def reference_report(sessions, rules_of_session):
@@ -280,6 +305,81 @@ def test_swap_bumps_generation_and_serves_new_sessions_new_rules():
         assert old.violation_count == 1
         assert new.violation_count == 0
         assert pool.stats()["generation"] == 1
+
+
+def test_reordering_swap_keeps_each_sessions_generation_in_report_bytes():
+    """Rule ids are local to one compiled generation.  A swap to the same
+    rules in another order, with sessions open, must leave the sessions
+    admitted before it reporting their own generation's premise and
+    consequent — in the records and in the bytes REPORT and END encode."""
+    first = RULES_A
+    second = list(reversed(RULES_A))
+    sessions = {"old-a": ["open", "lock"], "old-b": ["lock", "open", "open"]}
+    rules_of_session = {"old-a": first, "old-b": first}
+    with MonitorPool(first, shards=2, queue_depth=64) as pool:
+        for session_id, events in sessions.items():
+            assert pool.feed_batch(session_id, events[:1]) == ACCEPTED
+        pool.swap(compile_rules(second))
+        sessions["new"] = ["lock", "open"]
+        rules_of_session["new"] = second
+        assert pool.feed_batch("new", sessions["new"]) == ACCEPTED
+        for session_id in ("old-a", "old-b"):
+            assert pool.feed_batch(session_id, sessions[session_id][1:]) == ACCEPTED
+        tickets = {session_id: pool.end_session(session_id) for session_id in sessions}
+        expected = reference_report(sessions, rules_of_session)
+        for index, (session_id, ticket) in enumerate(tickets.items()):
+            own = ticket.wait(timeout=10.0)
+            alone = reference_report({session_id: sessions[session_id]}, rules_of_session)
+            assert encoded_report(own) == encoded_records(alone, index)
+        report = pool.report()
+    assert [v.rule.premise for v in report.violations] == [
+        ("open",), ("lock",), ("open",), ("open",), ("lock",), ("lock",), ("open",),
+    ]
+    assert report_bytes(report) == report_bytes(expected)
+    assert encoded_report(report) == encoded_records(expected)
+
+
+def test_reports_taken_while_shards_close_sessions_are_consistent():
+    """``report()`` copies each shard's violation log under the shard lock
+    while the shard workers append to it.  With more closing threads than
+    cores and a short switch interval, every report taken mid-stream must
+    list whole sessions in admission order, and the last one must equal a
+    single monitor's."""
+    sessions = {f"s{number}": ["open", "lock", "open"] * (1 + number % 3) for number in range(400)}
+    rules_of_session = dict.fromkeys(sessions, RULES_A)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MonitorPool(RULES_A, shards=4, queue_depth=2 * len(sessions)) as pool:
+            for session_id, events in sessions.items():
+                assert pool.feed_batch(session_id, events) == ACCEPTED
+            stop = threading.Event()
+            seen = []
+
+            def report_repeatedly():
+                while not stop.is_set():
+                    seen.append(pool.report())
+
+            reader = threading.Thread(target=report_repeatedly)
+            reader.start()
+            tickets = [pool.end_session(session_id) for session_id in sessions]
+            for ticket in tickets:
+                ticket.wait(timeout=30.0)
+            stop.set()
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            final = pool.report()
+    finally:
+        sys.setswitchinterval(switch)
+    assert seen
+    for report in seen:
+        indexes = [trace[0] for trace in report.log.traces]
+        assert indexes == sorted(indexes)
+        # Each session of 1-3 loops violates 3 points per loop.
+        assert report.violation_count == sum(
+            3 * (1 + index % 3) for index in indexes
+        )
+    assert report_bytes(final) == report_bytes(reference_report(sessions, rules_of_session))
 
 
 def test_stats_shape():

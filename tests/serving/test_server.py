@@ -13,9 +13,11 @@ from repro.serving.server import (
     EventPushServer,
     ProtocolError,
     PushClient,
+    _report_frame,
     encode_frame,
     read_frame,
 )
+from repro.serving.stream_monitor import StreamingMonitor
 from repro.specs.repository import SpecificationRepository
 
 RULES = [
@@ -162,6 +164,86 @@ def test_stats_and_report(client):
     assert report["op"] == "REPORT"
     assert report["points"] == 2 and report["violation_count"] == 1
     assert client.report(limit=0)["violations"] == []
+
+
+# --------------------------------------------------------------------------- #
+# REPORT / END bytes: written from the violation log, equal to the records'
+# --------------------------------------------------------------------------- #
+def _odd_rule(premise, consequent):
+    return RecurrentRule(
+        premise=tuple(premise), consequent=tuple(consequent), s_support=2, i_support=2,
+        confidence=1.0,
+    )
+
+
+#: Labels and session names JSON must escape: non-ASCII, quote, backslash,
+#: control characters, and a ``%`` that a format string would choke on.
+ODD_RULES = [
+    _odd_rule(["münchen"], ["日本"]),
+    _odd_rule(['say "hi"', "back\\slash"], ["ctl\x01"]),
+    _odd_rule(["münchen", "100%d"], ["tab\tend"]),
+]
+ODD_SESSIONS = {
+    "münchen-1": ["münchen", "münchen", "100%d", "日本", "münchen"],
+    "日本": ['say "hi"', "back\\slash", "münchen"],
+    'quote"d\\': ["münchen", "100%d", 'say "hi"', "back\\slash", "back\\slash"],
+    "ctl\x01%s": ["日本", "münchen", "ctl\x01"],
+}
+
+
+def _records_frame(head, report, limit):
+    """The reply as the records' ``as_dict`` would encode it."""
+    violations = report.violations if limit is None else report.violations[:limit]
+    payload = dict(head)
+    payload.update(
+        points=report.total_points,
+        satisfied=report.satisfied_points,
+        violation_count=report.violation_count,
+        violations=[violation.as_dict() for violation in violations],
+    )
+    return encode_frame(payload)
+
+
+def _raw_reply(stream, payload):
+    stream.write(encode_frame(payload))
+    stream.flush()
+    header = stream.read(4)
+    return header + stream.read(struct.unpack(">I", header)[0])
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1])
+def test_report_and_end_bytes_match_the_records_for_escaped_labels(limit):
+    single = StreamingMonitor(ODD_RULES)
+    with MonitorPool(ODD_RULES, shards=2, queue_depth=64) as pool, EventPushServer(
+        pool, port=0
+    ) as server, socket.create_connection(server.address, timeout=10.0) as sock:
+        stream = sock.makefile("rwb")
+        limited = {} if limit is None else {"limit": limit}
+        for index, (name, events) in enumerate(ODD_SESSIONS.items()):
+            batch = {"op": "BATCH", "session": name, "events": events}
+            assert read_frame(io.BytesIO(_raw_reply(stream, batch))) == {"op": "OK"}
+            raw = _raw_reply(stream, {"op": "END", "session": name, **limited})
+            session = StreamingMonitor(ODD_RULES, first_trace_index=index)
+            expected = session.check_trace(events, name=name)
+            assert raw == _records_frame({"op": "SESSION", "session": name}, expected, limit)
+            single.check_trace(events, name=name)
+        raw = _raw_reply(stream, {"op": "REPORT", **limited})
+        # The pool's REPORT equals one monitor fed the sessions in turn.
+        assert single.report().violation_count == 9
+        assert raw == _records_frame({"op": "REPORT"}, single.report(), limit)
+        assert pool.report().violations == single.report().violations
+
+
+def test_unnamed_traces_encode_a_null_trace_name():
+    monitor = StreamingMonitor(ODD_RULES)
+    for events in ODD_SESSIONS.values():
+        monitor.feed_many(events)  # auto-opens an unnamed trace
+        monitor.end_trace()
+    report = monitor.report()
+    assert {violation.trace_name for violation in report.violations} == {None}
+    for limit in (None, 0, 1, 4):
+        head = {"op": "REPORT"}
+        assert _report_frame(dict(head), report, limit) == _records_frame(head, report, limit)
 
 
 def test_sessions_span_connections(served):

@@ -602,11 +602,22 @@ def test_watch_command_with_push_port_prints_the_address(tmp_path, capsys):
         ["watch", "--dir", "d", "--store", "s", "--interval", "nan"],
         ["top", "--interval", "-0.5"],
         ["top", "--interval", "inf"],
+        ["mine-patterns", "--input", "t.jsonl", "--top", "-1"],
+        ["mine-rules", "--input", "t.jsonl", "--top", "-3"],
+        ["monitor", "--input", "t.jsonl", "--specs", "s.json", "--max-violations", "-1"],
+        ["watch", "--dir", "d", "--store", "s", "--max-violations", "-2"],
+        ["serve", "--rules", "specs.json", "--max-violations", "-1"],
+        ["metrics", "--timeout", "-1"],
+        ["metrics", "--timeout", "0"],
+        ["metrics", "--timeout", "nan"],
+        ["top", "--timeout", "inf"],
     ],
 )
 def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
     """Rejected by argparse up front (exit 2 with a usage message), before
-    any socket is bound or any poll cycle has run."""
+    any socket is bound, any poll cycle has run or any file is read:
+    ports, intervals, row counts (``--top``, ``--max-violations``) and
+    socket timeouts."""
     with pytest.raises(SystemExit) as exit_info:
         main(args)
     assert exit_info.value.code == 2

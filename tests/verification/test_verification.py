@@ -214,6 +214,7 @@ def test_report_merge_accumulates_everything():
     assert merged.total_points == whole.total_points == 2
     assert merged.satisfied_points == whole.satisfied_points == 1
     assert merged.violations == whole.violations
+    assert merged == whole
 
 
 def test_violations_of_and_violated_rules_with_multiple_rules():
