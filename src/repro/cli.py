@@ -98,6 +98,7 @@ from .traces.io import read_traces, write_traces
 
 #: Shared help string for every ``--format`` option.
 _FORMAT_HELP = "text | jsonl | csv (suffix .gz for the gzip-wrapped variants)"
+_SUPPORT_HELP = "a fraction of the sequences in (0, 1], or an absolute count above 1 (default 2)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,9 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     patterns = subparsers.add_parser("mine-patterns", help="mine iterative patterns")
     _add_source_arguments(patterns)
-    patterns.add_argument("--min-support", type=float, default=2.0)
-    patterns.add_argument("--max-length", type=int, default=None)
-    patterns.add_argument("--full", action="store_true", help="mine all frequent patterns")
+    patterns.add_argument("--min-support", type=_support, default=2.0, help=_SUPPORT_HELP)
+    patterns.add_argument("--max-length", type=_positive_int, default=None)
+    patterns.add_argument(
+        "--full",
+        action="store_true",
+        help="mine all frequent patterns (default: the closed ones, exactly)",
+    )
     patterns.add_argument(
         "--top", type=_non_negative_int, default=20, help="how many patterns to print"
     )
@@ -158,11 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rules = subparsers.add_parser("mine-rules", help="mine recurrent rules")
     _add_source_arguments(rules)
-    rules.add_argument("--min-s-support", type=float, default=2.0)
-    rules.add_argument("--min-i-support", type=int, default=1)
-    rules.add_argument("--min-confidence", type=float, default=0.5)
-    rules.add_argument("--max-premise-length", type=int, default=None)
-    rules.add_argument("--max-consequent-length", type=int, default=None)
+    _add_rule_threshold_arguments(rules)
     rules.add_argument("--full", action="store_true", help="mine the full (redundant) rule set")
     rules.add_argument(
         "--top", type=_non_negative_int, default=20, help="how many rules to print"
@@ -237,11 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "including idle ones that find no new files (default: run until "
         "Ctrl-C)",
     )
-    watch.add_argument("--min-s-support", type=float, default=2.0)
-    watch.add_argument("--min-i-support", type=int, default=1)
-    watch.add_argument("--min-confidence", type=float, default=0.5)
-    watch.add_argument("--max-premise-length", type=int, default=None)
-    watch.add_argument("--max-consequent-length", type=int, default=None)
+    _add_rule_threshold_arguments(watch)
     watch.add_argument(
         "--save",
         default=None,
@@ -375,6 +372,17 @@ def _add_http_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_rule_threshold_arguments(subparser: argparse.ArgumentParser) -> None:
+    """The recurrent-rule thresholds and caps shared by mine-rules and watch."""
+    subparser.add_argument("--min-s-support", type=_support, default=2.0, help=_SUPPORT_HELP)
+    subparser.add_argument("--min-i-support", type=_positive_int, default=1)
+    subparser.add_argument(
+        "--min-confidence", type=_confidence, default=0.5, help="in (0, 1] (default 0.5)"
+    )
+    subparser.add_argument("--max-premise-length", type=_positive_int, default=None)
+    subparser.add_argument("--max-consequent-length", type=_positive_int, default=None)
+
+
 def _int_value(value: str) -> int:
     try:
         return int(value)
@@ -405,19 +413,34 @@ def _bind_port(value: str) -> int:
     return port
 
 
-def _finite_seconds(value: str) -> float:
+def _finite_float(value: str) -> float:
     try:
-        seconds = float(value)
+        number = float(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from error
-    if not math.isfinite(seconds):
-        raise argparse.ArgumentTypeError(f"expected a finite number of seconds, got {value!r}")
-    return seconds
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _support(value: str) -> float:
+    """A support threshold: a fraction in (0, 1] or an absolute count above 1."""
+    number = _finite_float(value)
+    if number <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive threshold, got {value!r}")
+    return number
+
+
+def _confidence(value: str) -> float:
+    number = _finite_float(value)
+    if not 0 < number <= 1:
+        raise argparse.ArgumentTypeError(f"expected a confidence in (0, 1], got {value!r}")
+    return number
 
 
 def _non_negative_seconds(value: str) -> float:
     """An interval: 0 means no wait."""
-    seconds = _finite_seconds(value)
+    seconds = _finite_float(value)
     if seconds < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative number of seconds, got {value!r}"
@@ -427,7 +450,7 @@ def _non_negative_seconds(value: str) -> float:
 
 def _positive_seconds(value: str) -> float:
     """A socket timeout: 0 would make the socket non-blocking."""
-    seconds = _finite_seconds(value)
+    seconds = _finite_float(value)
     if seconds <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {value!r}")
     return seconds
@@ -770,7 +793,6 @@ def _command_mine_patterns(args: argparse.Namespace) -> int:
         min_support=args.min_support,
         max_pattern_length=args.max_length,
         collect_instances=False,
-        adjacent_absorption_pruning=not args.full,
     )
     backend = _resolve_backend_or_none(args)
     if backend is None:

@@ -2,8 +2,9 @@
 
 A :class:`ShardRunner` wraps a miner and an encoded database and knows how
 to (a) plan the root-level seed units, (b) build the expensive per-run
-search context — the :class:`~repro.core.positions.PositionIndex` and the
-root payloads — exactly once per process, and (c) execute one work unit.
+search context — the frequent-event view, the
+:class:`~repro.core.positions.PositionIndex` and the root payloads —
+exactly once per process, and (c) execute one work unit.
 
 Miners plug in through a duck-typed protocol (the engine imports nothing
 from the miner packages):
@@ -59,6 +60,7 @@ from ..core.events import EncodedDatabase, EventId
 from ..core.positions import PositionIndex
 from ..core.sequence import absolute_support
 from ..core.stats import MiningStats
+from ..core.view import FrequentEventView
 from ..obs import tracing
 from .backend import ExecutionBackend, SerialBackend
 from .sharding import UnitOutcome, WorkUnit
@@ -102,29 +104,73 @@ def _record_payload_bytes(record: Any) -> int:
 class SearchContext:
     """Per-run search state, built once per process by the engine.
 
-    Holds the encoded database, the miner's extras and its absolute
-    support threshold.  The :class:`PositionIndex` and the root payloads
-    (a family's per-root starting state, keyed by root event) are
+    Holds the source database, the miner's extras and its absolute
+    support threshold.  The root weights, the database the search runs
+    over (:attr:`encoded`), the :class:`PositionIndex` and the root
+    payloads (a family's per-root starting state, keyed by root event) are
     materialised on first use: the coordinating process only plans (a
     counts-only pass), so only the processes that actually mine pay for
-    them — each exactly once, reused across all the units it executes.
+    the rest — each exactly once, reused across all the units it executes.
+
+    A family that mines the frequent-event view (``frequent_view``, the
+    pattern family) searches :class:`~repro.core.view.FrequentEventView`
+    over the source instead of the source itself; its root weights must
+    then be the events' occurrence counts, which decide what the view
+    drops.
     """
 
-    __slots__ = ("encoded", "extras", "min_support", "_root_payloads", "_index", "_roots")
+    __slots__ = (
+        "source",
+        "extras",
+        "min_support",
+        "_root_weights",
+        "_root_payloads",
+        "_frequent_view",
+        "_weights",
+        "_view",
+        "_index",
+        "_roots",
+    )
 
     def __init__(
         self,
-        encoded: EncodedDatabase,
+        source: EncodedDatabase,
         extras: Dict[str, Any],
         min_support: int,
+        root_weights: Callable[["SearchContext"], Mapping[EventId, int]],
         root_payloads: Callable[["SearchContext"], Dict[EventId, Any]],
+        frequent_view: bool,
     ) -> None:
-        self.encoded = encoded
+        self.source = source
         self.extras = extras
         self.min_support = min_support
+        self._root_weights = root_weights
         self._root_payloads = root_payloads
+        self._frequent_view = frequent_view
+        self._weights: Optional[Mapping[EventId, int]] = None
+        self._view: Optional[FrequentEventView] = None
         self._index: Optional[PositionIndex] = None
         self._roots: Optional[Dict[EventId, Any]] = None
+
+    @property
+    def weights(self) -> Mapping[EventId, int]:
+        """Per-root support weights, from one counts-only pass over the source."""
+        if self._weights is None:
+            self._weights = self._root_weights(self)
+        return self._weights
+
+    @property
+    def view(self) -> Optional[FrequentEventView]:
+        """The frequent-event view, or ``None`` for a family that mines the source."""
+        if self._view is None and self._frequent_view:
+            self._view = FrequentEventView(self.source, self.weights, self.min_support)
+        return self._view
+
+    @property
+    def encoded(self) -> EncodedDatabase:
+        """The database the search runs over: the view, or the source."""
+        view = self.view
+        return self.source if view is None else view.sequences
 
     @property
     def index(self) -> PositionIndex:
@@ -141,18 +187,28 @@ class SearchContext:
     def absorb_appended(
         self, new_sequences: "TypingSequence[TypingSequence[int]]"
     ) -> None:
-        """Absorb sequences appended (in place) to ``self.encoded``.
+        """Absorb sequences appended (in place) to ``self.source``.
 
         The live index — the expensive part — is extended with just the
-        new sequences instead of being rebuilt; the root payloads are
-        dropped and rebuilt lazily from the grown database on next use.
-        Callers must have appended the same sequences to the ``encoded``
+        new sequences instead of being rebuilt, after the view (if built)
+        has compacted them.  An append that lifts an event the view
+        dropped to the support threshold drops the view and the index
+        instead, and both are rebuilt from the grown source on next use.
+        The root weights and payloads are dropped and rebuilt lazily.
+        Callers must have appended the same sequences to the ``source``
         list this context was built over — the incremental miner shares
         that list with its growing database.
         """
+        self._weights = None
+        self._roots = None
+        if self._view is not None:
+            new_sequences = self._view.extend(new_sequences)
+            if new_sequences is None:
+                self._view = None
+                self._index = None
+                return
         if self._index is not None:
             self._index.extend(new_sequences)
-        self._roots = None
 
 
 class ShardRunner:
@@ -293,6 +349,9 @@ class SearchMinerBase:
     deferred_kind = ""
     #: ``MiningStats`` extra counter bumped per offloaded heavy phase.
     offload_counter = ""
+    #: Whether the search runs over the frequent-event view of the
+    #: database (see :class:`SearchContext`) instead of the database.
+    frequent_view = False
 
     def __init__(self, config: Any) -> None:
         self.config = config
@@ -338,18 +397,20 @@ class SearchMinerBase:
     def build_context(
         self, encoded: EncodedDatabase, extras: Dict[str, Any]
     ) -> SearchContext:
-        """Build the per-process search context (lazy index and root payloads)."""
+        """Build the per-process search context (everything but the threshold lazy)."""
         return SearchContext(
             encoded,
             extras,
             absolute_support(self._min_support(), len(encoded)),
+            self._root_weights,
             self._root_payloads,
+            self.frequent_view,
         )
 
     def plan_units(self, context: SearchContext) -> Tuple[List[WorkUnit], int]:
         """One seed unit per frequent root, weighted for dispatch order."""
         return plan_weighted_roots(
-            self._root_weights(context), context.min_support, self.subtree_kind
+            context.weights, context.min_support, self.subtree_kind
         )
 
     def mine_unit(

@@ -27,7 +27,15 @@ Between refreshes the miner keeps the per-run search context alive: the
 :class:`~repro.core.positions.PositionIndex` is *extended* with just the
 appended sequences instead of being rebuilt, and the context's derived
 caches are invalidated, so the serial hot path pays O(new events) — not
-O(corpus) — of indexing per refresh.
+O(corpus) — of indexing per refresh.  The pattern miners search the
+frequent-event view (:class:`~repro.core.view.FrequentEventView`), which
+compacts the appended sequences before the index sees them.  Root
+locality holds on the view: under a fixed threshold its set of dropped
+events only shrinks, and every event an append lifts to the threshold
+occurs in the append, so its root is re-mined, while an untouched root's
+extensions by that event keep the support they had below the threshold.
+Such an append makes the context rebuild the view and the index (the one
+O(corpus) refresh besides a full re-mine).
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
         ):
             stats.pruned_closure += 1
             return
-        self._accept(node, records, stats)
+        self._accept(context, node, records, stats)
 
 
 def mine_closed_patterns(

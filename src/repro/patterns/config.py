@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,9 +50,9 @@ class IterativeMiningConfig:
     adjacent_absorption_pruning: bool = False
 
     def __post_init__(self) -> None:
-        if self.min_support <= 0:
+        if not (0 < self.min_support < math.inf):
             raise ConfigurationError(
-                f"min_support must be positive, got {self.min_support!r}"
+                f"min_support must be positive and finite, got {self.min_support!r}"
             )
         if self.max_pattern_length is not None and self.max_pattern_length < 1:
             raise ConfigurationError(

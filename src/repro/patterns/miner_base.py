@@ -7,6 +7,17 @@ first ``k`` events yields distinct instances of ``P``'s length-``k`` prefix).
 Each frequent pattern is therefore reached exactly once, along the chain of
 its own prefixes.
 
+The search runs over the *frequent-event view* of the database
+(:class:`~repro.core.view.FrequentEventView`): every event that occurs
+fewer than ``min_support`` times is removed from the sequences before the
+first projection.  By the same theorem such an event is in no frequent
+pattern, and it can never be the equal-support extension that makes a
+pattern non-closed, so the kernels run unchanged over shorter sequences
+and emit the same patterns; emitted instance blocks are mapped back to
+source positions.  The view changes two search counters:
+``instances_materialized`` and the child-level ``pruned_support`` no
+longer count extensions by dropped events.  ``visited`` does not change.
+
 Instance lists travel the search as columnar
 :class:`~repro.core.blocks.InstanceBlock` values: flat int columns instead
 of per-instance tuples, so the inner projection loops allocate nothing per
@@ -40,7 +51,7 @@ from collections import Counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import InstanceBlock, WireInstanceBlock
-from ..core.events import EncodedDatabase, EventId
+from ..core.events import EventId
 from ..core.projection import (
     AlphabetIndex,
     forward_extensions_block,
@@ -49,6 +60,7 @@ from ..core.projection import (
 )
 from ..core.sequence import SequenceDatabase
 from ..core.stats import MiningStats
+from ..core.view import FrequentEventView
 from ..engine import SearchContext, SearchMinerBase
 from ..engine.stealing import FrontierFrame
 from .config import IterativeMiningConfig
@@ -86,6 +98,7 @@ class IterativePatternMinerBase(SearchMinerBase):
     subtree_kind = GROW_UNIT
     deferred_kind = VERIFY_UNIT
     offload_counter = "closure_offloads"
+    frequent_view = True
 
     def collect_result(
         self,
@@ -136,12 +149,13 @@ class IterativePatternMinerBase(SearchMinerBase):
     def _root_weights(self, context: SearchContext) -> Counter[EventId]:
         """Event occurrence counts, which equal singleton instance counts.
 
-        A counts-only database pass, so the coordinator never materialises
-        the per-event instance blocks the workers will build for
-        themselves.
+        A counts-only pass over the source database, so the coordinator
+        never materialises the per-event instance blocks the workers will
+        build for themselves.  The same counts decide which events the
+        frequent-event view drops.
         """
         counts: Counter[EventId] = Counter()
-        for sequence in context.encoded:
+        for sequence in context.source:
             counts.update(sequence)
         return counts
 
@@ -167,27 +181,41 @@ class IterativePatternMinerBase(SearchMinerBase):
         overrides this to split its closure check into a free inline part
         and an offloadable ``verify`` unit.
         """
-        self._accept(node, records, stats)
+        self._accept(context, node, records, stats)
 
-    def _accept(self, node: PatternNode, records: List[object], stats: MiningStats) -> None:
+    def _accept(
+        self,
+        context: SearchContext,
+        node: PatternNode,
+        records: List[object],
+        stats: MiningStats,
+    ) -> None:
         """Append the node's pattern as a final record."""
         block, alphabet = node
         stats.emitted += 1
         records.append(
-            PatternRecord(alphabet.pattern, len(block), self._keep_instances(block))
+            PatternRecord(
+                alphabet.pattern, len(block), self._keep_instances(context, block)
+            )
         )
 
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    def _keep_instances(self, block: InstanceBlock) -> Optional[WireInstanceBlock]:
+    def _keep_instances(
+        self, context: SearchContext, block: InstanceBlock
+    ) -> Optional[WireInstanceBlock]:
         """The record payload for ``block``: a wire block, or nothing.
 
-        Wire form drops the ``ends`` column (derivable from the starts and
-        the pattern) and shares the remaining columns, so keeping instances
-        costs no copy and ships one column less.
+        The block's view positions are mapped back to the source database,
+        so records, journals and caches never see the view.  Wire form
+        drops the ``ends`` column (derivable from the starts and the
+        pattern) and shares the remaining columns, so it ships one column
+        less.
         """
-        return block.to_wire() if self.config.collect_instances else None
+        if not self.config.collect_instances:
+            return None
+        return context.view.original_block(block).to_wire()
 
     def _replay(
         self,
@@ -247,7 +275,7 @@ class IterativePatternMinerBase(SearchMinerBase):
             # pattern space, and every single-event extension of a
             # cap-length pattern lies outside it.  So its extensions are
             # never projected.
-            self._accept(node, records, stats)
+            self._accept(context, node, records, stats)
             return None
 
         extensions = forward_extensions_block(encoded, context.index, alphabet, block)
@@ -258,7 +286,7 @@ class IterativePatternMinerBase(SearchMinerBase):
 
         explore = sorted(extensions)
         if self.config.adjacent_absorption_pruning:
-            absorbed = self._adjacent_absorbing_event(encoded, block)
+            absorbed = self._adjacent_absorbing_event(context.view, block)
             if (
                 absorbed is not None
                 and absorbed in extensions
@@ -271,23 +299,25 @@ class IterativePatternMinerBase(SearchMinerBase):
 
     @staticmethod
     def _adjacent_absorbing_event(
-        encoded: EncodedDatabase, block: InstanceBlock
+        view: FrequentEventView, block: InstanceBlock
     ) -> "EventId | None":
         """The event immediately following *every* instance, if one exists.
 
         When such an event exists, every instance forward-extends with it at
         the adjacent position, so restricting the search to that extension
         follows the deterministic continuation of the pattern (see
-        ``IterativeMiningConfig.adjacent_absorption_pruning``).
+        ``IterativeMiningConfig.adjacent_absorption_pruning``).  Adjacency
+        is judged in the source: a dropped event right after an instance
+        is the event that follows it, and being rare it never absorbs.
         """
         absorbing: "EventId | None" = None
         ends = block.ends
         for sid, lo, hi in block.groups():
-            sequence = encoded[sid]
+            sequence = view.sequences[sid]
             sequence_len = len(sequence)
             for row in range(lo, hi):
                 next_position = ends[row] + 1
-                if next_position >= sequence_len:
+                if next_position >= sequence_len or not view.adjacent(sid, next_position):
                     return None
                 event = sequence[next_position]
                 if absorbing is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
@@ -45,9 +46,9 @@ class RuleMiningConfig:
     allowed_premise_events: Optional[FrozenSet[EventLabel]] = None
 
     def __post_init__(self) -> None:
-        if self.min_s_support <= 0:
+        if not (0 < self.min_s_support < math.inf):
             raise ConfigurationError(
-                f"min_s_support must be positive, got {self.min_s_support!r}"
+                f"min_s_support must be positive and finite, got {self.min_s_support!r}"
             )
         if self.min_i_support < 1:
             raise ConfigurationError(

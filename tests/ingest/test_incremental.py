@@ -12,6 +12,7 @@ eager splitting.
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ProcessPoolBackend
@@ -313,3 +314,27 @@ def test_live_index_is_extended_not_rebuilt(tmp_path):
     assert miner._context is context
     assert context._index is index_before
     assert len(index_before) == len(store)
+
+
+@pytest.mark.parametrize("backend", [None, ProcessPoolBackend(workers=2)])
+def test_append_that_lifts_a_dropped_event_rebuilds_the_view(tmp_path, backend):
+    """The view drops "z" (one occurrence, threshold 2) until an append
+    brings its second occurrence: then it must be rebuilt with "z" back in
+    the old sequences, and the refresh still equals a full re-mine,
+    instances included, while untouched roots keep their cached records."""
+    store = _skewed_store(str(tmp_path))
+    store.append_batch([["a", "z", "x", "b"]])
+    config = IterativeMiningConfig(min_support=2, collect_instances=True)
+    miner = IncrementalMiner(ClosedIterativePatternMiner(config), store, backend=backend)
+    miner.refresh()
+    z = store.vocabulary.id_of("z")
+    assert all(z not in sequence for sequence in miner._context.encoded)
+
+    store.append_batch([["z", "x", "a"]])
+    result, report = miner.refresh()
+    assert not report.full_remine
+    assert 0 < report.roots_remined < report.roots_total
+    assert any(z in sequence for sequence in miner._context.encoded)
+    full = mine_closed_patterns(store.snapshot(), min_support=2, collect_instances=True)
+    assert result.patterns == full.patterns
+    assert ("z", "x") in {p.events for p in result.patterns}

@@ -88,6 +88,12 @@ def test_invalid_configuration_rejected():
         IterativeMiningConfig(min_support=2, max_pattern_length=0)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_non_finite_support_rejected(threshold):
+    with pytest.raises(ConfigurationError, match="finite"):
+        IterativeMiningConfig(min_support=threshold)
+
+
 def test_empty_database_yields_no_patterns():
     result = mine_frequent_patterns(SequenceDatabase(), min_support=1)
     assert len(result) == 0

@@ -162,6 +162,12 @@ def test_invalid_configurations_rejected():
         RuleMiningConfig(allowed_premise_events=frozenset())
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_non_finite_s_support_rejected(threshold):
+    with pytest.raises(ConfigurationError, match="finite"):
+        RuleMiningConfig(min_s_support=threshold)
+
+
 def test_empty_database_yields_no_rules():
     result = mine_all_rules(SequenceDatabase(), min_s_support=1, min_confidence=0.5)
     assert len(result) == 0

@@ -624,3 +624,45 @@ def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "argument --" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mine-patterns", "--input", "t.jsonl", "--max-length", "0"],
+        ["mine-patterns", "--input", "t.jsonl", "--min-support", "0"],
+        ["mine-patterns", "--input", "t.jsonl", "--min-support", "nan"],
+        ["mine-patterns", "--input", "t.jsonl", "--min-support", "inf"],
+        ["mine-rules", "--input", "t.jsonl", "--min-s-support", "nan"],
+        ["mine-rules", "--input", "t.jsonl", "--min-s-support", "inf"],
+        ["mine-rules", "--input", "t.jsonl", "--min-i-support", "0"],
+        ["mine-rules", "--input", "t.jsonl", "--max-premise-length", "0"],
+        ["mine-rules", "--input", "t.jsonl", "--max-consequent-length", "-1"],
+        ["mine-rules", "--input", "t.jsonl", "--min-confidence", "1.5"],
+        ["mine-rules", "--input", "t.jsonl", "--min-confidence", "0"],
+        ["watch", "--dir", "d", "--store", "s", "--min-s-support", "inf"],
+        ["watch", "--dir", "d", "--store", "s", "--min-confidence", "nan"],
+    ],
+)
+def test_bad_thresholds_and_caps_are_usage_errors(args, capsys):
+    """Support thresholds, confidences and length caps are checked by
+    argparse too, before any trace is read."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --" in err
+
+
+def test_closed_pattern_mine_is_exact(tmp_path, capsys):
+    """On this trace the adjacent-absorption heuristic explores only
+    ``<a, b>`` below ``<a>`` (every ``a`` is followed by ``b``) and misses
+    the closed ``<a, a>``; the command line must mine the exact set."""
+    traces = tmp_path / "abs.txt"
+    traces.write_text("a\nb\na\nb\nb\na\nb\n", encoding="utf-8")
+    code = main(["mine-patterns", "--input", str(traces), "--min-support", "2", "--top", "50"])
+    assert code == 0
+    output = capsys.readouterr().out
+    assert "mined 6 closed iterative patterns" in output
+    assert "['a', 'a']" in output
