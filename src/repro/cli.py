@@ -55,6 +55,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
+import select
 import signal
 import sys
 import threading
@@ -110,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     generate = subparsers.add_parser("generate", help="generate a synthetic dataset")
     generate.add_argument("--profile", default=PAPER_PROFILE, help="D/C/N/S profile name")
-    generate.add_argument("--scale", type=float, default=0.1, help="scale factor for D and N")
+    generate.add_argument("--scale", type=_scale, default=0.1, help="scale factor for D and N")
     generate.add_argument("--seed", type=int, default=None, help="random seed override")
     generate.add_argument("--output", required=True, help="output trace file")
     generate.add_argument("--format", default=None, help=_FORMAT_HELP)
@@ -428,6 +430,13 @@ def _support(value: str) -> float:
     number = _finite_float(value)
     if number <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive threshold, got {value!r}")
+    return number
+
+
+def _scale(value: str) -> float:
+    number = _finite_float(value)
+    if number <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive scale, got {value!r}")
     return number
 
 
@@ -1164,9 +1173,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         # units, daemon cycles, server dispatch) lands in the file.
         tracing.install(args.trace_out)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise
+        # ``repro ... | head``: the reader has what it wanted, so stop
+        # quietly.  Python flushes stdout once more at exit; pointing it at
+        # /dev/null keeps that flush from reporting the broken pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         tracing.reset()
+
+
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe whose reading end has closed.
+
+    Tells a closed stdout apart from a broken pipe elsewhere (a socket, a
+    worker's pipe), which must still surface.  Platforms without
+    ``select.poll`` answer ``False``.
+    """
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(mask & select.POLLERR for _, mask in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False
 
 
 if __name__ == "__main__":  # pragma: no cover

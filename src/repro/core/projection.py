@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence as TypingSequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Set, Tuple
 
 from .blocks import BLOCK_TYPECODE, BlockBuilder, InstanceBlock
 from .events import EncodedDatabase, EventId
@@ -129,11 +129,19 @@ class AlphabetIndex:
         return merged
 
 
-def singleton_blocks(encoded_db: EncodedDatabase) -> Dict[EventId, InstanceBlock]:
-    """Instance blocks of every single-event pattern ``<e>`` in one pass."""
+def singleton_blocks(
+    encoded_db: EncodedDatabase, sequence_indexes: Optional[Iterable[int]] = None
+) -> Dict[EventId, InstanceBlock]:
+    """Instance blocks of every single-event pattern ``<e>`` in one pass.
+
+    ``sequence_indexes`` (ascending) restricts the rows to those
+    sequences; every sequence contributes by default.
+    """
+    if sequence_indexes is None:
+        sequence_indexes = range(len(encoded_db))
     builders: Dict[EventId, BlockBuilder] = {}
-    for sequence_index, sequence in enumerate(encoded_db):
-        for position, event in enumerate(sequence):
+    for sequence_index in sequence_indexes:
+        for position, event in enumerate(encoded_db[sequence_index]):
             builder = builders.get(event)
             if builder is None:
                 builder = builders[event] = BlockBuilder()

@@ -332,7 +332,9 @@ class SearchMinerBase:
     the unit protocol (:meth:`mine_unit`, :meth:`resolve_units`).  A family
     declares its two unit kinds and ``offload_counter`` and supplies
     :meth:`_min_support`, :meth:`_root_weights`, :meth:`_root_payloads`,
-    ``record_sort_key(record)``, ``collect_result`` and four search hooks
+    ``record_sort_key(record)``, ``collect_result``, optionally
+    :meth:`_support_of` (how a payload's support is counted; its row count
+    by default) and four search hooks
     over its node type (the node's key paired with its projection payload):
 
     * ``_replay(context, path, stats) -> node`` re-derives a unit's node;
@@ -448,6 +450,7 @@ class SearchMinerBase:
             self._visit(context, node, records, stats, splitter),
             visit_child,
             context.min_support,
+            self._support_of(context),
             splitter,
             stats,
             self.subtree_kind,
@@ -502,3 +505,7 @@ class SearchMinerBase:
     def _root_payloads(self, context: SearchContext) -> Dict[EventId, Any]:
         """Each root's starting search state (built lazily, once per process)."""
         raise NotImplementedError
+
+    def _support_of(self, context: SearchContext) -> Callable[[Any], int]:
+        """How the search counts a payload's support: its row count."""
+        return len

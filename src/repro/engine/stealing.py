@@ -143,7 +143,8 @@ class FrontierFrame:
 def drive_split_subtree(
     first_frame: Optional[FrontierFrame],
     visit_child: Callable[[FrontierFrame, Any, Any], Optional[FrontierFrame]],
-    min_rows: int,
+    min_support: int,
+    support: Callable[[Any], int],
     splitter: Any,
     stats: MiningStats,
     unit_kind: str,
@@ -152,8 +153,8 @@ def drive_split_subtree(
 
     ``visit_child`` performs one node visit (counting, emission, child
     expansion) and returns the child's frame, or ``None`` for leaves.
-    Children whose payload has fewer than ``min_rows`` rows are support-
-    pruned in place, mirroring the serial loops.  Every
+    Children whose payload's ``support`` is below ``min_support`` are
+    support-pruned in place, mirroring the serial loops.  Every
     ``splitter.check_interval`` child visits the splitter is consulted;
     when it says the pool is hungry, the pending frontier of the
     *shallowest* eligible frame is submitted as fresh ``unit_kind`` units
@@ -172,7 +173,7 @@ def drive_split_subtree(
         event = top.explore[top.cursor]
         top.cursor += 1
         child_payload = top.extensions[event]
-        if len(child_payload) < min_rows:
+        if support(child_payload) < min_support:
             stats.pruned_support += 1
             continue
         if check_interval:
@@ -180,7 +181,9 @@ def drive_split_subtree(
             if countdown <= 0:
                 countdown = check_interval
                 if splitter.should_split():
-                    _split_frontier(frames, min_rows, splitter, stats, unit_kind)
+                    _split_frontier(
+                        frames, min_support, support, splitter, stats, unit_kind
+                    )
         child_frame = visit_child(top, event, child_payload)
         if child_frame is not None:
             frames.append(child_frame)
@@ -188,7 +191,8 @@ def drive_split_subtree(
 
 def _split_frontier(
     frames: List[FrontierFrame],
-    min_rows: int,
+    min_support: int,
+    support: Callable[[Any], int],
     splitter: Any,
     stats: MiningStats,
     unit_kind: str,
@@ -206,7 +210,7 @@ def _split_frontier(
             break
         pending = frame.explore[frame.cursor:]
         stealable = [
-            event for event in pending if len(frame.extensions[event]) >= min_rows
+            event for event in pending if support(frame.extensions[event]) >= min_support
         ]
         if not stealable:
             continue
@@ -219,8 +223,9 @@ def _split_frontier(
             )
             for event in stealable
         ]
+        stealable_set = set(stealable)
         frame.explore = frame.explore[: frame.cursor] + [
-            event for event in pending if len(frame.extensions[event]) < min_rows
+            event for event in pending if event not in stealable_set
         ]
         for event in stealable:
             del frame.extensions[event]

@@ -35,7 +35,10 @@ events only shrinks, and every event an append lifts to the threshold
 occurs in the append, so its root is re-mined, while an untouched root's
 extensions by that event keep the support they had below the threshold.
 Such an append makes the context rebuild the view and the index (the one
-O(corpus) refresh besides a full re-mine).
+O(corpus) refresh besides a full re-mine).  An appended sequence whose
+view equals an earlier one joins that sequence's class and raises its
+weight; it holds every frequent event of the class, so each root whose
+records the heavier class changes is touched and re-mined.
 """
 
 from __future__ import annotations

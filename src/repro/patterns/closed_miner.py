@@ -60,6 +60,7 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
         unit emits the pattern if it is closed.
         """
         block, alphabet = node
+        # Row counts stand for weighted counts (see ``miner_base``).
         if forward_closure_violation(extensions, len(block)) is not None:
             stats.pruned_closure += 1
             return
@@ -83,7 +84,9 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
         encoded, index = context.encoded, context.index
         if backward_extension_events_block(encoded, index, alphabet, block) or (
             self.config.check_infix_extensions
-            and infix_closure_violation_block(encoded, index, alphabet, block)
+            and infix_closure_violation_block(
+                encoded, index, alphabet, block, context.view.representatives
+            )
             is not None
         ):
             stats.pruned_closure += 1

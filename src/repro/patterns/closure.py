@@ -142,6 +142,7 @@ def infix_closure_violation_block(
     index: PositionIndex,
     node: AlphabetIndex,
     block: InstanceBlock,
+    sequence_indexes: Optional[TypingSequence[int]] = None,
 ) -> Optional[Tuple[EventId, int]]:
     """A ``(event, insert_position)`` infix insertion violating closedness, or ``None``.
 
@@ -155,6 +156,11 @@ def infix_closure_violation_block(
     misses), so the check verifies sequence by sequence and abandons a
     candidate at its first mismatching sequence instead of materialising
     the extension across the whole database first.
+
+    ``sequence_indexes`` names the sequences to verify (every sequence by
+    default).  A search over the frequent-event view's class
+    representatives passes those: a copy's instances are its
+    representative's, so it can neither add nor break a correspondence.
     """
     candidates = _gap_candidates_block(encoded_db, node, block)
     if not candidates:
@@ -169,7 +175,8 @@ def infix_closure_violation_block(
     prefix_nodes = [AlphabetIndex(index, (pattern[0],))]
     for event in pattern[1:-1]:
         prefix_nodes.append(prefix_nodes[-1].extend(event))
-    database_size = len(encoded_db)
+    if sequence_indexes is None:
+        sequence_indexes = range(len(encoded_db))
     for event in sorted(candidates):
         for insert_position in candidates[event]:
             extended = pattern[:insert_position] + (event,) + pattern[insert_position:]
@@ -181,7 +188,7 @@ def infix_closure_violation_block(
                 nodes.append(nodes[-1].extend(tail_event))
             steps = list(zip(nodes, extended[1:]))
             matched = True
-            for sequence_index in range(database_size):
+            for sequence_index in sequence_indexes:
                 bounds = groups.get(sequence_index)
                 expected = bounds[1] - bounds[0] if bounds is not None else 0
                 positions = index[sequence_index]

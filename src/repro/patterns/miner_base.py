@@ -18,6 +18,17 @@ source positions.  The view changes two search counters:
 ``instances_materialized`` and the child-level ``pruned_support`` no
 longer count extensions by dropped events.  ``visited`` does not change.
 
+Equal view sequences form classes, and the search walks one
+representative per class: root blocks hold representative rows only, a
+block's support is its rows weighted by their class sizes
+(:meth:`~repro.core.view.FrequentEventView.weighted_support`), and
+emitted blocks are expanded to every class member.  So
+``instances_materialized`` counts representative rows.  The
+forward-closure and absorption tests compare row counts, which is sound
+under the weighting: each row extends at most once per event and every
+weight is positive, so an extension keeps every weighted instance exactly
+when it keeps every row.
+
 Instance lists travel the search as columnar
 :class:`~repro.core.blocks.InstanceBlock` values: flat int columns instead
 of per-instance tuples, so the inner projection loops allocate nothing per
@@ -48,7 +59,7 @@ emitted patterns, so sorting records by pattern reassembles it exactly.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import InstanceBlock, WireInstanceBlock
 from ..core.events import EventId
@@ -160,8 +171,20 @@ class IterativePatternMinerBase(SearchMinerBase):
         return counts
 
     def _root_payloads(self, context: SearchContext) -> Dict[EventId, InstanceBlock]:
-        """The singleton instance blocks every subtree starts from."""
-        return singleton_blocks(context.encoded)
+        """The singleton instance blocks every subtree starts from.
+
+        Only class representatives hold rows; see :meth:`_support_of`.
+        """
+        return singleton_blocks(context.encoded, context.view.representatives)
+
+    def _support_of(self, context: SearchContext) -> Callable[[InstanceBlock], int]:
+        """Blocks weigh each representative row by its class size.
+
+        While no two view sequences are equal every class is a singleton
+        and the weight is plain ``len``.
+        """
+        view = context.view
+        return view.weighted_support if view.has_copies else len
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -195,7 +218,9 @@ class IterativePatternMinerBase(SearchMinerBase):
         stats.emitted += 1
         records.append(
             PatternRecord(
-                alphabet.pattern, len(block), self._keep_instances(context, block)
+                alphabet.pattern,
+                self._support_of(context)(block),
+                self._keep_instances(context, block),
             )
         )
 
@@ -207,15 +232,16 @@ class IterativePatternMinerBase(SearchMinerBase):
     ) -> Optional[WireInstanceBlock]:
         """The record payload for ``block``: a wire block, or nothing.
 
-        The block's view positions are mapped back to the source database,
-        so records, journals and caches never see the view.  Wire form
+        The block's representative rows are expanded to every member of
+        their classes, in each member's source positions, so records,
+        journals and caches never see the view.  Wire form
         drops the ``ends`` column (derivable from the starts and the
         pattern) and shares the remaining columns, so it ships one column
         less.
         """
         if not self.config.collect_instances:
             return None
-        return context.view.original_block(block).to_wire()
+        return context.view.expanded_block(block).to_wire()
 
     def _replay(
         self,
@@ -287,6 +313,7 @@ class IterativePatternMinerBase(SearchMinerBase):
         explore = sorted(extensions)
         if self.config.adjacent_absorption_pruning:
             absorbed = self._adjacent_absorbing_event(context.view, block)
+            # Row counts stand for weighted counts here (module docstring).
             if (
                 absorbed is not None
                 and absorbed in extensions
@@ -308,16 +335,21 @@ class IterativePatternMinerBase(SearchMinerBase):
         follows the deterministic continuation of the pattern (see
         ``IterativeMiningConfig.adjacent_absorption_pruning``).  Adjacency
         is judged in the source: a dropped event right after an instance
-        is the event that follows it, and being rare it never absorbs.
+        is the event that follows it, and being rare it never absorbs.  A
+        representative row stands for one instance in every member of its
+        class, so the event must be adjacent in each member's source.
         """
         absorbing: "EventId | None" = None
         ends = block.ends
         for sid, lo, hi in block.groups():
             sequence = view.sequences[sid]
             sequence_len = len(sequence)
+            members = view.members[sid]
             for row in range(lo, hi):
                 next_position = ends[row] + 1
-                if next_position >= sequence_len or not view.adjacent(sid, next_position):
+                if next_position >= sequence_len or not all(
+                    view.adjacent(member, next_position) for member in members
+                ):
                     return None
                 event = sequence[next_position]
                 if absorbing is None:

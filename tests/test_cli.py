@@ -642,11 +642,14 @@ def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
         ["mine-rules", "--input", "t.jsonl", "--min-confidence", "0"],
         ["watch", "--dir", "d", "--store", "s", "--min-s-support", "inf"],
         ["watch", "--dir", "d", "--store", "s", "--min-confidence", "nan"],
+        ["generate", "--output", "g.jsonl", "--scale", "nan"],
+        ["generate", "--output", "g.jsonl", "--scale", "0"],
+        ["generate", "--output", "g.jsonl", "--scale", "-1"],
     ],
 )
 def test_bad_thresholds_and_caps_are_usage_errors(args, capsys):
-    """Support thresholds, confidences and length caps are checked by
-    argparse too, before any trace is read."""
+    """Support thresholds, confidences, length caps and the generator's
+    scale are checked by argparse too, before any trace is read."""
     with pytest.raises(SystemExit) as exit_info:
         main(args)
     assert exit_info.value.code == 2
@@ -666,3 +669,48 @@ def test_closed_pattern_mine_is_exact(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "mined 6 closed iterative patterns" in output
     assert "['a', 'a']" in output
+
+
+def test_closed_stdout_stops_the_command_quietly(tmp_path):
+    """`repro mine-patterns ... | head -1`: the reader goes away before the
+    table is written; the command must stop without a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    traces = tmp_path / "t.txt"
+    traces.write_text("a\nb\na\nb\n\na\nb\n", encoding="utf-8")
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src_dir, env.get("PYTHONPATH")) if part
+    )
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "mine-patterns",
+             "--input", str(traces), "--min-support", "2"],
+            stdout=writer, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(writer)
+    _, err = process.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert process.returncode == 1
+
+
+def test_a_broken_pipe_elsewhere_still_raises(monkeypatch):
+    """Only a closed stdout ends a command quietly; a broken socket or
+    worker pipe must still surface."""
+    import repro.cli as cli
+
+    def broken(args):
+        raise BrokenPipeError("a socket, not stdout")
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["generate", "--output", "unused.jsonl"])
