@@ -12,7 +12,7 @@ columnar block path the miners run (``InstanceBlock`` + per-node
   ≥3x speedup target applies here;
 * the **closed loop** — growth plus the forward/backward/infix closedness
   checks.  The tuple path verifies infix candidates with the exact QRE
-  matcher, the block path with the projection kernel.
+  matcher, the block path with the span-local test on the block's rows.
 
 Both traversals are asserted bit-identical before any time is reported.
 On top of the loop timings the benchmark records the worker-to-coordinator

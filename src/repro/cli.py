@@ -66,7 +66,7 @@ from typing import List, Optional
 
 from .analysis.reporting import format_table
 from .core.errors import ConfigurationError, DataFormatError
-from .datagen.profiles import PAPER_PROFILE, generate_profile
+from .datagen.profiles import PAPER_PROFILE, generate_profile, profile
 from .durability.checkpoint import MiningCheckpoint, file_fingerprint, miner_config_token
 from .durability.fsck import audit_store
 from .engine import BACKEND_CHOICES, ExecutionBackend, resolve_backend
@@ -111,7 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser("generate", help="generate a synthetic dataset")
-    generate.add_argument("--profile", default=PAPER_PROFILE, help="D/C/N/S profile name")
+    generate.add_argument(
+        "--profile", type=_profile_name, default=PAPER_PROFILE, help="D/C/N/S profile name"
+    )
     generate.add_argument("--scale", type=_scale, default=0.1, help="scale factor for D and N")
     generate.add_argument("--seed", type=int, default=None, help="random seed override")
     generate.add_argument("--output", required=True, help="output trace file")
@@ -440,6 +442,15 @@ def _scale(value: str) -> float:
     return number
 
 
+def _profile_name(value: str) -> str:
+    """A named dataset profile or a D<d>C<c>N<n>S<s> name."""
+    try:
+        profile(value)
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
+    return value
+
+
 def _confidence(value: str) -> float:
     number = _finite_float(value)
     if not 0 < number <= 1:
@@ -520,6 +531,10 @@ def _resolve_mining_source(args: argparse.Namespace):
         print("error: --append requires --store", file=sys.stderr)
         return None
     if args.input is not None:
+        failure = _validate_trace_inputs([args.input], args.format)
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
+            return None
         return read_traces(args.input, format=args.format), None
     try:
         # Only the ingest command may create a store: a typo'd --store
@@ -866,6 +881,10 @@ def _command_mine_rules(args: argparse.Namespace) -> int:
 
 
 def _command_monitor(args: argparse.Namespace) -> int:
+    failure = _validate_trace_inputs([args.input], args.format)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 2
     repository = SpecificationRepository.load(args.specs)
     if not repository.rules:
         # A repository that mined zero rules is a valid (vacuous)

@@ -44,11 +44,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .blocks import BLOCK_TYPECODE, BlockBuilder, InstanceBlock
 from .events import EncodedDatabase, EventId
-from .positions import PositionIndex, SequencePositions
+from .positions import PositionIndex
 
 
 class AlphabetIndex:
@@ -259,78 +259,40 @@ def project_extension_block(
     row-identical to ``forward_extensions_block(...)[event]`` (and to the
     empty block when the event yields no extension) but without touching
     any other extension event: each instance costs a couple of binary
-    searches instead of a window scan.  The work-stealing replay path runs
-    it once per path step, one :func:`project_rows_in_sequence` call per
-    sequence group.
+    searches instead of a window scan.  The work-unit replay runs it once
+    per path step.
+
+    The per-row extension rule: an in-alphabet event can only extend to
+    the first alphabet occurrence after the end; an outside event extends
+    to its next occurrence when no alphabet event comes first and it does
+    not occur in the instance's gaps — one comparison against the
+    sequence's ``previous`` links at the target.
     """
     out_seq_ids = array(BLOCK_TYPECODE)
     out_offsets = array(BLOCK_TYPECODE)
     out_starts = array(BLOCK_TYPECODE)
     out_ends = array(BLOCK_TYPECODE)
-    steps = ((node, event),)
+    alphabet = node.alphabet
+    in_alphabet = event in alphabet
     starts = block.starts
     ends = block.ends
     seq_ids = block.seq_ids
     offsets = block.offsets
     for group in range(len(seq_ids)):
         sid = seq_ids[group]
+        sequence = encoded_db[sid]
+        positions = index[sid]
+        occurrences = positions.positions_of(event)
+        if not in_alphabet and not occurrences:
+            continue
+        previous = positions.previous
+        merged = node.merged(sid)
+        merged_len = len(merged)
+        sequence_len = len(sequence)
+        group_start = len(out_starts)
         lo = offsets[group]
         hi = offsets[group + 1]
-        group_starts, group_ends = project_rows_in_sequence(
-            encoded_db[sid], index[sid], sid, steps, starts[lo:hi], ends[lo:hi]
-        )
-        if group_starts:
-            out_seq_ids.append(sid)
-            out_offsets.append(len(out_starts))
-            out_starts.extend(group_starts)
-            out_ends.extend(group_ends)
-    out_offsets.append(len(out_starts))
-    return InstanceBlock(out_seq_ids, out_offsets, out_starts, out_ends)
-
-
-def project_rows_in_sequence(
-    sequence: TypingSequence[EventId],
-    positions: SequencePositions,
-    sequence_index: int,
-    steps: TypingSequence[Tuple[AlphabetIndex, EventId]],
-    starts: TypingSequence[int],
-    ends: TypingSequence[int],
-) -> Tuple[TypingSequence[int], TypingSequence[int]]:
-    """Extend one sequence's instance spans by each step's event in turn.
-
-    ``starts``/``ends`` are the parallel span columns of some pattern's
-    instances in sequence ``sequence_index``; each ``(node, event)`` step
-    maps the instances of ``node.pattern`` to those of ``node.pattern ++
-    <event>``, so the steps of a pattern ``P`` seeded with the
-    occurrences of ``P[0]`` yield the instances of ``P``.  Returns the
-    extended ``(starts, ends)``.
-
-    The one per-row extension rule of the columnar path: an in-alphabet
-    event can only extend to the first alphabet occurrence after the end;
-    an outside event extends to its next occurrence when no alphabet event
-    comes first and it does not occur in the instance's gaps — one
-    comparison against ``positions.previous`` at the target.  The
-    work-stealing replay (:func:`project_extension_block`) runs one step
-    per sequence group; the closed miner's infix check runs whole chains
-    sequence by sequence so a failing candidate aborts at its first
-    mismatching sequence.
-    """
-    sequence_len = len(sequence)
-    table = positions.table()
-    previous = positions.previous
-    for node, event in steps:
-        if not starts:
-            break
-        alphabet = node.alphabet
-        in_alphabet = event in alphabet
-        occurrences = table.get(event, ())
-        if not in_alphabet and not occurrences:
-            return [], []
-        merged = node.merged(sequence_index)
-        merged_len = len(merged)
-        new_starts: List[int] = []
-        new_ends: List[int] = []
-        for start, end in zip(starts, ends):
+        for start, end in zip(starts[lo:hi], ends[lo:hi]):
             if in_alphabet:
                 after = end + 1
                 if after < sequence_len and sequence[after] in alphabet:
@@ -356,10 +318,13 @@ def project_rows_in_sequence(
                 # its previous occurrence is at most ``end`` and never on it.
                 if previous[target] > start:
                     continue
-            new_starts.append(start)
-            new_ends.append(target)
-        starts, ends = new_starts, new_ends
-    return starts, ends
+            out_starts.append(start)
+            out_ends.append(target)
+        if len(out_starts) > group_start:
+            out_seq_ids.append(sid)
+            out_offsets.append(group_start)
+    out_offsets.append(len(out_starts))
+    return InstanceBlock(out_seq_ids, out_offsets, out_starts, out_ends)
 
 
 def backward_extension_events_block(

@@ -84,10 +84,7 @@ class ClosedIterativePatternMiner(IterativePatternMinerBase):
         encoded, index = context.encoded, context.index
         if backward_extension_events_block(encoded, index, alphabet, block) or (
             self.config.check_infix_extensions
-            and infix_closure_violation_block(
-                encoded, index, alphabet, block, context.view.representatives
-            )
-            is not None
+            and infix_closure_violation_block(encoded, index, alphabet, block) is not None
         ):
             stats.pruned_closure += 1
             return

@@ -17,9 +17,11 @@ has full instance correspondence with ``P`` exactly when every instance of
 ``P`` extends.  The backward check scans the region to the left of every
 instance (:func:`~repro.core.projection.backward_extension_events_block`).
 The infix check first collects candidate events occurring in the gaps of
-*every* instance (usually none) and verifies each candidate insertion with
-the projection kernel
-(:func:`~repro.core.projection.project_rows_in_sequence`).
+*every* instance (usually none).  It verifies each candidate on the
+block's own spans: the insertion keeps every instance exactly when each
+span holds that event once, in the insertion gap
+(:func:`infix_closure_violation_block` proves it), which is a few binary
+searches per row and no re-projection of the extended pattern.
 
 All three checks run over instance blocks
 (:class:`~repro.core.blocks.InstanceBlock`) and share the search node's
@@ -33,7 +35,8 @@ which the property tests compare against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence as TypingSequence, Sized, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Optional, Set, Sized, Tuple
 
 from ..core.blocks import InstanceBlock
 from ..core.events import EventId
@@ -43,7 +46,6 @@ from ..core.projection import (
     AlphabetIndex,
     EncodedDatabase,
     backward_extension_events_block,
-    project_rows_in_sequence,
 )
 
 
@@ -67,30 +69,33 @@ def _gap_candidates_block(
     encoded_db: EncodedDatabase,
     node: AlphabetIndex,
     block: InstanceBlock,
-) -> Dict[EventId, List[int]]:
+) -> Dict[EventId, int]:
     """Candidate infix insertions: events in the gaps of every instance.
 
     Returns a mapping from each candidate event (outside the pattern
-    alphabet, occurring strictly inside every instance span) to the gap
-    positions it occupies *in the first instance* — a sound restriction of
-    the insertion positions worth verifying, because an insertion that
-    preserves every instance must in particular appear in that gap of the
-    first instance.  Each later row narrows the candidates to the events
-    of its open span ``(start, end)`` with one set intersection; the set
-    almost always empties after a handful of rows.
+    alphabet, occurring strictly inside every instance span) to the one
+    gap it occupies *in the first instance*.  An insertion that keeps
+    every instance must hold exactly one occurrence of its event in each
+    span, in the insertion gap (see :func:`infix_closure_violation_block`),
+    so an event occurring more than once in the first instance's span can
+    never pass and is dropped here.  Each later row narrows the candidates
+    to the events of its open span ``(start, end)`` with one set
+    intersection; the set almost always empties after a handful of rows.
     """
     if not block:
         return {}
     first_instance = block.first()
     first_sequence = encoded_db[first_instance.sequence_index]
-    gaps_by_event: Dict[EventId, List[int]] = {}
+    gap_by_event: Dict[EventId, int] = {}
+    repeated: Set[EventId] = set()
     for gap_index, position in gap_events(
         first_sequence, node.pattern, (first_instance.start, first_instance.end)
     ):
-        gaps = gaps_by_event.setdefault(first_sequence[position], [])
-        if gap_index not in gaps:
-            gaps.append(gap_index)
-    candidates = set(gaps_by_event)
+        event = first_sequence[position]
+        if event in gap_by_event:
+            repeated.add(event)
+        gap_by_event[event] = gap_index
+    candidates = set(gap_by_event).difference(repeated)
     starts = block.starts
     ends = block.ends
     for sid, lo, hi in block.groups():
@@ -103,38 +108,7 @@ def _gap_candidates_block(
             candidates = candidates.intersection(sequence[starts[row] + 1 : ends[row]])
             if not candidates:
                 return {}
-    return {event: gaps_by_event[event] for event in candidates}
-
-
-def _rows_correspond(
-    block: InstanceBlock,
-    lo: int,
-    hi: int,
-    super_starts: TypingSequence[int],
-    super_ends: TypingSequence[int],
-) -> bool:
-    """Per-sequence Definition 4.2 correspondence, two-pointer form.
-
-    ``block`` rows ``lo..hi`` are the sub-instances of one sequence;
-    ``super_starts``/``super_ends`` the equally-many super-instances.  Both
-    have strictly increasing starts *and* ends (an instance is determined
-    by either endpoint), so "first unused enclosing super-instance"
-    reduces to a forward sweep: super-rows ending before the current
-    sub-row can never enclose a later sub-row either, and once a super-row
-    starts after the sub-row every later one does too.
-    """
-    starts = block.starts
-    ends = block.ends
-    cursor = 0
-    cursor_hi = len(super_ends)
-    for row in range(lo, hi):
-        end = ends[row]
-        while cursor < cursor_hi and super_ends[cursor] < end:
-            cursor += 1
-        if cursor == cursor_hi or super_starts[cursor] > starts[row]:
-            return False
-        cursor += 1
-    return True
+    return {event: gap_by_event[event] for event in candidates}
 
 
 def infix_closure_violation_block(
@@ -142,81 +116,62 @@ def infix_closure_violation_block(
     index: PositionIndex,
     node: AlphabetIndex,
     block: InstanceBlock,
-    sequence_indexes: Optional[TypingSequence[int]] = None,
 ) -> Optional[Tuple[EventId, int]]:
     """A ``(event, insert_position)`` infix insertion violating closedness, or ``None``.
 
     The returned ``insert_position`` is the index in the pattern *before*
-    which the event is inserted (``1 .. len(pattern) - 1``).  Candidates
-    surviving the gap pre-filter are verified entirely on the
-    merged-alphabet projection kernel — no instance tuples, no QRE
-    rescans.  The key structural fact: correspondence plus equal support
-    force the extended pattern's instance count to match the pattern's
-    *in every single sequence* (and to vanish in sequences the pattern
-    misses), so the check verifies sequence by sequence and abandons a
-    candidate at its first mismatching sequence instead of materialising
-    the extension across the whole database first.
+    which the event is inserted (``1 .. len(pattern) - 1``).
 
-    ``sequence_indexes`` names the sequences to verify (every sequence by
-    default).  A search over the frequent-event view's class
-    representatives passes those: a copy's instances are its
-    representative's, so it can neither add nor break a correspondence.
+    The check is local to the block's own spans.  Let ``e`` lie outside
+    ``P``'s alphabet and let ``Q`` insert ``e`` before ``P[k]``.  An
+    instance of ``Q`` matches ``Q``'s alphabet events in order with only
+    other events in its gaps, so projecting its span onto ``P``'s
+    alphabet leaves exactly ``P``, and ``e`` is a gap event of ``P``:
+    every instance of ``Q`` is an instance of ``P`` with the same span.
+    Conversely an instance span of ``P`` is one of ``Q`` exactly when it
+    holds exactly one ``e`` and that ``e`` lies in gap ``k`` (between
+    ``P[k-1]`` and ``P[k]``).  ``Q``'s instances are therefore a subset of
+    ``P``'s, and ``Q`` keeps every instance of ``P`` at equal support
+    (Definition 4.2) exactly when the subset is all of them, i.e. when
+    every span of the block holds one ``e``, in gap ``k``.  No other
+    sequence can matter, because ``Q`` has no instance where ``P`` has
+    none; and a frequent-event view's copies repeat their
+    representative's spans, so the representative rows decide.
+
+    Per row that is one bisect pair into ``e``'s occurrences (the count
+    inside ``(start, end)`` must be one) and one bisect into the node's
+    merged alphabet list: ``P``'s events in the span are ``merged[j:j +
+    len(P)]`` with ``j = bisect_left(merged, start)``, so gap ``k`` is the
+    open interval ``(merged[j + k - 1], merged[j + k])``.
     """
     candidates = _gap_candidates_block(encoded_db, node, block)
-    if not candidates:
-        return None
-    pattern = node.pattern
-    # Per-sequence instance counts of the pattern, and each group's rows.
-    groups: Dict[int, Tuple[int, int]] = {
-        sid: (lo, hi) for sid, lo, hi in block.groups()
-    }
-    # prefix_nodes[i] is the AlphabetIndex of pattern[:i + 1]; its merged
-    # caches are shared by every candidate through the parent links.
-    prefix_nodes = [AlphabetIndex(index, (pattern[0],))]
-    for event in pattern[1:-1]:
-        prefix_nodes.append(prefix_nodes[-1].extend(event))
-    if sequence_indexes is None:
-        sequence_indexes = range(len(encoded_db))
     for event in sorted(candidates):
-        for insert_position in candidates[event]:
-            extended = pattern[:insert_position] + (event,) + pattern[insert_position:]
-            # nodes[k] is the AlphabetIndex of extended[:k + 1], so step k
-            # extends it by extended[k + 1].
-            nodes = prefix_nodes[: insert_position]
-            nodes = nodes + [nodes[-1].extend(event)]
-            for tail_event in pattern[insert_position:-1]:
-                nodes.append(nodes[-1].extend(tail_event))
-            steps = list(zip(nodes, extended[1:]))
-            matched = True
-            for sequence_index in sequence_indexes:
-                bounds = groups.get(sequence_index)
-                expected = bounds[1] - bounds[0] if bounds is not None else 0
-                positions = index[sequence_index]
-                first_positions = positions.positions_of(extended[0])
-                if not first_positions:
-                    if expected:
-                        matched = False
-                        break
-                    continue
-                super_starts, super_ends = project_rows_in_sequence(
-                    encoded_db[sequence_index],
-                    positions,
-                    sequence_index,
-                    steps,
-                    first_positions,
-                    first_positions,
-                )
-                if len(super_starts) != expected:
-                    matched = False
-                    break
-                if expected and not _rows_correspond(
-                    block, bounds[0], bounds[1], super_starts, super_ends
-                ):
-                    matched = False
-                    break
-            if matched:
-                return (event, insert_position)
+        if _insertion_keeps_every_span(index, node, block, event, candidates[event]):
+            return (event, candidates[event])
     return None
+
+
+def _insertion_keeps_every_span(
+    index: PositionIndex,
+    node: AlphabetIndex,
+    block: InstanceBlock,
+    event: EventId,
+    insert_position: int,
+) -> bool:
+    """Whether every span of ``block`` holds ``event`` once, in gap ``insert_position``."""
+    starts = block.starts
+    ends = block.ends
+    for sid, lo, hi in block.groups():
+        occurrences = index[sid].positions_of(event)
+        merged = node.merged(sid)
+        for start, end in zip(starts[lo:hi], ends[lo:hi]):
+            first = bisect_right(occurrences, start)
+            if bisect_left(occurrences, end, first) - first != 1:
+                return False
+            gap = bisect_left(merged, start) + insert_position
+            if not merged[gap - 1] < occurrences[first] < merged[gap]:
+                return False
+    return True
 
 
 def is_closed_block(

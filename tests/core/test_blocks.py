@@ -11,6 +11,7 @@ blocks.
 """
 
 import pickle
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +23,10 @@ from repro.core.projection import (
     backward_extension_events_block,
     forward_extensions_block,
     project_extension_block,
-    project_rows_in_sequence,
     singleton_blocks,
 )
 from repro.core.sequence import SequenceDatabase
+from repro.core.view import FrequentEventView
 from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.patterns.closure import infix_closure_violation_block, is_closed_block
 from repro.patterns.closed_miner import mine_closed_patterns
@@ -130,29 +131,25 @@ def test_project_extension_block_matches_full_projection(sequences, pattern):
 
 @given(sequences=sequences_strategy, pattern=pattern_strategy)
 @settings(max_examples=60, deadline=None)
-def test_project_rows_in_sequence_matches_block_projection_chain(sequences, pattern):
-    """A multi-step chain of the per-sequence kernel equals the same steps
-    taken one at a time over the whole database (the replay path), sliced
-    to that sequence's group."""
+def test_project_extension_block_chain_matches_oracle_instances(sequences, pattern):
+    """A chain of single-event projections from the singleton block (the
+    work-unit replay path) yields exactly the oracle's instances."""
     encoded = _encode(sequences)
     index = PositionIndex(encoded)
     pattern = tuple(pattern)
-    nodes = [AlphabetIndex(index, pattern[:1])]
+    _, block = _replayed_block(encoded, index, singleton_blocks(encoded), pattern)
+    assert block.to_instances() == find_instances(encoded, pattern)
+
+
+def _replayed_block(encoded, index, roots, pattern):
+    """The node and block of ``pattern`` the way the miners replay a path:
+    the first event's root block, then one projection per step."""
+    node = AlphabetIndex(index, pattern[:1])
+    block = roots.get(pattern[0], InstanceBlock.from_instances([]))
     for event in pattern[1:]:
-        nodes.append(nodes[-1].extend(event))
-    steps = list(zip(nodes, pattern[1:]))
-    block = singleton_blocks(encoded).get(pattern[0], InstanceBlock.from_instances([]))
-    for node, event in steps:
         block = project_extension_block(encoded, index, node, block, event)
-    by_sequence = {sid: ([], []) for sid in range(len(encoded))}
-    for instance in block:
-        by_sequence[instance.sequence_index][0].append(instance.start)
-        by_sequence[instance.sequence_index][1].append(instance.end)
-    for sid, sequence in enumerate(encoded):
-        positions = index[sid]
-        first = positions.positions_of(pattern[0])
-        starts, ends = project_rows_in_sequence(sequence, positions, sid, steps, first, first)
-        assert (list(starts), list(ends)) == by_sequence[sid]
+        node = node.extend(event)
+    return node, block
 
 
 @given(sequences=sequences_strategy, pattern=pattern_strategy)
@@ -240,6 +237,84 @@ def test_infix_violations_match_reference(sequences, pattern):
     assert infix_closure_violation_block(encoded, index, node, block) == infix_closure_violation(
         encoded, index, pattern, base
     )
+
+
+@st.composite
+def copied_databases(draw):
+    """Sequences with exact copies and up to three stray events (7..9),
+    which the frequent-event view drops when they fall below the threshold."""
+    sequences = [list(sequence) for sequence in draw(sequences_strategy)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        sequences.append(list(draw(st.sampled_from(sequences))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        sequence = draw(st.sampled_from(sequences))
+        at = draw(st.integers(min_value=0, max_value=len(sequence)))
+        sequence.insert(at, draw(st.integers(min_value=7, max_value=9)))
+    return _encode(sequences)
+
+
+@given(
+    encoded=copied_databases(),
+    cap=st.sampled_from([3, 4, 5]),
+    data=st.data(),
+    min_support=st.integers(min_value=2, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_infix_violations_over_view_representatives_match_reference(
+    encoded, cap, data, min_support
+):
+    """The span-local infix check over the frequent-event view's
+    representative rows gives the oracle's verdict over every sequence of
+    the view, and, for a frequent pattern, over the source database too."""
+    counts = Counter(event for sequence in encoded for event in sequence)
+    view = FrequentEventView(encoded, counts, min_support)
+    # A subsequence of some view sequence, so most draws have instances.
+    hosts = [sequence for sequence in view.sequences if len(sequence) > 1]
+    if not hosts:
+        return
+    host = data.draw(st.sampled_from(hosts))
+    picked = data.draw(
+        st.lists(st.sampled_from(range(len(host))), min_size=2, max_size=cap, unique=True)
+    )
+    pattern = tuple(host[position] for position in sorted(picked))
+    index = PositionIndex(view.sequences)
+    roots = singleton_blocks(view.sequences, view.representatives)
+    node, block = _replayed_block(view.sequences, index, roots, pattern)
+    if not block:
+        return
+    verdict = infix_closure_violation_block(view.sequences, index, node, block)
+    instances = find_instances(view.sequences, pattern)
+    assert view.weighted_support(block) == len(instances)
+    assert verdict == infix_closure_violation(view.sequences, index, pattern, instances)
+    if len(instances) >= min_support:
+        source_instances = find_instances(encoded, pattern)
+        assert verdict == infix_closure_violation(
+            encoded, PositionIndex(encoded), pattern, source_instances
+        )
+
+
+def _infix_verdict(sequences, pattern):
+    encoded = [tuple(sequence) for sequence in sequences]
+    index = PositionIndex(encoded)
+    block = InstanceBlock.from_instances(find_instances(encoded, pattern))
+    verdict = infix_closure_violation_block(encoded, index, AlphabetIndex(index, pattern), block)
+    assert verdict == infix_closure_violation(encoded, index, pattern, list(block))
+    return verdict
+
+
+def test_infix_check_needs_the_same_gap_in_every_instance():
+    # "x" sits inside every span of (a, b, c), but in gap 1 of the first
+    # instance and gap 2 of the second: neither insertion keeps both.
+    assert _infix_verdict(["axbc", "abxc"], tuple("abc")) is None
+    assert _infix_verdict(["axbc", "caxbc"], tuple("abc")) == ("x", 1)
+
+
+def test_infix_check_needs_exactly_one_occurrence_in_every_instance():
+    # The second span holds "x" twice, so (a, x, b) loses that instance;
+    # a first instance holding it twice is dropped by the pre-filter.
+    assert _infix_verdict(["axb", "axxb"], tuple("ab")) is None
+    assert _infix_verdict(["axxb", "axb"], tuple("ab")) is None
+    assert _infix_verdict(["axb", "baxb"], tuple("ab")) == ("x", 1)
 
 
 # --------------------------------------------------------------------- #

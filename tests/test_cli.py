@@ -277,6 +277,23 @@ def test_ingest_validates_inputs_before_creating_the_store(tmp_path, capsys):
     assert not store.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mine-patterns", "--min-support", "2"],
+        ["mine-rules", "--min-s-support", "2"],
+        ["monitor", "--specs", "specs.json"],
+        ["monitor", "--specs", "specs.json", "--stream"],
+    ],
+)
+def test_a_missing_input_file_is_reported_not_raised(args, tmp_path, capsys):
+    """Like ``ingest``, the mining and monitoring commands check the
+    ``--input`` path first: a clean error and exit 2, no traceback."""
+    missing = tmp_path / "nonexistent.jsonl"
+    assert main(args + ["--input", str(missing)]) == 2
+    assert f"error: no trace file at {missing}" in capsys.readouterr().err
+
+
 def test_ingest_parse_error_commits_nothing_for_that_file(tmp_path, capsys):
     """A file failing mid-parse is a clean error and a no-op on the store."""
     good = tmp_path / "good.txt"
@@ -645,11 +662,13 @@ def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
         ["generate", "--output", "g.jsonl", "--scale", "nan"],
         ["generate", "--output", "g.jsonl", "--scale", "0"],
         ["generate", "--output", "g.jsonl", "--scale", "-1"],
+        ["generate", "--output", "g.jsonl", "--profile", "bogus"],
     ],
 )
 def test_bad_thresholds_and_caps_are_usage_errors(args, capsys):
     """Support thresholds, confidences, length caps and the generator's
-    scale are checked by argparse too, before any trace is read."""
+    scale and profile name are checked by argparse too, before any trace
+    is read."""
     with pytest.raises(SystemExit) as exit_info:
         main(args)
     assert exit_info.value.code == 2
