@@ -885,7 +885,11 @@ def _command_monitor(args: argparse.Namespace) -> int:
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 2
-    repository = SpecificationRepository.load(args.specs)
+    try:
+        repository = SpecificationRepository.load(args.specs)
+    except (DataFormatError, OSError) as error:
+        print(f"error: {args.specs}: {error}", file=sys.stderr)
+        return 2
     if not repository.rules:
         # A repository that mined zero rules is a valid (vacuous)
         # specification: report a clean zero-violation run, don't crash.

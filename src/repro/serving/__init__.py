@@ -11,7 +11,8 @@ serves them against *live* traffic:
   exactly the violations the rule semantics (Definition 5.1 temporal
   points) define.  ``feed`` is O(1) per event and touches no rule (an open
   trace holds one int per rule-relevant event); ``end_trace`` settles
-  every armed rule in O(armed rules · log n);
+  the armed rules one (trie node, last premise event) group at a time,
+  in O(armed groups · log n + armed rules · log n);
 * :mod:`repro.serving.pool` — :class:`MonitorPool`, the multi-tenant layer:
   worker shards with bounded queues and ``BUSY`` backpressure,
   consistent-hash session→shard affinity, generation-numbered hot swap of

@@ -22,14 +22,15 @@ semantics (Definition 5.1):
   that symbol): a reached node registers its children once, each node is
   activated at most once per trace, and every event's work is exactly the
   nodes it actually advances.  A rule whose premise prefix completes at
-  its trie node is *armed* from that position on, and each node lists the
-  distinct ``last(premise)`` symbols of the rules it arms, so the monitor
-  can stamp the clock when a rule's first point opens without touching
-  the rule;
-* **per-rule tables** read only at trace close: the symbol of
-  ``last(premise)`` (an armed rule has one temporal point at every later
-  occurrence of it — the prefix characterisation of Definition 5.1
-  temporal points), the encoded consequent and the analytics key — plus
+  its trie node is *armed* from that position on.  Each node groups the
+  rules it arms by their ``last(premise)`` symbol (an armed rule has one
+  temporal point at every later occurrence of it — the prefix
+  characterisation of Definition 5.1 temporal points), so every rule of
+  a group has the same points: the monitor stamps the clock when a
+  group's first point opens, and settles the group's points once at
+  close, without touching a rule until then;
+* **per-rule tables** read only at trace close: the encoded consequent
+  and the analytics key — plus
   the rule's JSON fragment, encoded once when a ``REPORT`` or ``END``
   reply is first written from a violation log.
 
@@ -94,10 +95,10 @@ class CompiledRuleSet:
         "rules",
         "symbol_of",
         "children",
-        "arm_at_node",
+        "arm_groups",
+        "group_rules",
+        "group_node",
         "root_armed",
-        "opens_at_node",
-        "last_symbol",
         "consequents",
         "keys",
         "_fragments",
@@ -108,8 +109,9 @@ class CompiledRuleSet:
         rules: Tuple[RecurrentRule, ...],
         symbol_of: Dict[EventLabel, Symbol],
         children: Tuple[Dict[Symbol, NodeId], ...],
-        arm_at_node: Tuple[Tuple[int, ...], ...],
-        last_symbol: Tuple[Symbol, ...],
+        arm_groups: Tuple[Dict[Symbol, int], ...],
+        group_rules: Tuple[Tuple[int, ...], ...],
+        group_node: Tuple[NodeId, ...],
         consequents: Tuple[Tuple[Symbol, ...], ...],
     ) -> None:
         #: The monitored rules, in monitor order (violation reports follow it).
@@ -120,19 +122,19 @@ class CompiledRuleSet:
         #: Premise-prefix trie: node id -> {symbol: child node id}; node 0 is
         #: the root (the empty prefix).
         self.children = children
-        #: Node id -> rule ids whose premise prefix ends exactly there (they
-        #: arm the moment the node is reached).
-        self.arm_at_node = arm_at_node
+        #: Node id -> ``{last(premise) symbol: group id}`` over the rules
+        #: whose premise prefix ends exactly there (they arm the moment the
+        #: node is reached).  The symbols are the events that open those
+        #: rules' points; the rules of one group share every point.
+        self.arm_groups = arm_groups
+        #: Group id -> its rule ids, ascending.
+        self.group_rules = group_rules
+        #: Group id -> the trie node arming it.
+        self.group_node = group_node
         #: Rule ids armed from the start of every trace (premise length 1).
-        self.root_armed = arm_at_node[0]
-        #: Node id -> the distinct ``last(premise)`` symbols of the rules
-        #: armed there: the events that open those rules' first points.
-        self.opens_at_node = tuple(
-            tuple(dict.fromkeys(last_symbol[rule_id] for rule_id in armed))
-            for armed in arm_at_node
+        self.root_armed = tuple(
+            sorted(rule_id for group in arm_groups[0].values() for rule_id in group_rules[group])
         )
-        #: Rule id -> symbol of ``last(premise)`` (the point-opening event).
-        self.last_symbol = last_symbol
         #: Rule id -> encoded consequent.
         self.consequents = consequents
         #: Rule id -> :func:`rule_key`, the analytics key.
@@ -193,8 +195,9 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
         return symbol
 
     children: List[Dict[Symbol, NodeId]] = [{}]
-    arm_lists: List[List[int]] = [[]]
-    last_symbol: List[Symbol] = []
+    arm_groups: List[Dict[Symbol, int]] = [{}]
+    group_rules: List[List[int]] = []
+    group_node: List[NodeId] = []
     consequents: List[Tuple[Symbol, ...]] = []
 
     for rule_id, rule in enumerate(rules):
@@ -206,17 +209,22 @@ def compile_rules(source: RuleSource) -> CompiledRuleSet:
                 successor = len(children)
                 children[node][symbol] = successor
                 children.append({})
-                arm_lists.append([])
+                arm_groups.append({})
             node = successor
-        arm_lists[node].append(rule_id)
-        last_symbol.append(intern(rule.premise[-1]))
+        last = intern(rule.premise[-1])
+        group = arm_groups[node].setdefault(last, len(group_rules))
+        if group == len(group_rules):
+            group_rules.append([])
+            group_node.append(node)
+        group_rules[group].append(rule_id)
         consequents.append(tuple(intern(label) for label in rule.consequent))
 
     return CompiledRuleSet(
         rules=rules,
         symbol_of=symbol_of,
         children=tuple(children),
-        arm_at_node=tuple(tuple(arm) for arm in arm_lists),
-        last_symbol=tuple(last_symbol),
+        arm_groups=tuple(arm_groups),
+        group_rules=tuple(tuple(members) for members in group_rules),
+        group_node=tuple(group_node),
         consequents=tuple(consequents),
     )

@@ -15,15 +15,18 @@ The work splits between the two calls:
   position to its symbol's occurrence list, advances the premise trie
   (noting the position at which each trie node is reached — the rules
   armed there are armed from that position on) and fires the one-shot
-  clock watches that stamp when an armed node's rules open their first
+  clock watches that stamp when an armed group of rules opens its first
   point.  Events outside every rule fall out of the symbol table.
-* **close is O(armed rules · log n)**.  It visits the armed rules in
-  ascending rule id.  A rule's temporal points are the occurrences of
-  ``last(premise)`` strictly after its arming position (one bisect).  For
-  each distinct consequent, one backward greedy walk (one bisect per
-  consequent event) finds the latest position at which a consequent
-  embedding can start; a point strictly before it is satisfied, every
-  later point is a violation, in position order.
+* **close is O(armed groups · log n + armed rules · log n)**.  The rules
+  a trie node arms are grouped by ``last(premise)``, and every rule of a
+  group has the same temporal points: the occurrences of that symbol
+  strictly after the node's arming position.  Close settles each reached
+  group with one bisect and one clock read.  For each distinct
+  consequent, one backward greedy walk (one bisect per consequent event)
+  finds the latest position at which a consequent embedding can start;
+  a rule's points strictly before it are satisfied, every later point is
+  a violation (one bisect per violating rule).  Only the violating rules
+  are sorted by rule id, which keeps the violation order of a full scan.
 
 An open trace therefore holds one int per rule-relevant event rather than
 the pending points of every rule.
@@ -35,7 +38,7 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import (
     DefaultDict,
     Dict,
@@ -54,9 +57,32 @@ from ..obs import metrics as obs_metrics
 from ..verification.violations import MonitoringReport
 from .compile import CompiledRuleSet, NodeId, RuleSource, Symbol, compile_rules
 
-#: One rule's outcome in one closed trace: ``(rule key, opened, satisfied,
-#: violated, trie advances, perf_counter of its first opened point or None)``.
-RuleClose = Tuple[str, int, int, int, int, Optional[float]]
+#: At most this many compiled sets (generations) have columns in one
+#: :class:`RuleTally` between reads; a close on one more folds the oldest
+#: into the per-key slots, so a server that swaps often and is never
+#: scraped holds a bounded tally.
+MAX_HELD_GENERATIONS = 4
+
+
+class _Columns:
+    """One compiled rule set's analytics since the tally was last read,
+    in int columns indexed by that set's own ids."""
+
+    __slots__ = ("reached", "opened", "active", "buckets", "violated")
+
+    def __init__(self, compiled: CompiledRuleSet, buckets: int) -> None:
+        groups = len(compiled.group_rules)
+        #: Node id -> closes that reached it (each reach arms its rules).
+        self.reached = [0] * len(compiled.children)
+        #: Group id -> points opened (every rule of the group opened them).
+        self.opened = [0] * groups
+        #: Group id -> summed active seconds, one observation per close
+        #: that opened a point.
+        self.active = [0.0] * groups
+        #: Group id * buckets + bucket -> active-seconds observations.
+        self.buckets = [0] * (groups * buckets)
+        #: Rule id -> violated points (the rest of its group's are satisfied).
+        self.violated = [0] * len(compiled)
 
 
 class RuleTally:
@@ -69,40 +95,82 @@ class RuleTally:
     the layout.  Every entry is a plain sum, so tallies merge by
     element-wise addition in any order.
 
-    A tally is folded once per trace close, under its own lock, and read by
-    scrapes: a :class:`~repro.serving.pool.MonitorPool` shard shares one
-    tally among all its sessions' monitors, and that tally is the only
-    place the pool keeps per-rule analytics.  The pool records the growth
-    of its merged tallies onto the ``repro_rule_*`` families when the
-    registry is scraped (:meth:`record_growth`) instead of writing the
-    registry per close.
+    A close does not touch the slots: it folds, under the tally's lock,
+    the trie nodes it reached, one ``(opened, active seconds)``
+    observation per point-opening group and the violated count of each
+    violating rule into int columns of its compiled rule set.  A read
+    folds the columns into the per-key slots and drops them, so the tally
+    holds columns only for the compiled sets (generations) that closed a
+    trace since the last read — and for at most
+    :data:`MAX_HELD_GENERATIONS` of them.
+
+    A :class:`~repro.serving.pool.MonitorPool` shard shares one tally among
+    all its sessions' monitors, and that tally is the only place the pool
+    keeps per-rule analytics.  The pool records the growth of its merged
+    tallies onto the ``repro_rule_*`` families when the registry is
+    scraped (:meth:`record_growth`) instead of writing the registry per
+    close.
     """
 
     BOUNDS = obs_metrics.RULE_ACTIVE_SECONDS.buckets
-    WIDTH = 5 + len(BOUNDS) + 1
+    #: Active-seconds buckets per observation: one per bound, plus ``+Inf``.
+    BUCKETS = len(BOUNDS) + 1
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._slots: Dict[str, List[float]] = {}
+        self._columns: Dict[CompiledRuleSet, _Columns] = {}
 
-    def fold(self, closes: Iterable[RuleClose], closed_at: float) -> None:
-        """Add one closed trace's per-rule outcomes."""
-        bounds = self.BOUNDS
+    def fold(
+        self,
+        compiled: CompiledRuleSet,
+        reached: Iterable[Tuple[NodeId, int]],
+        opened: Iterable[Tuple[int, int, float]],
+        violating: Iterable[Tuple[int, int, List[int]]],
+        closed_at: float,
+    ) -> None:
+        """Add one closed trace (the parts of :meth:`_TraceRun.close`'s
+        result): its ``(node, position)`` reaches, its ``(group, opened,
+        perf_counter of the first point)`` observations and its ``(rule
+        id, index of the first violated point, points)`` violations."""
+        bounds, width = self.BOUNDS, self.BUCKETS
         with self._lock:
-            slots = self._slots
-            for key, opened, satisfied, violated, advances, first_open in closes:
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = [0] * self.WIDTH
-                slot[0] += opened
-                slot[1] += satisfied
-                slot[2] += violated
-                slot[3] += advances
-                if first_open is not None:
-                    active = closed_at - first_open
-                    slot[4] += active
-                    # ``le`` buckets: the first bound >= the observation.
-                    slot[5 + bisect_left(bounds, active)] += 1
+            columns = self._columns.get(compiled)
+            if columns is None:
+                if len(self._columns) == MAX_HELD_GENERATIONS:
+                    self._retire(next(iter(self._columns)))  # the oldest
+                columns = self._columns[compiled] = _Columns(compiled, width)
+            column = columns.reached
+            for node, _ in reached:
+                column[node] += 1
+            column, active, buckets = columns.opened, columns.active, columns.buckets
+            for group, count, first_open in opened:
+                column[group] += count
+                seconds = closed_at - first_open
+                active[group] += seconds
+                # ``le`` buckets: the first bound >= the observation.
+                buckets[group * width + bisect_left(bounds, seconds)] += 1
+            column = columns.violated
+            for rule_id, cut, points in violating:
+                column[rule_id] += len(points) - cut
+
+    def _retire(self, compiled: CompiledRuleSet) -> None:
+        """Fold one compiled set's columns into the per-key slots and drop
+        them (under the lock)."""
+        columns = self._columns.pop(compiled)
+        slots, width = self._slots, self.BUCKETS
+        keys, violated = compiled.keys, columns.violated
+        for group, rules in enumerate(compiled.group_rules):
+            advances = columns.reached[compiled.group_node[group]]
+            if not advances:
+                continue  # never armed: no analytics
+            points = columns.opened[group]
+            shared = [advances, columns.active[group]]
+            shared += columns.buckets[group * width:(group + 1) * width]
+            for rule_id in rules:
+                row = [points, points - violated[rule_id], violated[rule_id], *shared]
+                slot = slots.get(keys[rule_id])
+                slots[keys[rule_id]] = row if slot is None else list(map(add, slot, row))
 
     @staticmethod
     def merged(tallies: Iterable["RuleTally"]) -> Dict[str, List[float]]:
@@ -110,6 +178,8 @@ class RuleTally:
         totals: Dict[str, List[float]] = {}
         for tally in tallies:
             with tally._lock:
+                for compiled in list(tally._columns):
+                    tally._retire(compiled)
                 for key, slot in tally._slots.items():
                     total = totals.get(key)
                     totals[key] = list(slot) if total is None else list(map(add, total, slot))
@@ -178,8 +248,8 @@ class _TraceRun:
         #: (trie node, position it was reached at) for every node that arms
         #: rules; the root is reached before the first event.
         self.reached: List[Tuple[NodeId, int]] = []
-        #: ``last(premise)`` symbols of armed rules whose next occurrence
-        #: opens some rule's first point (one-shot clock watches).
+        #: ``last(premise)`` symbols of armed groups whose next occurrence
+        #: opens some group's first point (one-shot clock watches).
         self.open_watch: Set[Symbol] = set()
         #: position -> perf_counter when a watched symbol occurred there.
         self.opened_at: Dict[int, float] = {}
@@ -189,10 +259,10 @@ class _TraceRun:
         """Activate a trie node: register its children, note its arming."""
         for symbol, child in compiled.children[node].items():
             self.node_watch.setdefault(symbol, []).append(child)
-        opens = compiled.opens_at_node[node]
-        if opens:
+        groups = compiled.arm_groups[node]
+        if groups:
             self.reached.append((node, self.position))
-            self.open_watch.update(opens)
+            self.open_watch.update(groups)
 
     def feed(self, compiled: CompiledRuleSet, event: EventLabel) -> None:
         self.position += 1
@@ -227,60 +297,69 @@ class _TraceRun:
             before = occurrences[index]
         return before
 
-    def close(self, compiled: CompiledRuleSet) -> Tuple[MonitoringReport, List[RuleClose]]:
-        """Finish the trace: settle every armed rule's temporal points.
+    def close(
+        self, compiled: CompiledRuleSet
+    ) -> Tuple[MonitoringReport, List[Tuple[int, int, float]], List[Tuple[int, int, List[int]]]]:
+        """Finish the trace: settle every armed group's temporal points.
 
-        Only the rules this trace armed are visited — a rule never armed
+        Only the groups this trace armed are visited — a rule never armed
         has no points and no analytics — so the cost is
-        O(armed rules · log n), not O(rule set).  (A rule whose premise is
-        one event is armed at the root, i.e. by every trace.)  Visiting them
-        in ascending rule id keeps the violation order of a full scan.
-        Each violation is logged as its rule id and position (no record is
-        built).  Returns the trace's report and one :data:`RuleClose` per
-        armed rule for the analytics tally; a trie node is reached at most
-        once per trace, so each armed rule counts one trie advance.
+        O(armed groups · log n + armed rules · log n), not O(rule set).
+        (A rule whose premise is one event is armed at the root, i.e. by
+        every trace.)  Each group costs one bisect for its points and one
+        clock read; each of its rules one cached consequent start, and one
+        bisect if it has a violation.  Each violation is logged as its
+        rule id and position (no record is built); sorting only the
+        violating rules by rule id keeps the violation order of a full
+        scan.
+
+        Returns the trace's report, one ``(group, opened, perf_counter of
+        its first point)`` per group that opened a point, and ``(rule id,
+        index of its first violated point, the points)`` per violating
+        rule — with :attr:`reached`, what :meth:`RuleTally.fold` takes.
         """
         report = MonitoringReport()
-        keys = compiled.keys
-        last_symbol, consequents = compiled.last_symbol, compiled.consequents
+        arm_groups, group_rules = compiled.arm_groups, compiled.group_rules
+        consequents = compiled.consequents
         positions, opened_at = self.positions, self.opened_at
-        armed_at: Dict[int, int] = {}
-        for node, position in self.reached:
-            armed_at.update(dict.fromkeys(compiled.arm_at_node[node], position))
         latest: Dict[Tuple[Symbol, ...], int] = {}
-        closes: List[RuleClose] = []
-        total = satisfied = 0
+        opened_groups: List[Tuple[int, int, float]] = []
+        violating: List[Tuple[int, int, List[int]]] = []
+        total = 0
+        for node, armed in self.reached:
+            for symbol, group in arm_groups[node].items():
+                # The group's points: occurrences of last(premise) after
+                # the arming.
+                points = positions.get(symbol)
+                if points is None or points[-1] <= armed:
+                    continue
+                first = bisect_right(points, armed)
+                rules = group_rules[group]
+                total += (len(points) - first) * len(rules)
+                opened_groups.append((group, len(points) - first, opened_at[points[first]]))
+                last = points[-1]
+                for rule_id in rules:
+                    consequent = consequents[rule_id]
+                    start = latest.get(consequent)
+                    if start is None:
+                        start = latest[consequent] = self._latest_start(consequent)
+                    # Points before the latest consequent start are
+                    # satisfied; the rest are violations.
+                    if last >= start:
+                        violating.append((rule_id, bisect_left(points, start, first), points))
         violating_rules: List[int] = []
         violating_points: List[int] = []
-        for rule_id, armed in sorted(armed_at.items()):
-            # The points: occurrences of last(premise) after the arming.
-            points = positions.get(last_symbol[rule_id], ())
-            first = bisect_right(points, armed)
-            opened = len(points) - first
-            if not opened:
-                closes.append((keys[rule_id], 0, 0, 0, 1, None))
-                continue
-            consequent = consequents[rule_id]
-            start = latest.get(consequent)
-            if start is None:
-                start = latest[consequent] = self._latest_start(consequent)
-            # Points before the latest consequent start are satisfied.
-            cut = bisect_left(points, start, first)
-            total += opened
-            satisfied += cut - first
-            closes.append(
-                (keys[rule_id], opened, cut - first, len(points) - cut, 1, opened_at[points[first]])
-            )
-            if cut < len(points):
+        if violating:
+            violating.sort(key=itemgetter(0))
+            for rule_id, cut, points in violating:
                 violating_rules += [rule_id] * (len(points) - cut)
                 violating_points += points[cut:]
-        report.total_points = total
-        report.satisfied_points = satisfied
-        if violating_points:
             report.log.append_trace(
                 compiled, self.trace_index, self.name, violating_rules, violating_points
             )
-        return report, closes
+        report.total_points = total
+        report.satisfied_points = total - len(violating_points)
+        return report, opened_groups, violating
 
 
 class StreamingMonitor:
@@ -363,12 +442,13 @@ class StreamingMonitor:
         """
         if self._run is None:
             raise MonitoringError("no trace is open; feed events or begin_trace() first")
-        report, closes = self._run.close(self.compiled)
+        run = self._run
+        report, opened, violating = run.close(self.compiled)
         self._run = None
         self._next_trace_index += 1
         self.traces_seen += 1
         self._combined.merge(report)
-        self.tally.fold(closes, time.perf_counter())
+        self.tally.fold(self.compiled, run.reached, opened, violating, time.perf_counter())
         return report
 
     def check_trace(

@@ -199,3 +199,33 @@ def test_end_of_a_lost_session_reports_session_lost(serving):
         reply = client.end(session)
         assert reply["op"] == "SESSION_LOST"
         assert "crashed" in reply["error"]
+
+
+# --------------------------------------------------------------------- #
+# Coalesced replies survive an injected drop
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("hook, took_effect", [("server.reply", True), ("server.frame", False)])
+def test_replies_buffered_before_an_injected_drop_reach_the_client(serving, hook, took_effect):
+    # Frames 0-2 took effect and their replies wait in the reply buffer
+    # when the drop fires at frame 3 (after it took effect for
+    # server.reply, before for server.frame): they are written before the
+    # connection closes; frame 3's reply and frame 4 are lost.
+    pool, host, port = serving
+    faults.install(hook, "drop", key="3", count=1)
+    burst = [
+        {"op": "BATCH", "session": "first", "events": ["open", "close"]},
+        {"op": "END", "session": "first"},
+        {"op": "PING"},
+        {"op": "BATCH", "session": "second", "events": ["open"]},
+        {"op": "PING"},
+    ]
+    from repro.serving.server import read_frame
+
+    with _raw(host, port) as sock:
+        sock.sendall(b"".join(encode_frame(payload) for payload in burst))
+        stream = sock.makefile("rb")
+        assert read_frame(stream) == {"op": "OK"}
+        assert read_frame(stream)["op"] == "SESSION"
+        assert read_frame(stream) == {"op": "PONG"}
+        assert read_frame(stream) is None
+    assert pool.stats()["sessions_opened"] == (2 if took_effect else 1)

@@ -73,8 +73,13 @@ def test_compile_lists_the_point_opening_symbols_of_each_node():
         [_rule(["a", "b"], ["x"]), _rule(["a", "c"], ["y"]), _rule(["a", "b"], ["z"])]
     )
     a_node = compiled.children[0][compiled.symbol_of["a"]]
-    assert compiled.opens_at_node[0] == ()
-    assert compiled.opens_at_node[a_node] == (compiled.symbol_of["b"], compiled.symbol_of["c"])
+    assert compiled.arm_groups[0] == {}
+    groups = compiled.arm_groups[a_node]
+    assert list(groups) == [compiled.symbol_of["b"], compiled.symbol_of["c"]]
+    # Rules sharing the node and last(premise) share one group.
+    assert compiled.group_rules[groups[compiled.symbol_of["b"]]] == (0, 2)
+    assert compiled.group_rules[groups[compiled.symbol_of["c"]]] == (1,)
+    assert compiled.group_node == (a_node, a_node)
 
 
 def test_compiled_rule_set_is_immutable_shape():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import MonitoringError
-from repro.serving.compile import compile_rules
+from repro.serving.compile import CompiledRuleSet, compile_rules
 from repro.serving.pool import ACCEPTED, BUSY, MonitorPool
 from repro.serving.server import _report_frame, encode_frame
-from repro.serving.stream_monitor import StreamingMonitor
+from repro.serving.stream_monitor import MAX_HELD_GENERATIONS, StreamingMonitor
 from repro.rules.rule import RecurrentRule
 from tests.oracles.monitor import RuleMonitor, analytics_counts
 
@@ -396,3 +396,79 @@ def test_stats_shape():
         assert stats["events_processed"] == 2
         assert len(stats["per_shard"]) == 2
         assert json.loads(json.dumps(stats)) == stats  # log-shippable
+
+
+# --------------------------------------------------------------------------- #
+# Analytics tally across hot swaps
+# --------------------------------------------------------------------------- #
+def _sum_analytics(parts):
+    total = {}
+    for part in parts:
+        for key, row in part.items():
+            into = total.setdefault(key, dict.fromkeys(row, 0))
+            for name, value in row.items():
+                into[name] += value
+    return total
+
+
+def test_tally_holds_columns_only_for_generations_closed_since_the_last_read():
+    """K hot swaps; every generation closes sessions, one of them after the
+    next swap.  Between reads, the shard tallies hold columns only for
+    the compiled sets that closed a session, keyed by the set itself; the
+    analytics equal one fresh monitor per generation, summed key-wise."""
+    generations = [RULES_A, RULES_B, RULES_A + RULES_B, list(RULES_A), RULES_B[::-1]]
+    traces = [["open", "use", "close"], ["lock", "open", "unlock"], ["open", "idle"]]
+    with MonitorPool(RULES_A, shards=2, queue_depth=64) as pool:
+        compiled, reference = [], []
+        closed_since_read = {}
+        carried = None
+        for generation, rules in enumerate(generations):
+            if generation:
+                pool.swap(compile_rules(rules))  # a freshly compiled copy
+            compiled.append(pool.compiled)
+            reference.append(StreamingMonitor(pool.compiled))
+            if carried is not None:
+                # Admitted under the previous generation, closed after the swap.
+                pool.end_session(carried).wait(timeout=10.0)
+                closed_since_read[id(compiled[-2])] = compiled[-2]
+                reference[-2].check_trace(traces[-1])
+            for number, trace in enumerate(traces):
+                session = f"g{generation}-{number}"
+                assert pool.feed_batch(session, trace) == ACCEPTED
+                if number == len(traces) - 1:
+                    carried = session
+                    continue
+                pool.end_session(session).wait(timeout=10.0)
+                closed_since_read[id(pool.compiled)] = pool.compiled
+                reference[-1].check_trace(trace)
+            held = [key for shard in pool._shards for key in shard.tally._columns]
+            assert all(type(key) is CompiledRuleSet for key in held)
+            assert {id(key) for key in held} == set(closed_since_read)
+            if generation % 2:
+                pool.rule_analytics()  # a read folds and drops every column
+                assert not any(shard.tally._columns for shard in pool._shards)
+                closed_since_read.clear()
+        pool.end_session(carried).wait(timeout=10.0)
+        reference[-1].check_trace(traces[-1])
+        analytics = pool.rule_analytics()
+    assert len({id(rules) for rules in compiled}) == len(generations)
+    assert analytics == _sum_analytics(monitor.rule_analytics() for monitor in reference)
+
+
+def test_an_unread_tally_folds_its_oldest_generation_past_the_bound():
+    """Swapping more often than anything reads the analytics keeps at most
+    MAX_HELD_GENERATIONS column sets per tally, and loses no count."""
+    reference = []
+    with MonitorPool(RULES_A, shards=1, queue_depth=64) as pool:
+        for generation in range(MAX_HELD_GENERATIONS + 3):
+            if generation:
+                pool.swap(compile_rules(RULES_A if generation % 2 else RULES_B))
+            reference.append(StreamingMonitor(pool.compiled))
+            trace = ["open", "lock", "use", "close"][: 2 + generation % 3]
+            assert pool.feed_batch(f"s{generation}", trace) == ACCEPTED
+            pool.end_session(f"s{generation}").wait(timeout=10.0)
+            reference[-1].check_trace(trace)
+            (shard,) = pool._shards
+            assert len(shard.tally._columns) == min(generation + 1, MAX_HELD_GENERATIONS)
+        analytics = pool.rule_analytics()
+    assert analytics == _sum_analytics(monitor.rule_analytics() for monitor in reference)

@@ -313,3 +313,67 @@ def test_shutdown_verb_stops_the_server(served):
     server.close()
     with pytest.raises(OSError):
         socket.create_connection((host, port), timeout=0.5).close()
+
+
+# --------------------------------------------------------------------------- #
+# Coalesced replies: a pipelined burst is answered in few writes
+# --------------------------------------------------------------------------- #
+def _count_server_sendalls(monkeypatch, port):
+    """Count ``sendall`` calls made on the server's side of a connection."""
+    calls = []
+    original = socket.socket.sendall
+
+    def counting(sock, data, *args):
+        if sock.getsockname()[1] == port:
+            calls.append(len(data))
+        return original(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting)
+    return calls
+
+
+def test_a_burst_in_one_write_is_answered_in_order_with_fewer_writes(served, monkeypatch):
+    server, _ = served
+    host, port = server.address
+    payloads, expected = [], []
+    for n in range(10):
+        session = f"burst-{n}"
+        payloads += [
+            {"op": "BATCH", "session": session, "events": ["open", "use"]},
+            {"op": "END", "session": session},
+            {"op": "PING"},
+        ]
+        expected += [("OK", None), ("SESSION", session), ("PONG", None)]
+    calls = _count_server_sendalls(monkeypatch, port)
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(b"".join(encode_frame(payload) for payload in payloads))
+        stream = sock.makefile("rb")
+        replies = [read_frame(stream) for _ in payloads]
+    assert [(reply["op"], reply.get("session")) for reply in replies] == expected
+    assert 0 < len(calls) < len(payloads)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (struct.pack(">I", (1 << 20) + 1), "exceeds"),
+        (struct.pack(">I", 10) + b"short", "truncated frame payload"),
+        (b"\x00\x00", "truncated frame header"),
+        (struct.pack(">I", 3) + b"{{{", "not valid JSON"),
+    ],
+)
+def test_a_bad_frame_after_good_ones_gets_their_replies_then_error_then_close(
+    served, bad, error
+):
+    server, _ = served
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        good = encode_frame({"op": "PING"}) + encode_frame({"op": "EVENT", "session": "s", "event": "open"})
+        sock.sendall(good + bad)
+        sock.shutdown(socket.SHUT_WR)  # a truncated frame is only known at EOF
+        stream = sock.makefile("rb")
+        assert read_frame(stream) == {"op": "PONG"}
+        assert read_frame(stream) == {"op": "OK"}
+        reply = read_frame(stream)
+        assert reply["op"] == "ERROR" and error in reply["error"]
+        assert read_frame(stream) is None  # server hung up on us

@@ -267,7 +267,7 @@ def test_feed_reads_no_per_rule_table(monkeypatch):
     trace = ["a", "b", "a", "c", "b", "a", "c", "noise", "c"]
     compiled = compile_rules(rules)
     feeding = False
-    for name in ("last_symbol", "consequents", "keys"):
+    for name in ("group_rules", "consequents", "keys"):
         slot = CompiledRuleSet.__dict__[name]
 
         def read(self, slot=slot, name=name):
@@ -349,3 +349,48 @@ def test_one_compiled_set_serves_concurrent_sessions_independently():
     first.feed("a")
     assert second.check_trace(["a", "b"]).violation_count == 0
     assert first.end_trace().violation_count == 1
+
+
+def test_grouped_close_keeps_rule_order_across_interleaved_groups():
+    """Close settles each (trie node, last(premise)) group at once; rule ids
+    interleave across nodes and groups, so only sorting the violating rules
+    keeps the oracle's rule-id order.  Analytics are counted by hand."""
+    rules = [
+        _rule(["a", "b"], ["c"]),  # 0: node a, group b
+        _rule(["d", "b"], ["c"]),  # 1: node d, group b
+        _rule(["a", "e"], ["c"]),  # 2: node a, group e
+        _rule(["a", "b"], ["f"]),  # 3: node a, group b
+        _rule(["b"], ["c"]),  # 4: the root, group b (one-event premise)
+        _rule(["a", "b"], ["c"]),  # 5: a duplicate of rule 0
+        _rule(["d", "e"], ["f"]),  # 6: node d, group e
+    ]
+    compiled = compile_rules(rules)
+    a_node = compiled.children[0][compiled.symbol_of["a"]]
+    b, e = compiled.symbol_of["b"], compiled.symbol_of["e"]
+    assert compiled.group_rules[compiled.arm_groups[a_node][b]] == (0, 3, 5)
+    assert compiled.group_rules[compiled.arm_groups[0][b]] == (4,)
+    monitor = StreamingMonitor(compiled)
+    oracle = RuleMonitor(rules)
+
+    # a reaches node a at 0, d reaches node d at 2; c's latest start is 4
+    # and f never occurs.  Points: b at 1, 3, 6 (root and node a), b at
+    # 3, 6 (node d), e at 5 (nodes a and d).
+    trace = ["a", "b", "d", "b", "c", "e", "b"]
+    report = monitor.check_trace(trace)
+    _assert_matches_oracle(oracle, oracle.check_trace(trace), monitor, report)
+    # rules.index maps the duplicate rule 5 to rule 0.
+    assert [(rules.index(v.rule), v.position) for v in report.violations] == [
+        (0, 6), (1, 6), (2, 5), (3, 1), (3, 3), (3, 6), (4, 6), (0, 6), (6, 5),
+    ]
+    assert (report.total_points, report.satisfied_points) == (16, 7)
+
+    # A second trace reaches the root and node d only, opening nothing.
+    assert monitor.check_trace(["d", "c"]).total_points == 0
+    assert monitor.rule_analytics() == {
+        "a, b -> c": {"opened": 6, "satisfied": 4, "violated": 2, "trie_advances": 2},
+        "a, b -> f": {"opened": 3, "satisfied": 0, "violated": 3, "trie_advances": 1},
+        "a, e -> c": {"opened": 1, "satisfied": 0, "violated": 1, "trie_advances": 1},
+        "b -> c": {"opened": 3, "satisfied": 2, "violated": 1, "trie_advances": 2},
+        "d, b -> c": {"opened": 2, "satisfied": 1, "violated": 1, "trie_advances": 2},
+        "d, e -> f": {"opened": 1, "satisfied": 0, "violated": 1, "trie_advances": 2},
+    }

@@ -294,6 +294,19 @@ def test_a_missing_input_file_is_reported_not_raised(args, tmp_path, capsys):
     assert f"error: no trace file at {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("specs", ["nonexistent.json", "a-directory", "not-json.json"])
+def test_an_unreadable_specs_file_is_reported_not_raised(specs, tmp_path, capsys):
+    """``monitor --specs`` reports a missing, unreadable or malformed
+    repository the way ``serve --rules`` does: ``error: <path>: …``, exit 2."""
+    traces = tmp_path / "traces.txt"
+    traces.write_text("open\nclose\n", encoding="utf-8")
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "not-json.json").write_text("{", encoding="utf-8")
+    path = tmp_path / specs
+    assert main(["monitor", "--input", str(traces), "--specs", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 def test_ingest_parse_error_commits_nothing_for_that_file(tmp_path, capsys):
     """A file failing mid-parse is a clean error and a no-op on the store."""
     good = tmp_path / "good.txt"
