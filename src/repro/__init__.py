@@ -17,116 +17,68 @@ Quickstart::
     ])
     patterns = mine_closed_patterns(db, min_support=3)
     rules = mine_non_redundant_rules(db, min_s_support=2, min_confidence=0.9)
+
+Importing the package loads none of its subpackages: each name below is
+resolved when first looked up (:mod:`repro._lazy`), so ``from repro import
+X`` loads only the module that defines ``X`` and what it imports.
 """
 
-from .core import (
-    EventVocabulary,
-    MiningStats,
-    PatternInstance,
-    Sequence,
-    SequenceDatabase,
-)
-from .core.errors import (
-    ConfigurationError,
-    DataFormatError,
-    ExecutionFault,
-    MonitoringError,
-    PatternError,
-    ReproError,
-    ServingTimeout,
-    SessionLost,
-    VocabularyError,
-)
-from .datagen import QuestConfig, QuestGenerator, generate_profile
-from .engine import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from .ltl import holds, ltl_to_rule, parse_ltl, rule_to_ltl
-from .patterns import (
-    ClosedIterativePatternMiner,
-    FullIterativePatternMiner,
-    GeneratorPatternMiner,
-    IterativeMiningConfig,
-    MinedPattern,
-    PatternMiningResult,
-    mine_closed_patterns,
-    mine_frequent_patterns,
-    mine_generators,
-)
-from .rules import (
-    FullRecurrentRuleMiner,
-    NonRedundantRecurrentRuleMiner,
-    RecurrentRule,
-    RuleMiningConfig,
-    RuleMiningResult,
-    mine_all_rules,
-    mine_non_redundant_rules,
-)
-from .serving import CompiledRuleSet, StreamingMonitor, WatchDaemon, compile_rules
-from .specs import SpecificationRepository, chart_from_pattern, rank_patterns, rank_rules
-from .traces import Trace, TraceCollector, instrument, read_traces, write_traces
-from .verification import coverage_of
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EventVocabulary",
-    "MiningStats",
-    "PatternInstance",
-    "Sequence",
-    "SequenceDatabase",
-    "ConfigurationError",
-    "DataFormatError",
-    "ExecutionFault",
-    "MonitoringError",
-    "PatternError",
-    "ReproError",
-    "ServingTimeout",
-    "SessionLost",
-    "VocabularyError",
-    "QuestConfig",
-    "QuestGenerator",
-    "generate_profile",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "resolve_backend",
-    "holds",
-    "ltl_to_rule",
-    "parse_ltl",
-    "rule_to_ltl",
-    "ClosedIterativePatternMiner",
-    "FullIterativePatternMiner",
-    "GeneratorPatternMiner",
-    "IterativeMiningConfig",
-    "MinedPattern",
-    "PatternMiningResult",
-    "mine_closed_patterns",
-    "mine_frequent_patterns",
-    "mine_generators",
-    "FullRecurrentRuleMiner",
-    "NonRedundantRecurrentRuleMiner",
-    "RecurrentRule",
-    "RuleMiningConfig",
-    "RuleMiningResult",
-    "mine_all_rules",
-    "mine_non_redundant_rules",
-    "CompiledRuleSet",
-    "StreamingMonitor",
-    "WatchDaemon",
-    "compile_rules",
-    "SpecificationRepository",
-    "chart_from_pattern",
-    "rank_patterns",
-    "rank_rules",
-    "Trace",
-    "TraceCollector",
-    "instrument",
-    "read_traces",
-    "write_traces",
-    "coverage_of",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core.events": ("EventVocabulary",),
+        "core.stats": ("MiningStats",),
+        "core.instances": ("PatternInstance",),
+        "core.sequence": ("Sequence", "SequenceDatabase"),
+        "core.errors": (
+            "ConfigurationError",
+            "DataFormatError",
+            "ExecutionFault",
+            "MonitoringError",
+            "PatternError",
+            "ReproError",
+            "ServingTimeout",
+            "SessionLost",
+            "VocabularyError",
+        ),
+        "datagen.quest": ("QuestConfig", "QuestGenerator"),
+        "datagen.profiles": ("generate_profile",),
+        "engine.backend": (
+            "ExecutionBackend",
+            "ProcessPoolBackend",
+            "SerialBackend",
+            "resolve_backend",
+        ),
+        "ltl.semantics": ("holds",),
+        "ltl.translate": ("ltl_to_rule", "rule_to_ltl"),
+        "ltl.parser": ("parse_ltl",),
+        "patterns.closed_miner": ("ClosedIterativePatternMiner", "mine_closed_patterns"),
+        "patterns.full_miner": ("FullIterativePatternMiner", "mine_frequent_patterns"),
+        "patterns.generators": ("GeneratorPatternMiner", "mine_generators"),
+        "patterns.config": ("IterativeMiningConfig",),
+        "patterns.result": ("MinedPattern", "PatternMiningResult"),
+        "rules.full_miner": ("FullRecurrentRuleMiner", "mine_all_rules"),
+        "rules.nonredundant_miner": (
+            "NonRedundantRecurrentRuleMiner",
+            "mine_non_redundant_rules",
+        ),
+        "rules.rule": ("RecurrentRule",),
+        "rules.config": ("RuleMiningConfig",),
+        "rules.result": ("RuleMiningResult",),
+        "serving.compile": ("CompiledRuleSet", "compile_rules"),
+        "serving.stream_monitor": ("StreamingMonitor",),
+        "serving.daemon": ("WatchDaemon",),
+        "specs.repository": ("SpecificationRepository",),
+        "specs.chart": ("chart_from_pattern",),
+        "specs.ranking": ("rank_patterns", "rank_rules"),
+        "traces.trace": ("Trace", "TraceCollector"),
+        "traces.instrument": ("instrument",),
+        "traces.io": ("read_traces", "write_traces"),
+        "verification.coverage": ("coverage_of",),
+    },
+)
+__all__ += ["__version__"]

@@ -8,9 +8,10 @@ consistent across benchmarks, examples and the CLI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence as TypingSequence
+from typing import TYPE_CHECKING, Dict, List, Sequence as TypingSequence
 
-from .experiment import SweepRow
+if TYPE_CHECKING:  # the sweeps import every miner; table formatting needs none
+    from .experiment import SweepRow
 
 
 def format_table(rows: TypingSequence[Dict[str, object]], columns: TypingSequence[str] = None) -> str:

@@ -53,7 +53,6 @@ output byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import select
@@ -62,41 +61,20 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .analysis.reporting import format_table
 from .core.errors import ConfigurationError, DataFormatError
-from .datagen.profiles import PAPER_PROFILE, generate_profile, profile
-from .durability.checkpoint import MiningCheckpoint, file_fingerprint, miner_config_token
-from .durability.fsck import audit_store
-from .engine import BACKEND_CHOICES, ExecutionBackend, resolve_backend
-from .jboss.workloads import (
-    generate_case_study_traces,
-    generate_security_traces,
-    generate_transaction_traces,
-)
-from .patterns.closed_miner import ClosedIterativePatternMiner
-from .patterns.config import IterativeMiningConfig
-from .patterns.full_miner import FullIterativePatternMiner
-from .rules.config import RuleMiningConfig
-from .rules.full_miner import FullRecurrentRuleMiner
-from .rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
-from .ingest.formats import (
-    DEFAULT_BATCH_SIZE,
-    format_for_path,
-    stream_batches,
-    stream_traces,
-)
-from .ingest.incremental import IncrementalMiner
-from .ingest.store import TraceStore
-from .obs import tracing
-from .obs.httpexpo import MetricsHTTPServer
-from .serving.daemon import WatchDaemon
-from .serving.pool import MonitorPool
-from .serving.server import EventPushServer, ProtocolError, PushClient
-from .serving.stream_monitor import StreamingMonitor
-from .specs.repository import SpecificationRepository
-from .traces.io import read_traces, write_traces
+
+if TYPE_CHECKING:
+    from .engine.backend import ExecutionBackend
+
+# Each command imports the modules it runs inside its own function, so a
+# command loads only its own layers: `repro serve` never loads a miner and
+# the mining commands never load the serving plane.
+
+#: ``--backend`` choices: ``repro.engine.BACKEND_CHOICES``, spelled out so
+#: building the parser does not load the engine.
+_BACKEND_CHOICES = ("auto", "serial", "process")
 
 #: Shared help string for every ``--format`` option.
 _FORMAT_HELP = "text | jsonl | csv (suffix .gz for the gzip-wrapped variants)"
@@ -104,6 +82,8 @@ _SUPPORT_HELP = "a fraction of the sequences in (0, 1], or an absolute count abo
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .ingest.formats import DEFAULT_BATCH_SIZE
+
     parser = argparse.ArgumentParser(
         prog="repro-mine",
         description="Mine iterative patterns and recurrent rules from program traces.",
@@ -112,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     generate = subparsers.add_parser("generate", help="generate a synthetic dataset")
     generate.add_argument(
-        "--profile", type=_profile_name, default=PAPER_PROFILE, help="D/C/N/S profile name"
+        "--profile", type=_profile_name, default=None, help="D/C/N/S profile name"
     )
     generate.add_argument("--scale", type=_scale, default=0.1, help="scale factor for D and N")
     generate.add_argument("--seed", type=int, default=None, help="random seed override")
@@ -305,9 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "print the Prometheus text exposition",
     )
     metrics.add_argument("--host", default="127.0.0.1", help="server host (default 127.0.0.1)")
-    metrics.add_argument(
-        "--port", type=_positive_int, default=7311, help="server port (default 7311)"
-    )
+    metrics.add_argument("--port", type=_port, default=7311, help="server port (default 7311)")
     metrics.add_argument(
         "--timeout",
         type=_positive_seconds,
@@ -321,9 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "event/session rates, queue depths and the hottest rules",
     )
     top.add_argument("--host", default="127.0.0.1", help="server host (default 127.0.0.1)")
-    top.add_argument(
-        "--port", type=_positive_int, default=7311, help="server port (default 7311)"
-    )
+    top.add_argument("--port", type=_port, default=7311, help="server port (default 7311)")
     top.add_argument(
         "--interval",
         type=_non_negative_seconds,
@@ -417,6 +393,14 @@ def _bind_port(value: str) -> int:
     return port
 
 
+def _port(value: str) -> int:
+    """A port to connect to: 1 through 65535."""
+    port = _int_value(value)
+    if not 1 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in 1-65535, got {value!r}")
+    return port
+
+
 def _finite_float(value: str) -> float:
     try:
         number = float(value)
@@ -444,6 +428,8 @@ def _scale(value: str) -> float:
 
 def _profile_name(value: str) -> str:
     """A named dataset profile or a D<d>C<c>N<n>S<s> name."""
+    from .datagen.profiles import profile
+
     try:
         profile(value)
     except ConfigurationError as error:
@@ -498,6 +484,8 @@ def _add_source_arguments(subparser: argparse.ArgumentParser) -> None:
 def _validate_trace_inputs(paths: List[str], format: Optional[str]) -> Optional[str]:
     """Path-level validation shared by ingest and --append: an error
     message, or None when every path looks like a readable trace file."""
+    from .ingest.formats import format_for_path
+
     for path in paths:
         try:
             format_for_path(path, format)
@@ -510,6 +498,8 @@ def _validate_trace_inputs(paths: List[str], format: Optional[str]) -> Optional[
 
 def _annotated_stream(path: str, format: Optional[str]):
     """Stream one file's traces, prefixing parse errors with the path."""
+    from .ingest.formats import stream_traces
+
     try:
         yield from stream_traces(path, format=format)
     except DataFormatError as error:
@@ -535,7 +525,11 @@ def _resolve_mining_source(args: argparse.Namespace):
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)
             return None
+        from .traces.io import read_traces
+
         return read_traces(args.input, format=args.format), None
+    from .ingest.store import TraceStore
+
     try:
         # Only the ingest command may create a store: a typo'd --store
         # path must be a loud error (even with --append), never a quietly
@@ -589,6 +583,8 @@ def _mine_source(source, miner, backend):
     database, store = source
     if store is None:
         return miner.mine(database, backend=backend)
+    from .ingest.incremental import IncrementalMiner
+
     incremental = IncrementalMiner(miner, store, persist=True)
     result, report = incremental.refresh(backend=backend)
     print(
@@ -609,7 +605,7 @@ def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--backend",
-        choices=BACKEND_CHOICES,
+        choices=_BACKEND_CHOICES,
         default="auto",
         help="execution backend; 'auto' is 'process' when --workers > 1 and "
         "'serial' otherwise; 'process' is the work-unit coordinator, which "
@@ -627,6 +623,8 @@ def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
 
 def _resolve_backend_or_none(args: argparse.Namespace) -> Optional[ExecutionBackend]:
     """Resolve --backend/--workers/--split-depth, printing a CLI error on contradiction."""
+    from .engine.backend import resolve_backend
+
     try:
         return resolve_backend(args.backend, args.workers, args.split_depth)
     except ConfigurationError as error:
@@ -667,6 +665,8 @@ def _attach_checkpoint(args: argparse.Namespace, source, miner, backend) -> bool
     """
     if getattr(args, "checkpoint", None) is None:
         return True
+    from .durability.checkpoint import MiningCheckpoint, file_fingerprint, miner_config_token
+
     database, store = source
     try:
         identity = {
@@ -695,7 +695,11 @@ def _finish_checkpoint(args: argparse.Namespace, backend, result) -> None:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
-    database = generate_profile(args.profile, scale=args.scale, seed=args.seed)
+    from .datagen.profiles import PAPER_PROFILE, generate_profile
+    from .traces.io import write_traces
+
+    name = PAPER_PROFILE if args.profile is None else args.profile
+    database = generate_profile(name, scale=args.scale, seed=args.seed)
     write_traces(database, args.output, format=args.format)
     stats = database.describe()
     print(f"wrote {int(stats['sequences'])} sequences ({int(stats['events'])} events) to {args.output}")
@@ -703,6 +707,13 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_jboss(args: argparse.Namespace) -> int:
+    from .jboss.workloads import (
+        generate_case_study_traces,
+        generate_security_traces,
+        generate_transaction_traces,
+    )
+    from .traces.io import write_traces
+
     if args.component == "transaction":
         database = generate_transaction_traces()
     elif args.component == "security":
@@ -723,6 +734,8 @@ def _ingest_source_id(path: str) -> dict:
     never duplicated.  The hash keeps the check honest when a file is
     rewritten in place with new content.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -738,6 +751,9 @@ def _command_ingest(args: argparse.Namespace) -> int:
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 2
+    from .ingest.formats import stream_batches
+    from .ingest.store import TraceStore
+
     fresh = not (Path(args.store) / "manifest.json").exists()
     try:
         # Stats-only invocations never create: a typo'd store path must
@@ -782,6 +798,8 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
 
 def _command_fsck(args: argparse.Namespace) -> int:
+    from .durability.fsck import audit_store
+
     report = audit_store(args.store, repair=not args.no_repair)
     for line in report.lines():
         print(line)
@@ -792,6 +810,8 @@ def _command_fsck(args: argparse.Namespace) -> int:
 
 
 def _command_compact(args: argparse.Namespace) -> int:
+    from .ingest.store import TraceStore
+
     try:
         store = TraceStore.open(args.store)
         if args.delete_batch:
@@ -810,6 +830,11 @@ def _command_compact(args: argparse.Namespace) -> int:
 
 
 def _command_mine_patterns(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .patterns.closed_miner import ClosedIterativePatternMiner
+    from .patterns.config import IterativeMiningConfig
+    from .patterns.full_miner import FullIterativePatternMiner
+
     source = _resolve_mining_source(args)
     if source is None:
         return 2
@@ -834,6 +859,8 @@ def _command_mine_patterns(args: argparse.Namespace) -> int:
     )
     print(format_table(result.as_rows()[: args.top], columns=["support", "length", "events"]))
     if args.save:
+        from .specs.repository import SpecificationRepository
+
         repository = SpecificationRepository(name=f"{kind}-patterns")
         repository.add_pattern_result(result)
         repository.save(args.save)
@@ -842,6 +869,11 @@ def _command_mine_patterns(args: argparse.Namespace) -> int:
 
 
 def _command_mine_rules(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .rules.config import RuleMiningConfig
+    from .rules.full_miner import FullRecurrentRuleMiner
+    from .rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
+
     source = _resolve_mining_source(args)
     if source is None:
         return 2
@@ -873,6 +905,8 @@ def _command_mine_rules(args: argparse.Namespace) -> int:
         )
     )
     if args.save:
+        from .specs.repository import SpecificationRepository
+
         repository = SpecificationRepository(name=f"{kind}-rules")
         repository.add_rule_result(result)
         repository.save(args.save)
@@ -885,6 +919,11 @@ def _command_monitor(args: argparse.Namespace) -> int:
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 2
+    from .ingest.formats import stream_traces
+    from .serving.stream_monitor import StreamingMonitor
+    from .specs.repository import SpecificationRepository
+    from .traces.io import read_traces
+
     try:
         repository = SpecificationRepository.load(args.specs)
     except (DataFormatError, OSError) as error:
@@ -919,6 +958,10 @@ def _command_watch(args: argparse.Namespace) -> int:
     backend = _resolve_backend_or_none(args)
     if backend is None:
         return 2
+    from .rules.config import RuleMiningConfig
+    from .rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
+    from .serving.daemon import WatchDaemon
+
     try:
         config = RuleMiningConfig(
             min_s_support=args.min_s_support,
@@ -990,6 +1033,10 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    from .serving.pool import MonitorPool
+    from .serving.server import EventPushServer
+    from .specs.repository import SpecificationRepository
+
     try:
         repository = SpecificationRepository.load(args.rules)
     except (DataFormatError, OSError) as error:
@@ -1010,6 +1057,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     http_server = None
     if args.http_port is not None:
+        from .obs.httpexpo import MetricsHTTPServer
+
         http_server = MetricsHTTPServer(host=args.http_host, port=args.http_port, pool=pool)
         http_host, http_port = http_server.start()
         print(
@@ -1060,6 +1109,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_metrics(args: argparse.Namespace) -> int:
+    from .serving.server import ProtocolError, PushClient
+
     try:
         with PushClient(args.host, args.port, timeout=args.timeout) as client:
             text = client.metrics()
@@ -1091,6 +1142,8 @@ def _render_top(
     totals only).  ``analytics`` is an ``ANALYTICS`` reply whose rules are
     already server-ranked most-violated first.
     """
+    from .analysis.reporting import format_table
+
     lines = [
         f"repro top — generation {stats.get('generation')}, "
         f"{stats.get('rules')} rules, uptime {stats.get('uptime_seconds', 0):.0f}s"
@@ -1144,6 +1197,8 @@ def _render_top(
 
 
 def _command_top(args: argparse.Namespace) -> int:
+    from .serving.server import ProtocolError, PushClient
+
     frames = 0
     previous: Optional[dict] = None
     sampled_at = 0.0
@@ -1191,6 +1246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``repro-mine`` console script."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    from .obs import tracing
+
     if getattr(args, "trace_out", None):
         # One collector for the whole command; every span below (engine
         # units, daemon cycles, server dispatch) lands in the file.

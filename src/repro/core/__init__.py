@@ -7,84 +7,48 @@ indexes, the QRE instance semantics of Definition 4.1, pattern algebra and
 mining statistics.
 """
 
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    ExecutionFault,
-    MonitoringError,
-    PatternError,
-    ReproError,
-    ServingTimeout,
-    SessionLost,
-    VocabularyError,
-)
-from .blocks import BlockBuilder, InstanceBlock, PositionBlock, PositionBlockBuilder
-from .events import EventId, EventLabel, EventVocabulary
-from .instances import (
-    PatternInstance,
-    find_instances,
-    find_instances_in_sequence,
-    instance_support,
-    instances_correspond,
-    sequence_support,
-)
-from .pattern import (
-    alphabet,
-    as_pattern,
-    concat,
-    first,
-    format_pattern,
-    is_proper_subsequence,
-    is_subsequence,
-    is_supersequence,
-    last,
-    prefixes,
-    subpatterns,
-    suffixes,
-)
-from .positions import PositionIndex, SequencePositions
-from .sequence import Sequence, SequenceDatabase
-from .stats import MiningStats, Timer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConfigurationError",
-    "DataFormatError",
-    "ExecutionFault",
-    "MonitoringError",
-    "PatternError",
-    "ReproError",
-    "ServingTimeout",
-    "SessionLost",
-    "VocabularyError",
-    "BlockBuilder",
-    "InstanceBlock",
-    "PositionBlock",
-    "PositionBlockBuilder",
-    "EventId",
-    "EventLabel",
-    "EventVocabulary",
-    "PatternInstance",
-    "find_instances",
-    "find_instances_in_sequence",
-    "instance_support",
-    "instances_correspond",
-    "sequence_support",
-    "alphabet",
-    "as_pattern",
-    "concat",
-    "first",
-    "format_pattern",
-    "is_proper_subsequence",
-    "is_subsequence",
-    "is_supersequence",
-    "last",
-    "prefixes",
-    "subpatterns",
-    "suffixes",
-    "PositionIndex",
-    "SequencePositions",
-    "Sequence",
-    "SequenceDatabase",
-    "MiningStats",
-    "Timer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "errors": (
+            "ConfigurationError",
+            "DataFormatError",
+            "ExecutionFault",
+            "MonitoringError",
+            "PatternError",
+            "ReproError",
+            "ServingTimeout",
+            "SessionLost",
+            "VocabularyError",
+        ),
+        "blocks": ("BlockBuilder", "InstanceBlock", "PositionBlock", "PositionBlockBuilder"),
+        "events": ("EventId", "EventLabel", "EventVocabulary"),
+        "instances": (
+            "PatternInstance",
+            "find_instances",
+            "find_instances_in_sequence",
+            "instance_support",
+            "instances_correspond",
+            "sequence_support",
+        ),
+        "pattern": (
+            "alphabet",
+            "as_pattern",
+            "concat",
+            "first",
+            "format_pattern",
+            "is_proper_subsequence",
+            "is_subsequence",
+            "is_supersequence",
+            "last",
+            "prefixes",
+            "subpatterns",
+            "suffixes",
+        ),
+        "positions": ("PositionIndex", "SequencePositions"),
+        "sequence": ("Sequence", "SequenceDatabase"),
+        "stats": ("MiningStats", "Timer"),
+    },
+)

@@ -12,19 +12,16 @@ The package that makes long runs and long-lived stores survivable:
   behind ``repro compact`` / :meth:`TraceStore.compact`.
 
 ``fsck`` and ``compact`` import the ingest layer, which itself uses the
-journal helpers; they are therefore *not* imported here — consumers
-import the submodules directly and the package stays cycle-free.
+journal helpers; they export nothing here — consumers import the
+submodules directly.
 """
 
-from .checkpoint import MiningCheckpoint, file_fingerprint, miner_config_token
-from .journal import JournalWriter, atomic_write_bytes, atomic_write_text, read_frames
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JournalWriter",
-    "MiningCheckpoint",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "file_fingerprint",
-    "miner_config_token",
-    "read_frames",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "checkpoint": ("MiningCheckpoint", "file_fingerprint", "miner_config_token"),
+        "journal": ("JournalWriter", "atomic_write_bytes", "atomic_write_text", "read_frames"),
+    },
+)

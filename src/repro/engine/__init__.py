@@ -19,31 +19,21 @@ Typical use::
                                   backend=ProcessPoolBackend(workers=4))
 """
 
-from .backend import (
-    BACKEND_CHOICES,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    plan_shards,
-    resolve_backend,
-)
-from .runner import SearchContext, SearchMinerBase, ShardRunner, plan_weighted_roots
-from .sharding import UnitOutcome, WorkUnit
-from .stealing import DEFAULT_SPLIT_DEPTH, StealSplitter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "plan_shards",
-    "resolve_backend",
-    "SearchContext",
-    "SearchMinerBase",
-    "ShardRunner",
-    "plan_weighted_roots",
-    "UnitOutcome",
-    "WorkUnit",
-    "DEFAULT_SPLIT_DEPTH",
-    "StealSplitter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "backend": (
+            "BACKEND_CHOICES",
+            "ExecutionBackend",
+            "ProcessPoolBackend",
+            "SerialBackend",
+            "plan_shards",
+            "resolve_backend",
+        ),
+        "runner": ("SearchContext", "SearchMinerBase", "ShardRunner", "plan_weighted_roots"),
+        "sharding": ("UnitOutcome", "WorkUnit"),
+        "stealing": ("DEFAULT_SPLIT_DEPTH", "StealSplitter"),
+    },
+)

@@ -48,7 +48,6 @@ spreads across the pool.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_module
 import time
 import traceback
@@ -355,6 +354,10 @@ class _Coordinator:
         self.runner = runner
         self.backend = backend
         self.stats = stats
+        # Imported on first process use: serial mines and every command
+        # that never starts a worker skip loading it.
+        import multiprocessing
+
         self.ctx = multiprocessing.get_context()
         self.results = self.ctx.Queue()
         self.queued = self.ctx.Value("i", len(units))

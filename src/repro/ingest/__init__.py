@@ -15,38 +15,26 @@ Three layers, each usable on its own:
   to a full re-mine on every execution backend.
 """
 
-from .formats import (
-    DEFAULT_BATCH_SIZE,
-    EncodedTrace,
-    FormatAdapter,
-    TraceRecord,
-    adapter_for,
-    format_for_path,
-    register_format,
-    registered_formats,
-    stream_batches,
-    stream_encoded_traces,
-    stream_traces,
-    write_trace_records,
-)
-from .incremental import IncrementalMiner, RefreshReport
-from .store import BatchInfo, TraceStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "EncodedTrace",
-    "FormatAdapter",
-    "TraceRecord",
-    "adapter_for",
-    "format_for_path",
-    "register_format",
-    "registered_formats",
-    "stream_batches",
-    "stream_encoded_traces",
-    "stream_traces",
-    "write_trace_records",
-    "IncrementalMiner",
-    "RefreshReport",
-    "BatchInfo",
-    "TraceStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "formats": (
+            "DEFAULT_BATCH_SIZE",
+            "EncodedTrace",
+            "FormatAdapter",
+            "TraceRecord",
+            "adapter_for",
+            "format_for_path",
+            "register_format",
+            "registered_formats",
+            "stream_batches",
+            "stream_encoded_traces",
+            "stream_traces",
+            "write_trace_records",
+        ),
+        "incremental": ("IncrementalMiner", "RefreshReport"),
+        "store": ("BatchInfo", "TraceStore"),
+    },
+)

@@ -1,56 +1,35 @@
 """Simulated JBoss Application Server components and workloads (Section 7)."""
 
-from .reference import (
-    CONNECTION_SET_UP,
-    FIGURE4_PATTERN,
-    FIGURE5_CONSEQUENT,
-    FIGURE5_PREMISE,
-    FIGURE5_RULE,
-    JTA_COMMIT_PATTERN,
-    JTA_ROLLBACK_PATTERN,
-    TRANSACTION_COMMIT,
-    TRANSACTION_DISPOSE,
-    TRANSACTION_ROLLBACK,
-    TRANSACTION_SET_UP,
-    TX_MANAGER_SET_UP,
-)
-from .security import AuthenticationOutcome, JaasSecurityService
-from .transaction import TransactionClient, TransactionManagerLocator, TxManager
-from .workloads import (
-    CLIENT_WORK_EVENTS,
-    SECURITY_NOISE_EVENTS,
-    SERVER_NOISE_EVENTS,
-    SecurityWorkloadConfig,
-    TransactionWorkloadConfig,
-    generate_case_study_traces,
-    generate_security_traces,
-    generate_transaction_traces,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONNECTION_SET_UP",
-    "FIGURE4_PATTERN",
-    "FIGURE5_CONSEQUENT",
-    "FIGURE5_PREMISE",
-    "FIGURE5_RULE",
-    "JTA_COMMIT_PATTERN",
-    "JTA_ROLLBACK_PATTERN",
-    "TRANSACTION_COMMIT",
-    "TRANSACTION_DISPOSE",
-    "TRANSACTION_ROLLBACK",
-    "TRANSACTION_SET_UP",
-    "TX_MANAGER_SET_UP",
-    "AuthenticationOutcome",
-    "JaasSecurityService",
-    "TransactionClient",
-    "TransactionManagerLocator",
-    "TxManager",
-    "CLIENT_WORK_EVENTS",
-    "SECURITY_NOISE_EVENTS",
-    "SERVER_NOISE_EVENTS",
-    "SecurityWorkloadConfig",
-    "TransactionWorkloadConfig",
-    "generate_case_study_traces",
-    "generate_security_traces",
-    "generate_transaction_traces",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "reference": (
+            "CONNECTION_SET_UP",
+            "FIGURE4_PATTERN",
+            "FIGURE5_CONSEQUENT",
+            "FIGURE5_PREMISE",
+            "FIGURE5_RULE",
+            "JTA_COMMIT_PATTERN",
+            "JTA_ROLLBACK_PATTERN",
+            "TRANSACTION_COMMIT",
+            "TRANSACTION_DISPOSE",
+            "TRANSACTION_ROLLBACK",
+            "TRANSACTION_SET_UP",
+            "TX_MANAGER_SET_UP",
+        ),
+        "security": ("AuthenticationOutcome", "JaasSecurityService"),
+        "transaction": ("TransactionClient", "TransactionManagerLocator", "TxManager"),
+        "workloads": (
+            "CLIENT_WORK_EVENTS",
+            "SECURITY_NOISE_EVENTS",
+            "SERVER_NOISE_EVENTS",
+            "SecurityWorkloadConfig",
+            "TransactionWorkloadConfig",
+            "generate_case_study_traces",
+            "generate_security_traces",
+            "generate_transaction_traces",
+        ),
+    },
+)

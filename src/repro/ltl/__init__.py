@@ -5,29 +5,26 @@ finite-trace semantics, translation between recurrent rules and LTL, and the
 English rendering used to regenerate Table 1.
 """
 
-from .ast import And, Atom, Finally, Formula, Globally, Implies, Next, WeakNext, atoms, depth
-from .parser import parse_ltl
-from .pretty import describe_rule, explain
-from .semantics import holds
-from .translate import consequent_to_ltl, is_minable, ltl_to_rule, rule_to_ltl
+from .._lazy import lazy_exports
 
-__all__ = [
-    "And",
-    "Atom",
-    "Finally",
-    "Formula",
-    "Globally",
-    "Implies",
-    "Next",
-    "WeakNext",
-    "atoms",
-    "depth",
-    "parse_ltl",
-    "describe_rule",
-    "explain",
-    "holds",
-    "consequent_to_ltl",
-    "is_minable",
-    "ltl_to_rule",
-    "rule_to_ltl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ast": (
+            "And",
+            "Atom",
+            "Finally",
+            "Formula",
+            "Globally",
+            "Implies",
+            "Next",
+            "WeakNext",
+            "atoms",
+            "depth",
+        ),
+        "parser": ("parse_ltl",),
+        "pretty": ("describe_rule", "explain"),
+        "semantics": ("holds",),
+        "translate": ("consequent_to_ltl", "is_minable", "ltl_to_rule", "rule_to_ltl"),
+    },
+)

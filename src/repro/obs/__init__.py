@@ -26,42 +26,30 @@ The metric catalogue, span naming scheme, and scrape/trace workflows are
 documented in ``docs/observability.md``.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    REGISTRY,
-    SERVING_BUCKETS,
-    UNIT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    record_mining_stats,
-    record_rule_close,
-    set_enabled,
-)
-from .tracing import (
-    TraceCollector,
-    install as install_tracing,
-    remote_span,
-    reset as reset_tracing,
-    span,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "REGISTRY",
-    "SERVING_BUCKETS",
-    "UNIT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TraceCollector",
-    "install_tracing",
-    "record_mining_stats",
-    "record_rule_close",
-    "remote_span",
-    "reset_tracing",
-    "set_enabled",
-    "span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "metrics": (
+            "DEFAULT_BUCKETS",
+            "REGISTRY",
+            "SERVING_BUCKETS",
+            "UNIT_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "record_mining_stats",
+            "record_rule_close",
+            "set_enabled",
+        ),
+        "tracing": (
+            "TraceCollector",
+            ("install_tracing", "install"),
+            "remote_span",
+            ("reset_tracing", "reset"),
+            "span",
+        ),
+    },
+)

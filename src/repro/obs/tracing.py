@@ -59,7 +59,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -84,7 +83,7 @@ __all__ = [
 
 def _new_id() -> str:
     """A fresh 64-bit hex id for a trace or span."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 #: Per-thread span stack (innermost open span's ids) and ambient trace id.

@@ -10,23 +10,16 @@ Public entry points:
   future-work generator miner.
 """
 
-from .closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
-from .closure import forward_closure_violation
-from .config import IterativeMiningConfig
-from .full_miner import FullIterativePatternMiner, mine_frequent_patterns
-from .generators import GeneratorPatternMiner, mine_generators, propose_generator_rules
-from .result import MinedPattern, PatternMiningResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClosedIterativePatternMiner",
-    "mine_closed_patterns",
-    "forward_closure_violation",
-    "IterativeMiningConfig",
-    "FullIterativePatternMiner",
-    "mine_frequent_patterns",
-    "GeneratorPatternMiner",
-    "mine_generators",
-    "propose_generator_rules",
-    "MinedPattern",
-    "PatternMiningResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "closed_miner": ("ClosedIterativePatternMiner", "mine_closed_patterns"),
+        "closure": ("forward_closure_violation",),
+        "config": ("IterativeMiningConfig",),
+        "full_miner": ("FullIterativePatternMiner", "mine_frequent_patterns"),
+        "generators": ("GeneratorPatternMiner", "mine_generators", "propose_generator_rules"),
+        "result": ("MinedPattern", "PatternMiningResult"),
+    },
+)

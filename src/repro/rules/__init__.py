@@ -9,23 +9,17 @@ Public entry points:
 * :func:`filter_redundant` — the Definition 5.2 redundancy filter.
 """
 
-from .config import RuleMiningConfig
-from .consequent_miner import ConsequentGrower, GrownRule
-from .full_miner import FullRecurrentRuleMiner, mine_all_rules
-from .nonredundant_miner import NonRedundantRecurrentRuleMiner, mine_non_redundant_rules
-from .redundancy import filter_redundant
-from .result import RuleMiningResult
-from .rule import RecurrentRule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RuleMiningConfig",
-    "ConsequentGrower",
-    "GrownRule",
-    "FullRecurrentRuleMiner",
-    "mine_all_rules",
-    "NonRedundantRecurrentRuleMiner",
-    "mine_non_redundant_rules",
-    "filter_redundant",
-    "RuleMiningResult",
-    "RecurrentRule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": ("RuleMiningConfig",),
+        "consequent_miner": ("ConsequentGrower", "GrownRule"),
+        "full_miner": ("FullRecurrentRuleMiner", "mine_all_rules"),
+        "nonredundant_miner": ("NonRedundantRecurrentRuleMiner", "mine_non_redundant_rules"),
+        "redundancy": ("filter_redundant",),
+        "result": ("RuleMiningResult",),
+        "rule": ("RecurrentRule",),
+    },
+)

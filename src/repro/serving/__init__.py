@@ -35,26 +35,15 @@ serves them against *live* traffic:
 dataflow.
 """
 
-from .compile import CompiledRuleSet, compile_rules
-from .daemon import WatchCycle, WatchDaemon
-from .pool import ACCEPTED, BUSY, SESSION_LOST, MonitorPool, SessionTicket
-from .server import EventPushServer, ProtocolError, PushClient, encode_frame, read_frame
-from .stream_monitor import StreamingMonitor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACCEPTED",
-    "BUSY",
-    "SESSION_LOST",
-    "CompiledRuleSet",
-    "compile_rules",
-    "EventPushServer",
-    "MonitorPool",
-    "ProtocolError",
-    "PushClient",
-    "SessionTicket",
-    "StreamingMonitor",
-    "WatchCycle",
-    "WatchDaemon",
-    "encode_frame",
-    "read_frame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compile": ("CompiledRuleSet", "compile_rules"),
+        "daemon": ("WatchCycle", "WatchDaemon"),
+        "pool": ("ACCEPTED", "BUSY", "SESSION_LOST", "MonitorPool", "SessionTicket"),
+        "server": ("EventPushServer", "ProtocolError", "PushClient", "encode_frame", "read_frame"),
+        "stream_monitor": ("StreamingMonitor",),
+    },
+)

@@ -1,20 +1,13 @@
 """Specification model: charts, rendering, ranking and storage of mined specs."""
 
-from .chart import ChartMessage, SequenceChart, chart_from_pattern
-from .ranking import pattern_score, rank_patterns, rank_rules, rule_score
-from .render import render_chart, render_pattern_blocks, render_rule
-from .repository import SpecificationRepository
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChartMessage",
-    "SequenceChart",
-    "chart_from_pattern",
-    "pattern_score",
-    "rank_patterns",
-    "rank_rules",
-    "rule_score",
-    "render_chart",
-    "render_pattern_blocks",
-    "render_rule",
-    "SpecificationRepository",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "chart": ("ChartMessage", "SequenceChart", "chart_from_pattern"),
+        "ranking": ("pattern_score", "rank_patterns", "rank_rules", "rule_score"),
+        "render": ("render_chart", "render_pattern_blocks", "render_rule"),
+        "repository": ("SpecificationRepository",),
+    },
+)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from ..core.errors import DataFormatError
 from ..core.events import EventLabel
 from ..durability.journal import atomic_write_text
-from ..patterns.result import MinedPattern, PatternMiningResult
-from ..rules.result import RuleMiningResult
 from ..rules.rule import RecurrentRule
+
+if TYPE_CHECKING:
+    from ..patterns.result import MinedPattern, PatternMiningResult
+    from ..rules.result import RuleMiningResult
 
 PathLike = Union[str, Path]
 
@@ -185,6 +187,9 @@ class SpecificationRepository:
         source = payload.get("source")
         if isinstance(source, dict):
             repository.source = source
+        if payload["patterns"]:
+            # Only here: serving a rule-only repository loads no pattern code.
+            from ..patterns.result import MinedPattern
         for entry in payload["patterns"]:
             repository.add_pattern(
                 MinedPattern(events=tuple(entry["events"]), support=int(entry["support"]))

@@ -4,13 +4,12 @@ The runtime monitor itself is :class:`repro.serving.StreamingMonitor`;
 this package holds the report types it emits and the coverage analysis.
 """
 
-from .coverage import CoverageReport, coverage_of, specification_events
-from .violations import MonitoringReport, RuleViolation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoverageReport",
-    "coverage_of",
-    "specification_events",
-    "MonitoringReport",
-    "RuleViolation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "coverage": ("CoverageReport", "coverage_of", "specification_events"),
+        "violations": ("MonitoringReport", "RuleViolation"),
+    },
+)

@@ -641,6 +641,10 @@ def test_watch_command_with_push_port_prints_the_address(tmp_path, capsys):
         ["metrics", "--timeout", "0"],
         ["metrics", "--timeout", "nan"],
         ["top", "--timeout", "inf"],
+        ["metrics", "--port", "70000"],
+        ["top", "--port", "70000"],
+        ["metrics", "--port", "0"],
+        ["top", "--port", "65536"],
     ],
 )
 def test_bad_bind_ports_and_intervals_are_usage_errors(args, capsys):
@@ -746,3 +750,13 @@ def test_a_broken_pipe_elsewhere_still_raises(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "generate", broken)
     with pytest.raises(BrokenPipeError):
         main(["generate", "--output", "unused.jsonl"])
+
+
+def test_backend_choices_match_the_engine():
+    """The parser spells out the backend names so it need not load the
+    engine; they must stay the names the engine accepts."""
+    from repro import cli
+    from repro.engine import BACKEND_CHOICES
+
+    assert cli._BACKEND_CHOICES == BACKEND_CHOICES
+
