@@ -82,7 +82,7 @@ _SUPPORT_HELP = "a fraction of the sequences in (0, 1], or an absolute count abo
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .ingest.formats import DEFAULT_BATCH_SIZE
+    from .ingest import DEFAULT_BATCH_SIZE
 
     parser = argparse.ArgumentParser(
         prog="repro-mine",

@@ -18,12 +18,17 @@ sequence:
   one comparison.
 
 :class:`PositionIndex` builds and caches both structures for a whole
-encoded database, one sequence at a time.
+encoded database, one sequence at a time.  Rule mining asks a third
+question, "which events occur after position ``p``, and where first?", for
+every alive temporal point of every consequent node;
+:class:`SuccessorTable` answers it with one dict per position, built the
+first time the position is asked about and kept with the index.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
 from typing import Dict, List, Optional, Sequence as TypingSequence, Tuple
 
 from .events import EventId
@@ -61,14 +66,6 @@ class SequencePositions:
         """All positions of ``event`` (possibly empty), sorted ascending."""
         return self._positions.get(event, [])
 
-    def table(self) -> Dict[EventId, List[int]]:
-        """The raw ``event -> sorted positions`` mapping (read-only view).
-
-        Exposed for the columnar hot loops, which inline their binary
-        searches over the per-event lists; callers must not mutate it.
-        """
-        return self._positions
-
     def count(self, event: EventId) -> int:
         """Number of occurrences of ``event`` in the sequence."""
         return len(self._positions.get(event, ()))
@@ -92,19 +89,96 @@ class SequencePositions:
         return self.first_at_or_after(event, position + 1)
 
 
+class SuccessorTable(dict):
+    """Where each event first occurs after a position, per position.
+
+    Positions are numbered across the whole database by a *global position
+    id* (gid): position ``p`` of sequence ``s`` is ``offsets[s] + p``.
+    ``table[gid]`` maps every event occurring after the position to the
+    gid of its first occurrence strictly after it, in the order the events
+    first appear in the suffix.  A suffix position ``q`` holds such a first
+    occurrence exactly when ``previous[q] <= p``, so an entry is one
+    C-level ``compress`` over the suffix and its occurrence links.
+
+    Entries are built on first lookup (``__missing__``) and then kept, so
+    the table holds one dict per position ever asked about, each with as
+    many entries as there are distinct events after that position.
+    ``tail[gid]`` counts the occurrences of the position's event at or
+    after it; it is built for every position up front.
+    """
+
+    __slots__ = ("offsets", "tail", "_gids", "_sequences", "_previous")
+
+    def __init__(
+        self,
+        sequences: TypingSequence[TypingSequence[EventId]],
+        positions: TypingSequence[SequencePositions],
+    ) -> None:
+        super().__init__()
+        self.offsets: List[int] = []
+        self.tail: List[int] = []
+        # Each sequence's gids, one int object per position, shared by
+        # every entry that names it.
+        self._gids: List[List[int]] = []
+        self._sequences: List[TypingSequence[EventId]] = []
+        self._previous: List[List[int]] = []
+        self.extend(sequences, positions)
+
+    def extend(
+        self,
+        sequences: TypingSequence[TypingSequence[EventId]],
+        positions: TypingSequence[SequencePositions],
+    ) -> None:
+        """Number appended sequences after the last gid; built entries stay."""
+        for sequence, sequence_positions in zip(sequences, positions):
+            offset = len(self.tail)
+            column = [0] * sequence_positions.length
+            for occurrences in sequence_positions._positions.values():
+                for position, remaining in zip(occurrences, range(len(occurrences), 0, -1)):
+                    column[position] = remaining
+            self.offsets.append(offset)
+            self.tail.extend(column)
+            self._gids.append(list(range(offset, offset + len(column))))
+            self._sequences.append(sequence)
+            self._previous.append(sequence_positions.previous)
+
+    def __missing__(self, gid: int) -> Dict[EventId, int]:
+        sequence_index = bisect_right(self.offsets, gid) - 1
+        position = gid - self.offsets[sequence_index]
+        keep = list(
+            map(position.__ge__, islice(self._previous[sequence_index], position + 1, None))
+        )
+        after = self[gid] = dict(
+            zip(
+                compress(islice(self._sequences[sequence_index], position + 1, None), keep),
+                compress(islice(self._gids[sequence_index], position + 1, None), keep),
+            )
+        )
+        return after
+
+
 class PositionIndex:
     """Position indexes for every sequence of an encoded database."""
 
     def __init__(self, encoded_sequences: TypingSequence[TypingSequence[EventId]]) -> None:
+        self._sequences: List[TypingSequence[EventId]] = list(encoded_sequences)
         self._per_sequence: List[SequencePositions] = [
-            SequencePositions(sequence) for sequence in encoded_sequences
+            SequencePositions(sequence) for sequence in self._sequences
         ]
+        self._successors: Optional[SuccessorTable] = None
 
     def __len__(self) -> int:
         return len(self._per_sequence)
 
     def __getitem__(self, sequence_index: int) -> SequencePositions:
         return self._per_sequence[sequence_index]
+
+    @property
+    def successors(self) -> SuccessorTable:
+        """The database's :class:`SuccessorTable`, created on first use."""
+        if self._successors is None:
+            self._successors = SuccessorTable(self._sequences, self._per_sequence)
+        return self._successors
 
     def extend(
         self, encoded_sequences: TypingSequence[TypingSequence[EventId]]
@@ -114,11 +188,16 @@ class PositionIndex:
         Per-sequence indexes are independent, so an append-only database
         extension costs O(new events) — this is what lets incremental
         mining keep one live index across store appends instead of
-        rebuilding it from the whole corpus.
+        rebuilding it from the whole corpus.  Appended positions take gids
+        past the end, so a successor table already created keeps every
+        entry it has built.
         """
-        self._per_sequence.extend(
-            SequencePositions(sequence) for sequence in encoded_sequences
-        )
+        sequences = list(encoded_sequences)
+        added = [SequencePositions(sequence) for sequence in sequences]
+        self._sequences.extend(sequences)
+        self._per_sequence.extend(added)
+        if self._successors is not None:
+            self._successors.extend(sequences, added)
 
     def sequence_support(self, event: EventId) -> int:
         """Number of sequences in which ``event`` occurs at least once."""

@@ -17,11 +17,16 @@ Three layers, each usable on its own:
 
 from .._lazy import lazy_exports
 
+#: Default number of traces per chunk in
+#: :func:`~repro.ingest.formats.stream_batches`.  Defined here rather than
+#: in the formats module so the CLI parser can show it without loading the
+#: format adapters (and ``csv`` and ``gzip`` with them).
+DEFAULT_BATCH_SIZE = 1024
+
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "formats": (
-            "DEFAULT_BATCH_SIZE",
             "EncodedTrace",
             "FormatAdapter",
             "TraceRecord",
@@ -38,3 +43,4 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "store": ("BatchInfo", "TraceStore"),
     },
 )
+__all__.append("DEFAULT_BATCH_SIZE")

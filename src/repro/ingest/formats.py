@@ -53,11 +53,9 @@ from typing import (
 
 from ..core.errors import DataFormatError
 from ..core.events import EventId, EventVocabulary
+from . import DEFAULT_BATCH_SIZE
 
 PathLike = Union[str, Path]
-
-#: Default number of traces per chunk in :func:`stream_batches`.
-DEFAULT_BATCH_SIZE = 1024
 
 
 class TraceRecord(NamedTuple):

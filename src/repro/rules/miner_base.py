@@ -237,7 +237,6 @@ class RecurrentRuleMinerBase(SearchMinerBase):
     ) -> None:
         """Run the consequent grower for one premise, appending its rules."""
         grower = ConsequentGrower(
-            encoded_db=context.encoded,
             index=context.index,
             premise=premise,
             premise_projections=projections,

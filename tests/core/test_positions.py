@@ -75,3 +75,54 @@ def test_occurrence_links_match_brute_force_after_extend(first, appended):
         assert (index[sequence_index].previous, index[sequence_index].following) == (
             _brute_force_links(sequence)
         )
+
+
+# Sequences with repeats: the successor table's entries differ from a plain
+# "events after p" set exactly where an event recurs.
+repeating_sequences = st.lists(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=30), min_size=1, max_size=4
+)
+
+
+def _naive_successors(sequence, position, offset):
+    """``{event: gid of its first occurrence after position}``, suffix order."""
+    after = {}
+    for later in range(position + 1, len(sequence)):
+        after.setdefault(sequence[later], offset + later)
+    return after
+
+
+@given(first=repeating_sequences, appended=sequences_strategy, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_successor_table_matches_its_definition(first, appended, data):
+    """Every entry asked for lists the events after its position in
+    first-occurrence order, each with the gid of that occurrence; ``tail``
+    equals a naive count; and a lookup builds the entries asked for and
+    no others, before and after an ``extend``."""
+    index = PositionIndex(first)
+    table = index.successors
+
+    def check(sequences):
+        gids = [
+            (sequence_index, position)
+            for sequence_index, sequence in enumerate(sequences)
+            for position in range(len(sequence))
+        ]
+        assert len(table.tail) == len(gids)
+        for gid, (sequence_index, position) in enumerate(gids):
+            sequence = sequences[sequence_index]
+            assert table.offsets[sequence_index] + position == gid
+            assert table.tail[gid] == sequence[position:].count(sequence[position])
+        asked = data.draw(st.sets(st.integers(min_value=0, max_value=len(gids) - 1))) if gids else set()
+        built_before = set(table)
+        for gid in asked:
+            sequence_index, position = gids[gid]
+            expected = _naive_successors(
+                sequences[sequence_index], position, table.offsets[sequence_index]
+            )
+            assert list(table[gid].items()) == list(expected.items())
+        assert set(table) == built_before | asked
+
+    check(first)
+    index.extend(appended)
+    check(first + appended)

@@ -316,6 +316,32 @@ def test_live_index_is_extended_not_rebuilt(tmp_path):
     assert len(index_before) == len(store)
 
 
+def test_successor_table_keeps_its_entries_across_an_append(tmp_path):
+    """Appended traces take gids past the end of the live successor table:
+    the refresh extends it, every entry built before the append stays, and
+    the rules equal a cold mine of the grown store."""
+    store = TraceStore(str(tmp_path / "store"))
+    store.append_batch([["a", "b", "c", "a", "b"], ["a", "c", "b"], ["b", "a", "b"]])
+    config = RuleMiningConfig(min_s_support=2, min_confidence=0.5)
+    miner = IncrementalMiner(NonRedundantRecurrentRuleMiner(config), store)
+    miner.refresh()
+    table = miner._context.index.successors
+    built = dict(table)
+    tail = list(table.tail)
+    assert built
+
+    store.append_batch([["c", "a", "b", "b"], ["a", "b"]])
+    result, report = miner.refresh()
+    assert not report.full_remine and report.roots_remined > 0
+    assert miner._context.index.successors is table
+    assert all(table[gid] is entry for gid, entry in built.items())
+    assert table.tail[: len(tail)] == tail
+    assert len(table.tail) == sum(map(len, store.snapshot().encoded))
+    assert set(table) > set(built)
+    full = mine_non_redundant_rules(store.snapshot(), min_s_support=2, min_confidence=0.5)
+    assert result.rules == full.rules
+
+
 @pytest.mark.parametrize("backend", [None, ProcessPoolBackend(workers=2)])
 def test_append_that_lifts_a_dropped_event_rebuilds_the_view(tmp_path, backend):
     """The view drops "z" (one occurrence, threshold 2) until an append

@@ -99,7 +99,12 @@ def test_serve_loads_no_miner_engine_or_daemon(tmp_path):
     modules = _modules_after(SERVE_PROBE, str(specs))
     assert "repro.serving.server" in modules and "repro.obs.metrics" in modules
     assert _under(
-        modules, "repro.patterns", "repro.engine", "repro.ingest.incremental", "repro.serving.daemon"
+        modules,
+        "repro.patterns",
+        "repro.engine",
+        "repro.ingest.formats",
+        "repro.ingest.incremental",
+        "repro.serving.daemon",
     ) == []
     # No --http-port: the HTTP sidecar (and http.server) stays unloaded.
     assert _under(modules, "repro.obs.httpexpo", "http.server") == []
@@ -132,7 +137,9 @@ def test_help_loads_no_miner():
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     assert "repro.cli" in modules
-    assert _under(modules, "repro.patterns", "repro.rules", "repro.engine", "repro.serving") == []
+    assert _under(
+        modules, "repro.patterns", "repro.rules", "repro.engine", "repro.serving", "repro.ingest.formats"
+    ) == []
 
 
 # --------------------------------------------------------------------- #
