@@ -15,7 +15,14 @@ Wire format (documented in full in ``docs/serving.md``)::
     payload := one UTF-8 JSON object with an "op" field
 
 Requests are answered with exactly one reply frame each, in request order,
-so clients may pipeline freely.  The verbs:
+so clients may pipeline freely.  A connection dispatches every complete
+frame of one read without waiting on any session close: an ``END`` queues
+the close and leaves its reply pending, and the pending replies settle (the
+handler waits for the closes, then encodes their reports) when the read's
+replies are written.  Before any verb other than ``EVENT``/``BATCH``/``END``
+the connection settles its pending ``END`` replies first, so a ``STATS``,
+``REPORT``, ``ANALYTICS`` or ``SWAP`` sees every session the same
+connection ended before it.  The verbs:
 
 ========  ============================================================
 ``EVENT``     push one event of a session (reply ``OK`` / ``BUSY``)
@@ -63,6 +70,7 @@ from __future__ import annotations
 
 import json
 import random
+import select
 import socket
 import socketserver
 import struct
@@ -77,14 +85,19 @@ from ..obs import tracing
 from ..specs.repository import SpecificationRepository
 from ..testing import faults
 from ..testing.faults import FaultInjected
-from .pool import ACCEPTED, SESSION_LOST, MonitorPool
+from .pool import ACCEPTED, SESSION_LOST, MonitorPool, SessionTicket
 
 #: Frames above this size are refused (and the connection closed): a bad
 #: length prefix must never make the server buffer gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 1 << 20
-#: How long an ``END`` reply waits for the session's shard to drain the
-#: session's queued events, in seconds.
+#: How long one settle of a connection's pending ``END`` replies waits, in
+#: seconds, for their shards to close the sessions.  The deadline covers
+#: the whole settle, not each ``END``; a close still pending past it is
+#: answered ``ERROR`` (the session still closes in the pool).
 END_TIMEOUT = 60.0
+#: While settling, how often the handler checks whether the peer reset the
+#: connection; a reset drops the pending replies instead of waiting on.
+_RESET_POLL_SECONDS = 0.1
 
 _LENGTH = struct.Struct(">I")
 
@@ -105,6 +118,9 @@ _KNOWN_OPS = frozenset(
         "SHUTDOWN",
     }
 )
+#: The verbs dispatched with ``END`` replies still pending; any other verb
+#: settles them first.
+_FEED_OPS = frozenset({"EVENT", "BATCH", "END"})
 
 
 class ProtocolError(Exception):
@@ -206,9 +222,25 @@ def _limit_field(payload: Dict[str, object], name: str = "limit") -> Optional[in
     return value
 
 
+class _PendingEnd:
+    """An ``END`` whose close is queued on the session's shard: its reply
+    is the session's report once :attr:`ticket` resolves."""
+
+    __slots__ = ("session", "ticket", "limit", "started")
+
+    def __init__(self, session: str, ticket: SessionTicket, limit: Optional[int]) -> None:
+        self.session = session
+        self.ticket = ticket
+        self.limit = limit
+        #: When the handler began on the ``END`` frame (``perf_counter``);
+        #: its request latency is observed from here once the reply settles.
+        self.started = 0.0
+
+
 #: What :meth:`EventPushServer._dispatch` answers: a payload for
-#: :func:`encode_frame`, or a frame it already encoded.
-Reply = Union[Dict[str, object], bytearray]
+#: :func:`encode_frame`, a frame it already encoded, or an ``END`` reply
+#: still pending on its session's close.
+Reply = Union[Dict[str, object], bytearray, _PendingEnd]
 
 
 def _report_frame(head: Dict[str, object], report, limit: Optional[int]) -> bytearray:
@@ -245,9 +277,16 @@ class _Handler(socketserver.BaseRequestHandler):
     Input is read a ``recv_into`` at a time and every complete frame in it is
     dispatched; their replies are buffered and written with one
     ``sendall`` once no complete frame is left, so a pipelined burst is
-    answered in one write rather than one per frame.  Buffered replies
-    are also written before SHUTDOWN stops the server and before the
-    connection drops for any reason, injected drops included.
+    answered in one write rather than one per frame.
+
+    An ``END`` does not hold up the burst: its close is queued and its
+    reply held, with every reply after it, until the burst's replies are
+    written or a verb other than ``EVENT``/``BATCH``/``END`` arrives.  Then
+    :meth:`_settle` waits for the closes, under one :data:`END_TIMEOUT`
+    deadline, and answers the held replies in request order.  Held and
+    buffered replies are also written before SHUTDOWN stops the server and
+    before the connection drops, injected drops included; a peer reset
+    drops them unwritten (the queued closes still run in the pool).
     """
 
     def handle(self) -> None:  # noqa: D102 - socketserver plumbing
@@ -256,16 +295,19 @@ class _Handler(socketserver.BaseRequestHandler):
         # the delayed ACK.
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._out = bytearray()
+        # The replies from the first pending END on, in request order.
+        self._held: List[Reply] = []
         obs_metrics.SERVER_CONNECTIONS_TOTAL.inc()
         try:
             self._serve()
-        except (OSError, FaultInjected):
-            pass  # peer reset or injected drop: drop the connection
-        finally:
-            try:
-                self._flush()
-            except OSError:
-                pass  # half-closed peer; nothing left to tell it
+        except OSError:
+            return  # peer reset: nobody is left to answer
+        except FaultInjected:
+            pass  # injected drop: answer what took effect, then drop
+        try:
+            self._flush()
+        except OSError:
+            pass  # half-closed peer; nothing left to tell it
 
     def _serve(self) -> None:
         """Serve frames until the connection is to be dropped."""
@@ -310,6 +352,10 @@ class _Handler(socketserver.BaseRequestHandler):
         serving.  Raises :class:`FaultInjected` on an injected drop."""
         op = payload.get("op")
         op_label = op if op in _KNOWN_OPS else "other"
+        if self._held and op not in _FEED_OPS:
+            # Read-your-ENDs: this verb sees every session this connection
+            # ended before it as closed.
+            self._settle()
         started = time.perf_counter()
         if faults.ACTIVE is not None:
             # Chaos hooks: drop the connection before (frame) or after
@@ -338,34 +384,97 @@ class _Handler(socketserver.BaseRequestHandler):
             reply, stop = {"op": "ERROR", "error": str(error)}, False
         if faults.ACTIVE is not None:
             faults.trigger("server.reply", key=str(frame_index))
-        obs_metrics.SERVER_REQUEST_SECONDS.observe(time.perf_counter() - started, op=op_label)
         obs_metrics.SERVER_REQUESTS_TOTAL.inc(op=op_label)
-        reply_op = reply.get("op") if isinstance(reply, dict) else None
-        if reply_op == "BUSY":
-            obs_metrics.SERVER_BUSY_REPLIES_TOTAL.inc()
-        elif reply_op == "SESSION_LOST":
-            obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.inc()
-        elif reply_op == "ERROR":
-            obs_metrics.SERVER_ERRORS_TOTAL.inc()
+        if isinstance(reply, _PendingEnd):
+            reply.started = started  # observed when the reply settles
+        else:
+            _observe(reply, op_label, started)
         self._queue(reply)
         return stop
 
     def _queue(self, reply: Reply) -> None:
+        """Hold a reply behind a pending ``END``, else buffer it for writing."""
+        if self._held or isinstance(reply, _PendingEnd):
+            self._held.append(reply)
+        else:
+            self._write(reply)
+
+    def _settle(self) -> None:
+        """Answer the held replies in request order, waiting for each
+        pending ``END``'s close; one :data:`END_TIMEOUT` deadline covers
+        them all."""
+        if not self._held:
+            return
+        held, self._held = self._held, []
+        deadline = time.monotonic() + END_TIMEOUT
+        for reply in held:
+            if isinstance(reply, _PendingEnd):
+                reply = self._settle_end(reply, deadline)
+            self._write(reply)
+
+    def _settle_end(self, pending: _PendingEnd, deadline: float) -> Reply:
+        """The reply to one pending ``END``, once its close is done or failed."""
+        try:
+            report = self._wait(pending.ticket, deadline)
+        except SessionLost as error:
+            reply: Reply = {"op": "SESSION_LOST", "session": pending.session, "error": str(error)}
+        except ServingTimeout as error:
+            reply = {"op": "ERROR", "error": str(error)}
+        else:
+            reply = _report_frame({"op": "SESSION", "session": pending.session}, report, pending.limit)
+        _observe(reply, "END", pending.started)
+        return reply
+
+    def _wait(self, ticket: SessionTicket, deadline: float):
+        """The ticket's report, waited for until ``deadline``; raises
+        :class:`OSError` as soon as the peer resets the connection."""
+        while True:
+            remaining = deadline - time.monotonic()
+            try:
+                return ticket.wait(timeout=max(0.0, min(remaining, _RESET_POLL_SECONDS)))
+            except ServingTimeout:
+                if remaining <= _RESET_POLL_SECONDS:
+                    raise ServingTimeout(
+                        f"the session did not close within the {END_TIMEOUT:g}s settle deadline"
+                    ) from None
+            readable, _, _ = select.select([self.request], [], [], 0)
+            if readable:
+                self.request.recv(1, socket.MSG_PEEK)  # raises on a reset
+
+    def _write(self, reply: Reply) -> None:
         """Buffer one reply frame (a large one is written as is)."""
         frame = reply if isinstance(reply, bytearray) else encode_frame(reply)
         if len(frame) >= _COALESCE_BYTES:
-            self._flush()
+            self._send()
             self.request.sendall(frame)
             return
         self._out += frame
         if len(self._out) >= _COALESCE_BYTES:
-            self._flush()
+            self._send()
 
-    def _flush(self) -> None:
+    def _send(self) -> None:
         """Write the buffered replies in one ``sendall``."""
         if self._out:
             out, self._out = self._out, bytearray()
             self.request.sendall(out)
+
+    def _flush(self) -> None:
+        """Settle the held replies and write everything buffered."""
+        self._settle()
+        self._send()
+
+
+def _observe(reply: Reply, op_label: str, started: float) -> None:
+    """Record one answered request: its latency since ``started`` and any
+    ``BUSY``/``SESSION_LOST``/``ERROR`` reply."""
+    obs_metrics.SERVER_REQUEST_SECONDS.observe(time.perf_counter() - started, op=op_label)
+    reply_op = reply.get("op") if isinstance(reply, dict) else None
+    if reply_op == "BUSY":
+        obs_metrics.SERVER_BUSY_REPLIES_TOTAL.inc()
+    elif reply_op == "SESSION_LOST":
+        obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.inc()
+    elif reply_op == "ERROR":
+        obs_metrics.SERVER_ERRORS_TOTAL.inc()
 
 
 class _PushTCPServer(socketserver.ThreadingTCPServer):
@@ -466,9 +575,11 @@ class EventPushServer:
     def _dispatch(self, payload: Dict[str, object]) -> Tuple[Reply, bool]:
         """Handle one request; returns ``(reply, stop_serving)``.
 
-        ``REPORT`` and ``END`` encode their reply frame here, from the
-        report's violation log; every other reply is a payload the
-        connection handler encodes.
+        ``REPORT`` encodes its reply frame here, from the report's
+        violation log.  ``END`` queues the session's close and answers a
+        :class:`_PendingEnd`: the connection handler waits for the close
+        and encodes the session's report when it settles the reply.  Every
+        other reply is a payload the handler encodes.
         """
         op = payload.get("op")
         if op == "EVENT":
@@ -494,12 +605,11 @@ class EventPushServer:
             limit = _limit_field(payload)  # before END takes effect
             try:
                 ticket = self.pool.end_session(session, trace=_trace_field(payload))
-                if ticket is None:
-                    return {"op": "BUSY"}, False
-                report = ticket.wait(timeout=END_TIMEOUT)
             except SessionLost as error:
                 return {"op": "SESSION_LOST", "session": session, "error": str(error)}, False
-            return _report_frame({"op": "SESSION", "session": session}, report, limit), False
+            if ticket is None:
+                return {"op": "BUSY"}, False
+            return _PendingEnd(session, ticket, limit), False
         if op == "STATS":
             stats = dict(self.pool.stats())
             stats["op"] = "STATS"

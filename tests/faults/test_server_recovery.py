@@ -1,14 +1,17 @@
 """Failure semantics of the TCP front end: torn frames, timeouts, reconnect."""
 
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
 from repro.core.errors import ServingTimeout
+from repro.obs import metrics as obs_metrics
 from repro.rules.rule import RecurrentRule
 from repro.serving.pool import MonitorPool
-from repro.serving.server import EventPushServer, PushClient, encode_frame
+from repro.serving.server import EventPushServer, PushClient, encode_frame, read_frame
 from repro.testing import faults
 
 from .conftest import wait_until
@@ -229,3 +232,135 @@ def test_replies_buffered_before_an_injected_drop_reach_the_client(serving, hook
         assert read_frame(stream) == {"op": "PONG"}
         assert read_frame(stream) is None
     assert pool.stats()["sessions_opened"] == (2 if took_effect else 1)
+
+
+# --------------------------------------------------------------------- #
+# END replies pending when something fails
+# --------------------------------------------------------------------- #
+def _opened_sessions(pool: MonitorPool, shard_index: int, count: int) -> list:
+    """``count`` sessions on one shard, each fed one event and drained."""
+    sessions = []
+    for attempt in range(10_000):
+        session_id = f"pending-{attempt}"
+        if pool.route(session_id) == shard_index:
+            assert pool.feed(session_id, "open") == "ok"
+            sessions.append(session_id)
+            if len(sessions) == count:
+                assert pool.drain()
+                return sessions
+    raise AssertionError(f"not enough session ids for shard {shard_index}")
+
+
+def _read_replies(sock: socket.socket, count: int) -> list:
+    stream = sock.makefile("rb")
+    return [read_frame(stream) for _ in range(count)]
+
+
+def test_shard_crash_with_ends_pending_answers_session_lost_in_order(serving):
+    pool, host, port = serving
+    sessions = _opened_sessions(pool, 0, 5)
+    lost_before = obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.value()
+    faults.install("pool.shard", "raise", key="0", count=1)
+    pool.pause_shard(0)
+    with _raw(host, port) as sock:
+        sock.sendall(b"".join(encode_frame({"op": "END", "session": s}) for s in sessions))
+        # Every END is queued (its reply pending) before the shard resumes
+        # and crashes on the first of them.
+        assert wait_until(lambda: pool.active_sessions == 0)
+        pool.resume_shard(0)
+        replies = _read_replies(sock, len(sessions))
+        assert [(reply["op"], reply["session"]) for reply in replies] == [
+            ("SESSION_LOST", session) for session in sessions
+        ]
+        assert all("crashed" in reply["error"] for reply in replies)
+        # The connection keeps serving, the crashed shard included.
+        sock.sendall(
+            encode_frame({"op": "BATCH", "session": sessions[0], "events": ["open", "close"]})
+            + encode_frame({"op": "END", "session": sessions[0]})
+            + encode_frame({"op": "PING"})
+        )
+        assert [reply["op"] for reply in _read_replies(sock, 3)] == ["OK", "SESSION", "PONG"]
+    assert obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.value() - lost_before == len(sessions)
+
+
+def test_one_deadline_covers_a_whole_settle(serving, monkeypatch):
+    from repro.serving import server as server_module
+
+    pool, host, port = serving
+    monkeypatch.setattr(server_module, "END_TIMEOUT", 0.3)
+    sessions = _opened_sessions(pool, 0, 5)
+    errors_before = obs_metrics.SERVER_ERRORS_TOTAL.value()
+    pool.pause_shard(0)
+    try:
+        with _raw(host, port) as sock:
+            sock.settimeout(5.0)
+            started = time.monotonic()
+            sock.sendall(b"".join(encode_frame({"op": "END", "session": s}) for s in sessions))
+            replies = _read_replies(sock, len(sessions))
+            elapsed = time.monotonic() - started
+    finally:
+        pool.resume_shard(0)
+    assert [reply["op"] for reply in replies] == ["ERROR"] * len(sessions)
+    assert all("0.3s settle deadline" in reply["error"] for reply in replies)
+    assert elapsed < 0.3 * 3  # one deadline, not one per END (5 x 0.3 s)
+    assert obs_metrics.SERVER_ERRORS_TOTAL.value() - errors_before == len(sessions)
+    # A timed-out reply does not undo the close: the sessions still close.
+    assert wait_until(lambda: pool.stats()["sessions_closed"] == len(sessions))
+
+
+def test_peer_reset_drops_pending_ends_without_waiting(serving):
+    pool, host, port = serving
+    sessions = _opened_sessions(pool, 0, 5)
+    baseline = threading.active_count()
+    pool.pause_shard(0)
+    try:
+        sock = _raw(host, port)
+        sock.sendall(b"".join(encode_frame({"op": "END", "session": s}) for s in sessions))
+        assert wait_until(lambda: pool.active_sessions == 0)  # all queued, replies pending
+        assert threading.active_count() == baseline + 1  # the connection's handler
+        # SO_LINGER with a zero timeout: close() sends a reset, not a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        reset = time.monotonic()
+        assert wait_until(lambda: threading.active_count() <= baseline, timeout=5.0)
+        assert time.monotonic() - reset < 1.0
+        assert pool.stats()["sessions_closed"] == 0  # the shard is still paused
+    finally:
+        pool.resume_shard(0)
+    assert wait_until(lambda: pool.stats()["sessions_closed"] == len(sessions))
+
+
+@pytest.mark.parametrize("hook", ["server.frame", "server.reply"])
+def test_pending_end_replies_reach_the_client_before_an_injected_drop(serving, hook):
+    # Frames 0-3 end two sessions on a paused shard: both END replies are
+    # pending when the drop fires at frame 4, and are still written (once
+    # the shard resumes and the closes settle) before the connection closes.
+    pool, host, port = serving
+    first, second = _opened_sessions(pool, 0, 2)
+    faults.install(hook, "drop", key="4", count=1)
+    burst = [
+        {"op": "BATCH", "session": first, "events": ["close"]},
+        {"op": "END", "session": first},
+        {"op": "BATCH", "session": second, "events": ["use"]},
+        {"op": "END", "session": second},
+        {"op": "PING"},
+    ]
+    pool.pause_shard(0)
+    timer = threading.Timer(0.3, pool.resume_shard, args=(0,))
+    timer.start()
+    try:
+        with _raw(host, port) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(b"".join(encode_frame(payload) for payload in burst))
+            stream = sock.makefile("rb")
+            replies = [read_frame(stream) for _ in range(4)]
+            assert read_frame(stream) is None
+    finally:
+        timer.join()
+    assert [(reply["op"], reply.get("session")) for reply in replies] == [
+        ("OK", None),
+        ("SESSION", first),
+        ("OK", None),
+        ("SESSION", second),
+    ]
+    assert (replies[1]["violation_count"], replies[3]["violation_count"]) == (0, 1)

@@ -3,10 +3,12 @@
 import io
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.rules.rule import RecurrentRule
 from repro.serving.pool import MonitorPool
 from repro.serving.server import (
@@ -19,6 +21,7 @@ from repro.serving.server import (
 )
 from repro.serving.stream_monitor import StreamingMonitor
 from repro.specs.repository import SpecificationRepository
+from repro.testing import faults
 
 RULES = [
     RecurrentRule(premise=("open",), consequent=("close",), s_support=2, i_support=2, confidence=1.0),
@@ -377,3 +380,164 @@ def test_a_bad_frame_after_good_ones_gets_their_replies_then_error_then_close(
         reply = read_frame(stream)
         assert reply["op"] == "ERROR" and error in reply["error"]
         assert read_frame(stream) is None  # server hung up on us
+
+
+# --------------------------------------------------------------------------- #
+# Pending END replies: one burst, no block per END, read-your-ENDs
+# --------------------------------------------------------------------------- #
+def _send_burst(sock, payloads):
+    sock.sendall(b"".join(encode_frame(payload) for payload in payloads))
+    stream = sock.makefile("rb")
+    return [read_frame(stream) for _ in payloads]
+
+
+def _resume_later(pool, shards, delay=0.3):
+    """Resume ``shards`` after ``delay`` seconds, from another thread."""
+    timer = threading.Timer(delay, lambda: [pool.resume_shard(shard) for shard in shards])
+    timer.start()
+    return timer
+
+
+def _session_on(pool, shard, prefix):
+    return next(
+        f"{prefix}-{attempt}"
+        for attempt in range(10_000)
+        if pool.route(f"{prefix}-{attempt}") == shard
+    )
+
+
+#: Sessions ended in the burst ahead of the verb under test.
+READ_YOUR_ENDS_SESSIONS = 20
+
+
+@pytest.mark.parametrize("verb", ["STATS", "REPORT", "ANALYTICS", "SWAP"])
+def test_a_verb_after_pipelined_ends_sees_every_session_closed(verb, monkeypatch):
+    """One write of BATCH+END for N sessions, then ``verb``: the verb runs
+    only after all N closes, although the shards are paused while the
+    burst is dispatched (they resume 0.3 s later)."""
+    n = READ_YOUR_ENDS_SESSIONS
+    with MonitorPool(RULES, shards=2, queue_depth=64) as pool, EventPushServer(
+        pool, port=0
+    ) as server, socket.create_connection(server.address, timeout=10.0) as sock:
+        generation_zero = pool.compiled
+        closed_at_swap = []
+        real_swap = pool.swap
+
+        def swap(rules):
+            closed_at_swap.append(pool.stats()["sessions_closed"])
+            return real_swap(rules)
+
+        monkeypatch.setattr(pool, "swap", swap)
+        payloads = []
+        for number in range(n):
+            session = f"rye-{number}"
+            payloads.append({"op": "BATCH", "session": session, "events": ["open", "use"]})
+            payloads.append({"op": "END", "session": session, "limit": 0})
+        payloads.append(
+            {"op": "SWAP", "repository": _repository(RULES).to_dict()} if verb == "SWAP" else {"op": verb}
+        )
+        for shard in range(2):
+            pool.pause_shard(shard)
+        timer = _resume_later(pool, range(2))
+        try:
+            replies = _send_burst(sock, payloads)
+        finally:
+            timer.join()
+        assert [reply["op"] for reply in replies[:-1]] == ["OK", "SESSION"] * n
+        assert [reply["session"] for reply in replies[1:-1:2]] == [f"rye-{k}" for k in range(n)]
+        assert all(reply["violation_count"] == 1 for reply in replies[1:-1:2])
+        last = replies[-1]
+        if verb == "STATS":
+            assert last["sessions_closed"] == n
+        elif verb == "REPORT":
+            assert (last["points"], last["violation_count"]) == (n, n)
+        elif verb == "ANALYTICS":
+            (counters,) = last["rules"].values()
+            assert counters["opened"] == n and counters["violated"] == n
+        else:
+            assert last == {"op": "OK", "generation": 1, "rules": 1}
+            assert closed_at_swap == [n]
+            # Every session closed under the rules it was admitted with.
+            traces = pool.report().log.traces
+            assert len(traces) == n
+            assert all(rules is generation_zero for _, _, rules, _, _ in traces)
+
+
+def test_pending_end_replies_interleave_in_order_with_busy_lost_and_error():
+    """Shard 1 is paused with one item in hand (queue_depth=1): its END is
+    held, its next BATCH is BUSY.  Shard 2 crashed: SESSION_LOST.  A bad
+    ``limit``: ERROR.  Every reply after the held END waits behind it and
+    all come back in request order."""
+    with MonitorPool(
+        RULES, shards=3, queue_depth=1, supervisor_interval=0.02
+    ) as pool, EventPushServer(pool, port=0) as server:
+        live, paused, other_paused = (
+            _session_on(pool, 0, "live"),
+            _session_on(pool, 1, "paused"),
+            _session_on(pool, 1, "other"),
+        )
+        lost = _session_on(pool, 2, "lost")
+        for session in (live, paused, lost):
+            assert pool.feed_batch(session, ["open"]) == "ok"
+        assert pool.drain()
+        faults.install("pool.shard", "raise", key="2", count=1)
+        try:
+            assert pool.feed(lost, "use") == "ok"  # kills shard 2
+            deadline = time.monotonic() + 5.0
+            while pool.stats()["restarts"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            faults.reset()
+        pool.pause_shard(1)
+        assert pool.feed(paused, "use") == "ok"  # the worker takes it and stalls
+        while not pool._shards[1].queue.empty():
+            time.sleep(0.005)
+        busy_before = obs_metrics.SERVER_BUSY_REPLIES_TOTAL.value()
+        lost_before = obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.value()
+        errors_before = obs_metrics.SERVER_ERRORS_TOTAL.value()
+        burst = [
+            {"op": "END", "session": paused},  # fills shard 1's queue; held
+            {"op": "END", "session": live, "limit": -1},  # ERROR, session stays open
+            {"op": "BATCH", "session": other_paused, "events": ["open"]},  # BUSY
+            {"op": "END", "session": lost},  # SESSION_LOST
+            {"op": "END", "session": live},  # held
+            {"op": "END", "session": other_paused},  # never admitted: ERROR
+        ]
+        timer = _resume_later(pool, [1])
+        try:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                replies = _send_burst(sock, burst)
+        finally:
+            timer.join()
+        assert [(reply["op"], reply.get("session")) for reply in replies] == [
+            ("SESSION", paused),
+            ("ERROR", None),
+            ("BUSY", None),
+            ("SESSION_LOST", lost),
+            ("SESSION", live),
+            ("ERROR", None),
+        ]
+        assert "limit" in replies[1]["error"] and "unknown session" in replies[5]["error"]
+        assert replies[0]["violation_count"] == 1 and replies[4]["violation_count"] == 1
+        assert obs_metrics.SERVER_BUSY_REPLIES_TOTAL.value() - busy_before == 1
+        assert obs_metrics.SERVER_SESSION_LOST_REPLIES_TOTAL.value() - lost_before == 1
+        assert obs_metrics.SERVER_ERRORS_TOTAL.value() - errors_before == 2
+
+
+def test_end_latency_is_observed_when_the_reply_settles(client, served):
+    """``repro_server_request_seconds{op="END"}`` still includes the close:
+    an END to a paused shard records at least the pause."""
+    _, pool = served
+    session = _session_on(pool, 0, "latency")
+    assert client.feed_batch(session, ["open", "close"]) == {"op": "OK"}
+    assert pool.drain()
+    _, sum_before, count_before = obs_metrics.SERVER_REQUEST_SECONDS.sample(op="END")
+    pool.pause_shard(0)
+    timer = _resume_later(pool, [0], delay=0.3)
+    try:
+        assert client.end(session)["op"] == "SESSION"
+    finally:
+        timer.join()
+    _, sum_after, count_after = obs_metrics.SERVER_REQUEST_SECONDS.sample(op="END")
+    assert count_after - count_before == 1
+    assert sum_after - sum_before >= 0.3
